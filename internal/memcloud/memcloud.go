@@ -671,172 +671,6 @@ func (s *Slave) ForEachLocal(fn func(key uint64, payload []byte) bool) {
 	}
 }
 
-// --- wire encoding helpers ---
-
-func encodeKey(key uint64) []byte {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], key)
-	return b[:]
-}
-
-func encodeKV(key uint64, val []byte) []byte {
-	out := make([]byte, 8+len(val)) //alloc:ok per-op sync path; batched writers encode into leases
-	binary.LittleEndian.PutUint64(out, key)
-	copy(out[8:], val)
-	return out
-}
-
-func decodeKV(b []byte) (uint64, []byte, error) {
-	if len(b) < 8 {
-		return 0, nil, errors.New("memcloud: short request")
-	}
-	return binary.LittleEndian.Uint64(b), b[8:], nil
-}
-
-// EncodeMultiGetReq builds a ProtoMultiGet request: u32 count, then count
-// 64-bit keys.
-func EncodeMultiGetReq(keys []uint64) []byte {
-	out := make([]byte, 4+8*len(keys)) //alloc:ok caller-owned request frame, one per batch
-	binary.LittleEndian.PutUint32(out, uint32(len(keys)))
-	for i, k := range keys {
-		binary.LittleEndian.PutUint64(out[4+8*i:], k)
-	}
-	return out
-}
-
-// decodeMultiGetReq parses a ProtoMultiGet request.
-func decodeMultiGetReq(b []byte) ([]uint64, error) {
-	if len(b) < 4 {
-		return nil, errors.New("memcloud: short multi-get request")
-	}
-	n := int(binary.LittleEndian.Uint32(b))
-	if len(b) != 4+8*n {
-		return nil, errors.New("memcloud: truncated multi-get request")
-	}
-	keys := make([]uint64, n)
-	for i := range keys {
-		keys[i] = binary.LittleEndian.Uint64(b[4+8*i:])
-	}
-	return keys, nil
-}
-
-// MultiGetResult is one key's answer inside a ProtoMultiGet response.
-type MultiGetResult struct {
-	Status byte
-	Val    []byte // set only when Status == MultiGetOK
-}
-
-// DecodeMultiGetResp parses a ProtoMultiGet response into per-key results
-// in request order. want is the number of keys the request carried; a
-// response answering a different number of keys is malformed.
-func DecodeMultiGetResp(b []byte, want int) ([]MultiGetResult, error) {
-	out := make([]MultiGetResult, 0, want)
-	for len(b) > 0 {
-		status := b[0]
-		b = b[1:]
-		switch status {
-		case MultiGetOK:
-			if len(b) < 4 {
-				return nil, errors.New("memcloud: truncated multi-get value header")
-			}
-			n := int(binary.LittleEndian.Uint32(b))
-			b = b[4:]
-			if n > len(b) {
-				return nil, errors.New("memcloud: truncated multi-get value")
-			}
-			out = append(out, MultiGetResult{Status: status, Val: b[:n:n]})
-			b = b[n:]
-		case MultiGetNotFound, MultiGetWrongOwner:
-			out = append(out, MultiGetResult{Status: status})
-		default:
-			return nil, fmt.Errorf("memcloud: unknown multi-get status %d", status)
-		}
-	}
-	if len(out) != want {
-		return nil, fmt.Errorf("memcloud: multi-get answered %d of %d keys", len(out), want)
-	}
-	return out, nil
-}
-
-// MultiPutReqSize returns the encoded size of a ProtoMultiPut request, so
-// the store pipeline can lease the exact frame up front.
-func MultiPutReqSize(items []MultiPutItem) int {
-	n := 4
-	for i := range items {
-		n += 13 + len(items[i].Val)
-	}
-	return n
-}
-
-// AppendMultiPutReq encodes a ProtoMultiPut request into dst and returns
-// the extended slice: u32 count, then count × [op(1) key(8) len(4) val].
-// Combined with MultiPutReqSize the caller brings an exactly-sized buffer
-// (a pooled lease), so encoding allocates nothing.
-func AppendMultiPutReq(dst []byte, items []MultiPutItem) []byte {
-	var u32 [4]byte
-	binary.LittleEndian.PutUint32(u32[:], uint32(len(items)))
-	dst = append(dst, u32[:]...)
-	var hdr [13]byte
-	for i := range items {
-		hdr[0] = items[i].Op
-		binary.LittleEndian.PutUint64(hdr[1:], items[i].Key)
-		binary.LittleEndian.PutUint32(hdr[9:], uint32(len(items[i].Val)))
-		dst = append(dst, hdr[:]...)
-		dst = append(dst, items[i].Val...)
-	}
-	return dst
-}
-
-// decodeMultiPutReq parses a ProtoMultiPut request. Values alias b: the
-// handler applies them before the request lease is released.
-func decodeMultiPutReq(b []byte) ([]MultiPutItem, error) {
-	if len(b) < 4 {
-		return nil, errors.New("memcloud: short multi-put request")
-	}
-	n := int(binary.LittleEndian.Uint32(b))
-	b = b[4:]
-	if n < 0 || n > len(b) { // each item needs ≥ 13 bytes; cheap upper bound first
-		return nil, errors.New("memcloud: truncated multi-put request")
-	}
-	items := make([]MultiPutItem, 0, n)
-	for i := 0; i < n; i++ {
-		if len(b) < 13 {
-			return nil, errors.New("memcloud: truncated multi-put item header")
-		}
-		op := b[0]
-		if op != MultiPutOpPut && op != MultiPutOpAdd {
-			return nil, fmt.Errorf("memcloud: unknown multi-put op %d", op)
-		}
-		key := binary.LittleEndian.Uint64(b[1:])
-		vn := int(binary.LittleEndian.Uint32(b[9:]))
-		b = b[13:]
-		if vn < 0 || vn > len(b) {
-			return nil, errors.New("memcloud: truncated multi-put value")
-		}
-		items = append(items, MultiPutItem{Op: op, Key: key, Val: b[:vn:vn]})
-		b = b[vn:]
-	}
-	if len(b) != 0 {
-		return nil, errors.New("memcloud: trailing bytes in multi-put request")
-	}
-	return items, nil
-}
-
-// DecodeMultiPutResp parses a ProtoMultiPut response into per-item status
-// codes in request order. want is the number of items the request
-// carried; a response answering a different number is malformed.
-func DecodeMultiPutResp(b []byte, want int) ([]byte, error) {
-	if len(b) != want {
-		return nil, fmt.Errorf("memcloud: multi-put answered %d of %d keys", len(b), want)
-	}
-	for _, st := range b {
-		if st > MultiPutErr {
-			return nil, fmt.Errorf("memcloud: unknown multi-put status %d", st)
-		}
-	}
-	return b, nil
-}
-
 // Wire error codes: handlers tag their sentinel errors with msg.WithCode
 // so the code — not the message text — identifies the sentinel on the
 // caller's side.
@@ -1291,262 +1125,4 @@ func (s *Slave) Lock(key uint64) (*trunk.Guard, error) {
 	}
 	g, err := t.Lock(key)
 	return g, mapTrunkErr(err)
-}
-
-// --- persistence & recovery ---
-
-func trunkFile(tid uint32) string { return fmt.Sprintf("trunks/%d", tid) }
-func walFile(tid uint32) string   { return fmt.Sprintf("wal/%d", tid) }
-
-// BackupTrunks dumps every local trunk to TFS and truncates its log.
-func (s *Slave) BackupTrunks() error {
-	s.mu.RLock()
-	trunks := make(map[uint32]*trunk.Trunk, len(s.trunks))
-	for id, t := range s.trunks {
-		trunks[id] = t
-	}
-	s.mu.RUnlock()
-	for tid, t := range trunks {
-		if err := s.backupTrunk(tid, t); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// backupTrunk dumps one trunk and truncates its log, atomically with
-// respect to concurrent mutations (see loggedApply). The truncation
-// comes only after the dump is safely in TFS: a crash mid-backup leaves
-// the old dump plus a complete log, never a dump with no log behind it.
-func (s *Slave) backupTrunk(tid uint32, t *trunk.Trunk) error {
-	if s.cfg.BufferedLogging {
-		mu := &s.walMu[tid]
-		mu.Lock()
-		defer mu.Unlock()
-	}
-	var buf bytes.Buffer
-	if err := t.DumpTo(&buf); err != nil {
-		return err
-	}
-	if err := s.fs.WriteFile(trunkFile(tid), buf.Bytes()); err != nil {
-		return err
-	}
-	if s.cfg.BufferedLogging {
-		s.fs.WriteFile(walFile(tid), nil)
-	}
-	return nil
-}
-
-// acquireTrunks is the recovery hook: reload trunks from TFS after the
-// addressing table assigned them to this machine.
-func (s *Slave) acquireTrunks(tids []uint32) {
-	for _, tid := range tids {
-		t := s.newTrunk()
-		if data, err := s.fs.ReadFile(trunkFile(tid)); err == nil {
-			if err := t.LoadFrom(bytes.NewReader(data)); err != nil {
-				t = s.newTrunk() // corrupt dump: start empty
-			}
-		}
-		if s.cfg.BufferedLogging {
-			if log, err := s.fs.ReadFile(walFile(tid)); err == nil {
-				// Best effort: a corrupt record stops replay at the last
-				// decodable prefix; everything before it is applied.
-				_ = replayLog(t, log)
-			}
-		}
-		s.mu.Lock()
-		_, exists := s.trunks[tid]
-		if !exists {
-			s.trunks[tid] = t
-			s.recoveries.Add(1)
-		}
-		s.mu.Unlock()
-		if !exists && s.defrag != nil {
-			s.defrag.Watch(t)
-		}
-	}
-}
-
-// releaseTrunks backs up and drops trunks that moved to another machine.
-// The backup also truncates the trunk's log: the dump covers everything,
-// and a stale log replayed by the new owner would double-apply Appends.
-func (s *Slave) releaseTrunks(tids []uint32) {
-	for _, tid := range tids {
-		s.mu.Lock()
-		t := s.trunks[tid]
-		delete(s.trunks, tid)
-		s.mu.Unlock()
-		if t != nil {
-			s.backupTrunk(tid, t)
-		}
-	}
-}
-
-// --- buffered logging (RAMCloud-style, §6.2) ---
-
-const (
-	opPut byte = iota + 1
-	opRemove
-	opAppend
-	// opGroup frames a group-commit record: op(1) bodyLen(4) body, where
-	// body is a concatenation of plain records (one per write in the
-	// multi-put batch that succeeded on its trunk). The whole group lands
-	// in one AppendFile, so a batch of N writes costs one TFS append
-	// instead of N; the length prefix lets replay distinguish a crash-
-	// truncated tail (ignored, the writes were never acked) from garbage
-	// inside a fully appended group (an error).
-	opGroup
-)
-
-// encodeGroupRecord builds one opGroup WAL record covering the writes in
-// the batch that succeeded (errs nil, or nil at that index). Failed
-// writes mutated nothing, so they must not replay. Returns nil when no
-// write succeeded. Sub-records use the plain single-record layout with
-// opPut: Add and Put replay identically (replay's Put is idempotent and
-// the Add already won its race when the record was written).
-func encodeGroupRecord(items []trunk.BatchItem, errs []error) []byte {
-	body := 0
-	for i := range items {
-		if errs == nil || errs[i] == nil {
-			body += 13 + len(items[i].Val)
-		}
-	}
-	if body == 0 {
-		return nil
-	}
-	rec := make([]byte, 5, 5+body) //alloc:ok one WAL group record per batch; that amortization is the point
-	rec[0] = opGroup
-	binary.LittleEndian.PutUint32(rec[1:], uint32(body))
-	var hdr [13]byte
-	for i := range items {
-		if errs != nil && errs[i] != nil {
-			continue
-		}
-		hdr[0] = opPut
-		binary.LittleEndian.PutUint64(hdr[1:], items[i].Key)
-		binary.LittleEndian.PutUint32(hdr[9:], uint32(len(items[i].Val)))
-		rec = append(rec, hdr[:]...)
-		rec = append(rec, items[i].Val...)
-	}
-	return rec
-}
-
-// loggedApply runs a trunk mutation and, under buffered logging, appends
-// its record to the trunk's TFS log ("the key idea is to log operations
-// to remote memory buffers before committing them to the local memory" —
-// TFS plays the remote buffer here). The trunk's wal lock is held in
-// read mode across both steps so a concurrent backup cannot dump the
-// mutated trunk and then truncate the log before the record lands: every
-// mutation is in the dump that the truncation trusts, or in the log, or
-// both (replay of Put/Remove is idempotent; Append records truncated
-// with their covering dump are never replayed twice).
-func (s *Slave) loggedApply(key uint64, op byte, val []byte, apply func() error) error {
-	if !s.cfg.BufferedLogging {
-		return apply()
-	}
-	tid := s.trunkFor(key)
-	mu := &s.walMu[tid]
-	mu.RLock()
-	defer mu.RUnlock()
-	if err := apply(); err != nil {
-		return err
-	}
-	rec := make([]byte, 13+len(val)) //alloc:ok per-op WAL record; batched writers use the group-commit path
-	rec[0] = op
-	binary.LittleEndian.PutUint64(rec[1:], key)
-	binary.LittleEndian.PutUint32(rec[9:], uint32(len(val)))
-	copy(rec[13:], val)
-	s.fs.AppendFile(walFile(tid), rec)
-	s.walBytesAppended.Add(int64(len(rec)))
-	return nil
-}
-
-// replayLog applies a mutation log to a trunk. A truncated tail — the
-// normal residue of a crash mid-append — stops replay cleanly with a nil
-// error: the half-written record was never acked. Garbage that cannot be
-// a crash artifact (an unknown op code, or a malformed record inside a
-// fully appended group) stops replay with an error so recovery can count
-// the corruption; replay never panics, whatever the bytes.
-func replayLog(t *trunk.Trunk, log []byte) error {
-	for len(log) > 0 {
-		if log[0] == opGroup {
-			if len(log) < 5 {
-				return nil // truncated tail: group header cut off
-			}
-			n := int(binary.LittleEndian.Uint32(log[1:]))
-			if n < 0 || n > len(log)-5 {
-				return nil // truncated tail: crash mid group append
-			}
-			// The group framed n bytes and all n are present, so every
-			// sub-record must parse completely: a short record here is
-			// corruption, not a crash tail.
-			if err := replayRecords(t, log[5:5+n], true); err != nil {
-				return err
-			}
-			log = log[5+n:]
-			continue
-		}
-		var err error
-		log, err = replayOne(t, log, false)
-		if err != nil {
-			return err
-		}
-		if log == nil {
-			return nil // truncated tail
-		}
-	}
-	return nil
-}
-
-// replayRecords replays a run of plain records. strict reports a
-// truncated record as an error instead of a silent stop (used inside
-// fully framed group bodies).
-func replayRecords(t *trunk.Trunk, log []byte, strict bool) error {
-	for len(log) > 0 {
-		var err error
-		log, err = replayOne(t, log, strict)
-		if err != nil {
-			return err
-		}
-		if log == nil {
-			return nil
-		}
-	}
-	return nil
-}
-
-// replayOne decodes and applies a single plain record, returning the
-// remaining log. A nil remainder with nil error means a truncated tail
-// stopped replay (only when !strict).
-func replayOne(t *trunk.Trunk, log []byte, strict bool) ([]byte, error) {
-	if len(log) < 13 {
-		if strict {
-			return nil, fmt.Errorf("memcloud: wal record truncated at %d bytes", len(log))
-		}
-		return nil, nil
-	}
-	op := log[0]
-	key := binary.LittleEndian.Uint64(log[1:])
-	n := int(binary.LittleEndian.Uint32(log[9:]))
-	rest := log[13:]
-	if n < 0 || n > len(rest) {
-		if strict {
-			return nil, fmt.Errorf("memcloud: wal value truncated (%d of %d bytes)", len(rest), n)
-		}
-		return nil, nil
-	}
-	val := rest[:n]
-	switch op {
-	case opPut:
-		t.Put(key, val)
-	case opRemove:
-		t.Remove(key)
-	case opAppend:
-		if err := t.Append(key, val); errors.Is(err, trunk.ErrNotFound) {
-			t.Put(key, val)
-		}
-	default:
-		return nil, fmt.Errorf("memcloud: unknown wal op %d", op)
-	}
-	return rest[n:], nil
 }

@@ -1,0 +1,179 @@
+// Buffered logging (RAMCloud-style, §6.2): per-op and group-commit WAL
+// records appended to TFS, and their replay on recovery.
+
+package memcloud
+
+import (
+	"encoding/binary"
+	"errors"
+	"fmt"
+
+	"trinity/internal/trunk"
+)
+
+const (
+	opPut byte = iota + 1
+	opRemove
+	opAppend
+	// opGroup frames a group-commit record: op(1) bodyLen(4) body, where
+	// body is a concatenation of plain records (one per write in the
+	// multi-put batch that succeeded on its trunk). The whole group lands
+	// in one AppendFile, so a batch of N writes costs one TFS append
+	// instead of N; the length prefix lets replay distinguish a crash-
+	// truncated tail (ignored, the writes were never acked) from garbage
+	// inside a fully appended group (an error).
+	opGroup
+)
+
+// encodeGroupRecord builds one opGroup WAL record covering the writes in
+// the batch that succeeded (errs nil, or nil at that index). Failed
+// writes mutated nothing, so they must not replay. Returns nil when no
+// write succeeded. Sub-records use the plain single-record layout with
+// opPut: Add and Put replay identically (replay's Put is idempotent and
+// the Add already won its race when the record was written).
+func encodeGroupRecord(items []trunk.BatchItem, errs []error) []byte {
+	body := 0
+	for i := range items {
+		if errs == nil || errs[i] == nil {
+			body += 13 + len(items[i].Val)
+		}
+	}
+	if body == 0 {
+		return nil
+	}
+	rec := make([]byte, 5, 5+body) //alloc:ok one WAL group record per batch; that amortization is the point
+	rec[0] = opGroup
+	binary.LittleEndian.PutUint32(rec[1:], uint32(body))
+	var hdr [13]byte
+	for i := range items {
+		if errs != nil && errs[i] != nil {
+			continue
+		}
+		hdr[0] = opPut
+		binary.LittleEndian.PutUint64(hdr[1:], items[i].Key)
+		binary.LittleEndian.PutUint32(hdr[9:], uint32(len(items[i].Val)))
+		rec = append(rec, hdr[:]...)
+		rec = append(rec, items[i].Val...)
+	}
+	return rec
+}
+
+// loggedApply runs a trunk mutation and, under buffered logging, appends
+// its record to the trunk's TFS log ("the key idea is to log operations
+// to remote memory buffers before committing them to the local memory" —
+// TFS plays the remote buffer here). The trunk's wal lock is held in
+// read mode across both steps so a concurrent backup cannot dump the
+// mutated trunk and then truncate the log before the record lands: every
+// mutation is in the dump that the truncation trusts, or in the log, or
+// both (replay of Put/Remove is idempotent; Append records truncated
+// with their covering dump are never replayed twice).
+func (s *Slave) loggedApply(key uint64, op byte, val []byte, apply func() error) error {
+	if !s.cfg.BufferedLogging {
+		return apply()
+	}
+	tid := s.trunkFor(key)
+	mu := &s.walMu[tid]
+	mu.RLock()
+	defer mu.RUnlock()
+	if err := apply(); err != nil {
+		return err
+	}
+	rec := make([]byte, 13+len(val)) //alloc:ok per-op WAL record; batched writers use the group-commit path
+	rec[0] = op
+	binary.LittleEndian.PutUint64(rec[1:], key)
+	binary.LittleEndian.PutUint32(rec[9:], uint32(len(val)))
+	copy(rec[13:], val)
+	s.fs.AppendFile(walFile(tid), rec)
+	s.walBytesAppended.Add(int64(len(rec)))
+	return nil
+}
+
+// replayLog applies a mutation log to a trunk. A truncated tail — the
+// normal residue of a crash mid-append — stops replay cleanly with a nil
+// error: the half-written record was never acked. Garbage that cannot be
+// a crash artifact (an unknown op code, or a malformed record inside a
+// fully appended group) stops replay with an error so recovery can count
+// the corruption; replay never panics, whatever the bytes.
+func replayLog(t *trunk.Trunk, log []byte) error {
+	for len(log) > 0 {
+		if log[0] == opGroup {
+			if len(log) < 5 {
+				return nil // truncated tail: group header cut off
+			}
+			n := int(binary.LittleEndian.Uint32(log[1:]))
+			if n < 0 || n > len(log)-5 {
+				return nil // truncated tail: crash mid group append
+			}
+			// The group framed n bytes and all n are present, so every
+			// sub-record must parse completely: a short record here is
+			// corruption, not a crash tail.
+			if err := replayRecords(t, log[5:5+n], true); err != nil {
+				return err
+			}
+			log = log[5+n:]
+			continue
+		}
+		var err error
+		log, err = replayOne(t, log, false)
+		if err != nil {
+			return err
+		}
+		if log == nil {
+			return nil // truncated tail
+		}
+	}
+	return nil
+}
+
+// replayRecords replays a run of plain records. strict reports a
+// truncated record as an error instead of a silent stop (used inside
+// fully framed group bodies).
+func replayRecords(t *trunk.Trunk, log []byte, strict bool) error {
+	for len(log) > 0 {
+		var err error
+		log, err = replayOne(t, log, strict)
+		if err != nil {
+			return err
+		}
+		if log == nil {
+			return nil
+		}
+	}
+	return nil
+}
+
+// replayOne decodes and applies a single plain record, returning the
+// remaining log. A nil remainder with nil error means a truncated tail
+// stopped replay (only when !strict).
+func replayOne(t *trunk.Trunk, log []byte, strict bool) ([]byte, error) {
+	if len(log) < 13 {
+		if strict {
+			return nil, fmt.Errorf("memcloud: wal record truncated at %d bytes", len(log))
+		}
+		return nil, nil
+	}
+	op := log[0]
+	key := binary.LittleEndian.Uint64(log[1:])
+	n := int(binary.LittleEndian.Uint32(log[9:]))
+	rest := log[13:]
+	if n < 0 || n > len(rest) {
+		if strict {
+			return nil, fmt.Errorf("memcloud: wal value truncated (%d of %d bytes)", len(rest), n)
+		}
+		return nil, nil
+	}
+	val := rest[:n]
+	switch op {
+	case opPut:
+		t.Put(key, val)
+	case opRemove:
+		t.Remove(key)
+	case opAppend:
+		if err := t.Append(key, val); errors.Is(err, trunk.ErrNotFound) {
+			t.Put(key, val)
+		}
+	default:
+		return nil, fmt.Errorf("memcloud: unknown wal op %d", op)
+	}
+	return rest[n:], nil
+}
