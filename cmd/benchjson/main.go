@@ -2,7 +2,7 @@
 // stdin) into a JSON document, so benchmark runs can be archived and
 // diffed across commits:
 //
-//	go test -run=NONE -bench=. ./internal/... | benchjson -o BENCH_graph.json
+//	go test -run=NONE -bench=. ./internal/... | benchjson -o bench_new.json
 //
 // Each benchmark result line becomes one record carrying the owning
 // package (from the interleaved "pkg:" / "ok" lines), the iteration

@@ -58,6 +58,7 @@ var allocHotPackages = []string{
 	"internal/trunk",
 	"internal/msg",
 	"internal/memcloud",
+	"internal/memcloud/batch",
 	"internal/memcloud/fetch",
 	"internal/memcloud/store",
 }

@@ -456,51 +456,38 @@ func MsgOptAblation(ctx context.Context, s Scale) (*Table, error) {
 // with buffered logging (where WAL group commit collapses one TFS append
 // per cell into one per batch), and an ingest through a single access
 // point (every cell streamed from slave 0, where multi-put batching
-// collapses one sync round trip per cell into one per batch). Each is
-// measured against the per-cell synchronous-Put baseline, with sync
-// storage calls counted from a private registry: the per-cell path pays
-// one call per cell, the pipeline one multi-put batch.
+// collapses one sync round trip per cell into one per batch). The
+// owner-partitioned rows report the pipelined load alone — its time, the
+// storage ops it applied and the multi-put batches that carried them; the
+// single-access-point row also times the live alternative, a synchronous
+// Slave.Put per cell, with sync storage calls counted from a private
+// registry.
 func BulkLoad(ctx context.Context, s Scale) (*Table, error) {
 	t := &Table{
 		Title:   "Batched write pipeline: bulk load per-cell vs multi-put (8 machines)",
 		Columns: []string{"scenario", "cells", "per-cell", "pipelined", "speedup", "sync calls", "batches", "reduction"},
 	}
 	people := 30000 * s.factor()
-	build := func() *graph.Builder {
-		b := graph.NewBuilder(false)
-		gen.BuildSocial(gen.SocialConfig{People: people, AvgDegree: 13, Seed: uint64(people)}, b)
-		return b
-	}
 
 	// Owner-partitioned flush, with and without buffered logging.
 	for _, logged := range []bool{false, true} {
-		regBase := obs.NewRegistry()
-		cloudBase := newCloudOn(8, logged, regBase)
-		gBase := graph.New(cloudBase, false)
-		bBase := build()
-		cells := bBase.NodeCount()
+		reg := obs.NewRegistry()
+		cloud := newCloudOn(8, logged, reg)
+		g := graph.New(cloud, false)
+		b := graph.NewBuilder(false)
+		gen.BuildSocial(gen.SocialConfig{People: people, AvgDegree: 13, Seed: uint64(people)}, b)
+		cells := b.NodeCount()
 		var err error
-		perCell := Timed(func() { err = bBase.FlushPerCell(ctx, gBase) })
-		cloudBase.Close()
+		pipelined := Timed(func() { err = b.Flush(ctx, g) })
+		cloud.Close()
 		if err != nil {
 			return nil, err
 		}
-
-		regPipe := obs.NewRegistry()
-		cloudPipe := newCloudOn(8, logged, regPipe)
-		gPipe := graph.New(cloudPipe, false)
-		bPipe := build()
-		pipelined := Timed(func() { err = bPipe.Flush(ctx, gPipe) })
-		cloudPipe.Close()
-		if err != nil {
-			return nil, err
-		}
-
 		name := "owner-partitioned flush"
 		if logged {
 			name += " + WAL"
 		}
-		if err := addLoadRow(t, name, cells, perCell, pipelined, regBase, regPipe); err != nil {
+		if err := addLoadRow(t, name, cells, 0, pipelined, reg, reg); err != nil {
 			return nil, err
 		}
 	}
@@ -551,15 +538,20 @@ func BulkLoad(ctx context.Context, s Scale) (*Table, error) {
 }
 
 // addLoadRow derives the sync-call ablation for one bulk-load scenario:
-// the baseline's per-cell storage calls vs the pipeline's batch count.
+// per-cell storage calls (counted in regBase) vs the pipeline's batch
+// count (in regPipe). perCell == 0 means the scenario has no per-cell run
+// to compare against.
 func addLoadRow(t *Table, name string, cells int, perCell, pipelined time.Duration, regBase, regPipe *obs.Registry) error {
 	syncCalls := sumCounters(regBase, ".local_ops") + sumCounters(regBase, ".remote_ops")
 	batches := sumCounters(regPipe, ".multiput_batches")
 	if batches == 0 {
 		return fmt.Errorf("bench: %s recorded no multi-put batches", name)
 	}
-	t.AddRow(name, cells, perCell, pipelined,
-		fmt.Sprintf("%.1fx", float64(perCell)/float64(pipelined)),
+	var base, speedup any = "—", "—"
+	if perCell > 0 {
+		base, speedup = perCell, fmt.Sprintf("%.1fx", float64(perCell)/float64(pipelined))
+	}
+	t.AddRow(name, cells, base, pipelined, speedup,
 		syncCalls, batches,
 		fmt.Sprintf("%.0fx", float64(syncCalls)/float64(batches)))
 	return nil

@@ -33,9 +33,8 @@ func buildSocial(people int) *graph.Builder {
 
 // BenchmarkBulkLoad measures the bulk-load path end to end: partition a
 // social graph by owner and apply it in local multi-put batches (one
-// amortized trunk-lock acquisition per trunk per few hundred cells). The
-// gap to BenchmarkBulkLoadPerCell is the batched write pipeline's win on
-// the load phase; allocs/op gates the batching machinery's overhead.
+// amortized trunk-lock acquisition per trunk per few hundred cells);
+// allocs/op gates the batching machinery's overhead.
 func BenchmarkBulkLoad(b *testing.B) {
 	const people = 8000
 	cloud := benchCloud(4)
@@ -56,28 +55,6 @@ func BenchmarkBulkLoad(b *testing.B) {
 		bld := buildSocial(people)
 		b.StartTimer()
 		if err := bld.Flush(context.Background(), g); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkBulkLoadPerCell is the pre-pipeline baseline: the same load as
-// one synchronous Put per node cell.
-func BenchmarkBulkLoadPerCell(b *testing.B) {
-	const people = 8000
-	cloud := benchCloud(4)
-	defer cloud.Close()
-	g := graph.New(cloud, false)
-	if err := buildSocial(people).FlushPerCell(context.Background(), g); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		bld := buildSocial(people)
-		b.StartTimer()
-		if err := bld.FlushPerCell(context.Background(), g); err != nil {
 			b.Fatal(err)
 		}
 	}

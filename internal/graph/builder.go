@@ -177,61 +177,6 @@ func flushOwner(ctx context.Context, s *memcloud.Slave, nodes []*Node) error {
 	return nil
 }
 
-// FlushPerCell is the pre-pipeline write path — one synchronous Put per
-// node cell through the owner slave — kept as the measured baseline for
-// the bulk-load ablation (bench.BulkLoad, BenchmarkBulkLoad): it is what
-// Flush cost before batching, so the before/after table in EXPERIMENTS.md
-// stays reproducible.
-func (b *Builder) FlushPerCell(ctx context.Context, g *Graph) error {
-	perOwner := make([][]*Node, g.Machines())
-	anchor := g.On(0).Slave()
-	for _, n := range b.nodes {
-		owner := int(anchor.Owner(n.ID))
-		if owner < 0 || owner >= len(perOwner) {
-			return fmt.Errorf("graph: node %d maps to unknown machine %d", n.ID, owner)
-		}
-		perOwner[owner] = append(perOwner[owner], n)
-	}
-	workers := runtime.NumCPU()
-	if workers > g.Machines() {
-		workers = g.Machines()
-	}
-	var wg sync.WaitGroup
-	errCh := make(chan error, g.Machines())
-	sem := make(chan struct{}, workers)
-	for owner, nodes := range perOwner {
-		if len(nodes) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(owner int, nodes []*Node) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			s := g.On(owner).Slave()
-			for _, n := range nodes {
-				if err := s.Put(ctx, n.ID, EncodeNode(n)); err != nil {
-					errCh <- fmt.Errorf("graph: flush node %d: %w", n.ID, err)
-					return
-				}
-			}
-		}(owner, nodes)
-	}
-	wg.Wait()
-	b.nodes = make(map[uint64]*Node)
-	for owner, nodes := range perOwner {
-		if len(nodes) > 0 {
-			g.On(owner).InvalidatePartition()
-		}
-	}
-	select {
-	case err := <-errCh:
-		return err
-	default:
-		return nil
-	}
-}
-
 // Load is a convenience wrapper: build a graph engine over the cloud,
 // flush the builder into it, and return the engine.
 func (b *Builder) Load(ctx context.Context, cloud *memcloud.Cloud) (*Graph, error) {

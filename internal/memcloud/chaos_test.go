@@ -158,7 +158,7 @@ func TestChaosStaleTableWrongOwnerBounce(t *testing.T) {
 
 // TestChaosRetriesExhausted: when the table keeps naming an owner that
 // keeps disclaiming the trunk, withOwner gives up with
-// ErrRetriesExhausted after maxRetries table refreshes.
+// ErrRetriesExhausted after MaxRetries table refreshes.
 func TestChaosRetriesExhausted(t *testing.T) {
 	c, _ := NewChaosCloud(chaosConfig(2), 1)
 	defer c.Close()
@@ -183,8 +183,8 @@ func TestChaosRetriesExhausted(t *testing.T) {
 	if !errors.Is(err, ErrRetriesExhausted) {
 		t.Fatalf("got %v, want ErrRetriesExhausted", err)
 	}
-	if got := c.Stats().Retries - before; got < maxRetries {
-		t.Fatalf("retries = %d, want >= %d", got, maxRetries)
+	if got := c.Stats().Retries - before; got < MaxRetries {
+		t.Fatalf("retries = %d, want >= %d", got, MaxRetries)
 	}
 }
 

@@ -6,37 +6,23 @@
 // (b) batch reads per destination machine so one frame answers N keys,
 // and (c) keep a bounded pipeline of batches in flight per machine.
 //
-// A Fetcher fronts a memcloud endpoint (slave or proxy). GetAsync returns
-// a Future immediately; duplicate in-flight keys coalesce onto one wire
-// request. Queued keys are grouped by owner machine and shipped as
-// ProtoMultiGet batches when a queue reaches its target size, when the
-// oldest queued key has waited MaxDelay, or when Flush is called. The
-// target size adapts: it doubles while completions find a backlog
-// (throughput-bound) and halves when timer flushes ship small batches
-// (latency-bound), within [MinBatch, MaxBatch].
-//
-// Failure contract: every Future resolves, with a value or an error —
-// under message drops, duplicates, delays, and machine failures. A key
-// answered MultiGetWrongOwner, or stranded by a transport error, is
-// re-routed through the §6.2 protocol (report failure, refresh the
-// addressing table, retry against the new owner) a bounded number of
-// times (maxRetries, mirroring the memcloud client); exhausting the bound
-// resolves the future with the error. Close resolves all queued futures
-// with ErrClosed; in-flight batches resolve when their call returns
-// (bounded by the msg-layer call timeout).
+// Batching, adaptation, re-routing and the failure contract (every
+// Future resolves, with a value or an error) are internal/memcloud/batch;
+// this package is the read policy on top of it. A Fetcher fronts a
+// memcloud endpoint (slave or proxy). GetAsync returns a Future
+// immediately: a local key resolves on the spot without entering the
+// pipeline, and duplicate in-flight keys coalesce onto one wire request.
+// Batches travel as ProtoMultiGet frames.
 package fetch
 
 import (
 	"context"
 	"encoding/binary"
 	"errors"
-	"time"
-
-	"sync"
-	"sync/atomic"
 
 	"trinity/internal/buf"
 	"trinity/internal/memcloud"
+	"trinity/internal/memcloud/batch"
 	"trinity/internal/msg"
 	"trinity/internal/obs"
 )
@@ -48,251 +34,45 @@ var ErrClosed = errors.New("fetch: fetcher closed")
 // Client is the slice of a memcloud endpoint the pipeline needs. Both
 // *memcloud.Slave and *memcloud.Proxy satisfy it.
 type Client interface {
-	ID() msg.MachineID
+	batch.Client
 	Node() *msg.Node
-	// Owner returns the machine currently believed to host the key.
-	Owner(key uint64) msg.MachineID
 	// LocalGet answers the key from local trunks; ok=false means the key
 	// is remote and must go over the wire.
 	LocalGet(key uint64) (val []byte, ok bool, err error)
-	// RefreshTable re-reads the addressing table (§6.2 step 2).
-	RefreshTable(ctx context.Context)
-	// ReportFailure tells the leader machine m is unreachable (§6.2
-	// step 1). The error only says whether a leader acknowledged the
-	// report; the pipeline retries through table refreshes either way.
-	ReportFailure(ctx context.Context, m msg.MachineID) error
 }
 
-// Options tune the pipeline. Zero values select the defaults.
-type Options struct {
-	// MaxBatch caps keys per wire frame (default 512).
-	MaxBatch int
-	// MinBatch floors the adaptive target (default 8).
-	MinBatch int
-	// MaxDelay bounds how long a queued key may wait before a timer
-	// flush ships it regardless of batch size (default 2ms, matching the
-	// msg layer's packing flush interval). Synchronous callers should
-	// Flush before blocking rather than lean on this timer: it is the
-	// safety net that keeps forgotten futures from stalling, and its
-	// firing is the signal that shrinks the adaptive batch target.
-	MaxDelay time.Duration
-	// Window bounds concurrent in-flight batches per destination
-	// machine (default 4).
-	Window int
-	// Metrics selects the registry (default obs.Default()). Metrics land
-	// under scope "fetch.m<id>".
-	Metrics *obs.Registry
-}
-
-func (o *Options) fill() {
-	if o.MaxBatch <= 0 {
-		o.MaxBatch = 512
-	}
-	if o.MinBatch <= 0 {
-		o.MinBatch = 8
-	}
-	if o.MinBatch > o.MaxBatch {
-		o.MinBatch = o.MaxBatch
-	}
-	if o.MaxDelay <= 0 {
-		o.MaxDelay = 2 * time.Millisecond
-	}
-	if o.Window <= 0 {
-		o.Window = 4
-	}
-	if o.Metrics == nil {
-		o.Metrics = obs.Default()
-	}
-}
+// Options tune the pipeline; metrics land under scope "fetch.m<id>".
+type Options = batch.Options
 
 // Future is one pending cell read. Wait blocks until the pipeline
 // resolves it with the cell's value or an error.
-//
-// The completion channel is lazy: most futures in a pipelined workload
-// are already resolved by the time their caller looks (the whole point
-// of overlapping reads with computation), so the channel — one
-// allocation per key, otherwise — is only created when a caller
-// actually has to block. The resolved flag is the synchronization
-// point: resolveFut writes val/err before the atomic store, so a Wait
-// that observes the flag reads them without touching the mutex.
-type Future struct {
-	resolvedFlag atomic.Bool
-	mu           sync.Mutex
-	done         chan struct{} // created on first blocking Wait/Done
-	val          []byte
-	err          error
-	cancelled    *obs.Counter // fetcher's futures_cancelled; nil on pre-resolved futures
-}
-
-// Wait blocks until the future resolves or ctx fires. A cancelled Wait
-// only unhooks this caller: the read stays in the pipeline and the
-// future still resolves when its batch completes (bounded by the msg
-// call timeout), so coalescing peers waiting on the same key are
-// unaffected and the batching machinery never wedges on an abandoned
-// future.
-func (f *Future) Wait(ctx context.Context) ([]byte, error) {
-	if f.resolvedFlag.Load() {
-		return f.val, f.err
-	}
-	select {
-	case <-f.doneChan():
-		return f.val, f.err
-	case <-ctx.Done():
-		if f.cancelled != nil {
-			f.cancelled.Add(1)
-		}
-		return nil, ctx.Err()
-	}
-}
-
-// Done exposes the completion channel for select-based callers.
-func (f *Future) Done() <-chan struct{} { return f.doneChan() }
-
-// closedChan is returned by doneChan for every already-resolved future
-// that never had a blocked waiter: readiness polls (select with a
-// Done() arm and a default) are the common case in pipelined loops and
-// must not cost an allocation per key.
-var closedChan = func() chan struct{} {
-	ch := make(chan struct{})
-	close(ch)
-	return ch
-}()
-
-func (f *Future) doneChan() chan struct{} {
-	if f.resolvedFlag.Load() {
-		return closedChan
-	}
-	f.mu.Lock()
-	if f.done == nil {
-		f.done = make(chan struct{})
-		if f.resolvedFlag.Load() {
-			// Resolved between the flag check and taking the lock;
-			// resolveFut already ran and saw done==nil, so close here.
-			close(f.done)
-		}
-	}
-	ch := f.done
-	f.mu.Unlock()
-	return ch
-}
-
-// resolveFut completes the future exactly once, waking any blocked
-// waiters.
-func (f *Future) resolveFut(val []byte, err error) {
-	f.mu.Lock()
-	f.val, f.err = val, err
-	f.resolvedFlag.Store(true)
-	if f.done != nil {
-		close(f.done)
-	}
-	f.mu.Unlock()
-}
-
-func resolved(val []byte, err error) *Future {
-	f := &Future{val: val, err: err}
-	f.resolvedFlag.Store(true)
-	return f
-}
-
-// maxRetries bounds how many times one key may be re-routed through a
-// refreshed addressing table before its future resolves with the error.
-// It mirrors the memcloud client's §6.2 retry bound: recovery publishes
-// the new table before the new owner has necessarily acquired its trunks,
-// so the first re-route can draw another wrong-owner disclaimer.
-const maxRetries = 3
-
-// entry is one key's place in the pipeline. It lives in the pending map
-// from GetAsync until its future resolves, so later GetAsync calls for
-// the same key coalesce onto it whether it is queued or in flight.
-//
-// The future is embedded, not pointed to, and entries come out of a
-// slab (see newEntryLocked): in steady state one pipelined read costs a
-// fraction of an allocation, where the naive shape (entry, Future,
-// done channel) cost three per key.
-type entry struct {
-	key      uint64
-	attempts int // re-routes consumed, capped at maxRetries
-	fut      Future
-}
-
-// entrySlabSize is how many entries one slab allocation covers. A slab
-// is garbage once every entry carved from it has resolved and every
-// caller has dropped its future, so a stuck key pins at most this many
-// neighbours — bounded, and small against a single wire frame.
-const entrySlabSize = 256
-
-// dest is the per-destination-machine batch queue.
-type dest struct {
-	queue    []*entry
-	inflight int // batches on the wire
-	target   int // adaptive batch-size watermark
-	// mustShip counts queue-front entries that ship regardless of the
-	// size watermark: Flush and the age timer promise "everything queued
-	// NOW goes out", without also destroying the batching of keys that
-	// arrive afterwards.
-	mustShip int
-	timer    *time.Timer
-}
+type Future = batch.Future
 
 // Fetcher is the asynchronous scatter-gather cell-read pipeline.
 type Fetcher struct {
-	c   Client
-	opt Options
-
-	mu      sync.Mutex
-	pending map[uint64]*entry
-	dests   map[msg.MachineID]*dest
-	slab    []entry // unissued tail of the current entry slab
-	closed  bool
-
-	batchSize    *obs.Histogram
-	coalesceHits *obs.Counter
-	localHits    *obs.Counter
-	keysTotal    *obs.Counter
-	batches      *obs.Counter
-	savedRT      *obs.Counter
-	retries      *obs.Counter
-	errorsCtr    *obs.Counter
-	cancelled    *obs.Counter
-	inflight     *obs.Gauge
+	c Client
+	p *batch.Pipeline
+	// pending holds every key from GetAsync until its future resolves, so
+	// later GetAsync calls for the same key coalesce onto it whether it
+	// is queued or in flight. Guarded by p.Mu.
+	pending   map[uint64]*batch.Entry
+	localHits *obs.Counter
 }
 
 // New builds a fetcher over the endpoint.
 func New(c Client, opt Options) *Fetcher {
-	opt.fill()
-	scope := opt.Metrics.Scope("fetch").Scope(machineScope(c.ID()))
-	return &Fetcher{
-		c:       c,
-		opt:     opt,
-		pending: make(map[uint64]*entry),
-		dests:   make(map[msg.MachineID]*dest),
-
-		batchSize:    scope.Histogram("batch_size"),
-		coalesceHits: scope.Counter("coalesce_hits"),
-		localHits:    scope.Counter("local_hits"),
-		keysTotal:    scope.Counter("keys"),
-		batches:      scope.Counter("batches"),
-		savedRT:      scope.Counter("round_trips_saved"),
-		retries:      scope.Counter("retries"),
-		errorsCtr:    scope.Counter("errors"),
-		cancelled:    scope.Counter("futures_cancelled"),
-		inflight:     scope.Gauge("inflight"),
-	}
-}
-
-func machineScope(id msg.MachineID) string {
-	// Hand-rolled itoa keeps obs scope names allocation-cheap at startup;
-	// ids are small non-negative integers.
-	if id == 0 {
-		return "m0"
-	}
-	var buf [24]byte
-	i := len(buf)
-	for n := uint64(id); n > 0; n /= 10 {
-		i--
-		buf[i] = byte('0' + n%10)
-	}
-	return "m" + string(buf[i:])
+	f := &Fetcher{c: c, pending: make(map[uint64]*batch.Entry)}
+	f.p = batch.New(c, opt, batch.Policy{
+		Name:      "fetch",
+		ErrClosed: ErrClosed,
+		Exchange:  f.exchange,
+		// The pending-map delete happens under the same lock as coalescing
+		// lookups, so a GetAsync after resolution starts a fresh read
+		// instead of receiving a stale value.
+		OnResolve: func(e *batch.Entry) { delete(f.pending, e.Key) },
+	})
+	f.localHits = f.p.Scope().Counter("local_hits")
+	return f
 }
 
 // GetAsync schedules a cell read and returns its future immediately.
@@ -300,37 +80,21 @@ func machineScope(id msg.MachineID) string {
 func (f *Fetcher) GetAsync(key uint64) *Future {
 	if val, ok, err := f.c.LocalGet(key); ok {
 		f.localHits.Add(1)
-		return resolved(val, err)
+		return batch.Resolved(val, err)
 	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.closed {
-		return resolved(nil, ErrClosed)
+	f.p.Mu.Lock()
+	defer f.p.Mu.Unlock()
+	if f.p.ClosedLocked() {
+		return batch.Resolved(nil, ErrClosed)
 	}
 	if e, ok := f.pending[key]; ok {
-		// Coalesce: this read rides the request already queued or on the
-		// wire, saving a round trip a per-key Get would have made.
-		f.coalesceHits.Add(1)
-		f.savedRT.Add(1)
-		return &e.fut
+		f.p.Coalesced()
+		return &e.Fut
 	}
-	e := f.newEntryLocked(key)
+	e := f.p.NewEntryLocked(key)
 	f.pending[key] = e
-	f.enqueueLocked(e)
-	return &e.fut
-}
-
-// newEntryLocked carves one entry out of the slab, refilling it when
-// exhausted.
-func (f *Fetcher) newEntryLocked(key uint64) *entry {
-	if len(f.slab) == 0 {
-		f.slab = make([]entry, entrySlabSize)
-	}
-	e := &f.slab[0]
-	f.slab = f.slab[1:]
-	e.key = key
-	e.fut.cancelled = f.cancelled
-	return e
+	f.p.EnqueueLocked(e)
+	return &e.Fut
 }
 
 // GetBatch schedules all keys, flushes the pipeline, and waits; fn (if
@@ -353,264 +117,70 @@ func (f *Fetcher) GetBatch(ctx context.Context, keys []uint64, fn func(i int, ke
 
 // Flush ships every queued key without waiting for size or age
 // watermarks. It does not wait for responses.
-func (f *Fetcher) Flush() {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	for m, d := range f.dests {
-		d.mustShip = len(d.queue)
-		f.pumpLocked(m, d)
-	}
-}
+func (f *Fetcher) Flush() { f.p.Flush() }
 
 // Close resolves every queued future with ErrClosed and stops the
 // pipeline. Batches already on the wire resolve when their call returns.
-func (f *Fetcher) Close() {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.closed {
-		return
-	}
-	f.closed = true
-	for _, d := range f.dests {
-		if d.timer != nil {
-			d.timer.Stop()
-			d.timer = nil
+func (f *Fetcher) Close() { f.p.Close() }
+
+// exchange performs one multi-get with machine m. The request is encoded
+// into a pooled lease and the reply is decoded in place out of the reply
+// frame's lease — no per-exchange buffer churn.
+//
+// Each results[i].Val aliases the reply lease, released on return.
+// Futures outlive the frame and their callers retain values indefinitely
+// (the subgraph matcher's cell cache), so OK values are copied out — but
+// into one contiguous arena for the whole batch, not one allocation per
+// key, and the arena holds only payload bytes, no wire headers.
+func (f *Fetcher) exchange(m msg.MachineID, b []*batch.Entry) error {
+	if m == f.c.ID() {
+		// Re-routed keys whose trunk moved to this very machine.
+		for _, e := range b {
+			val, ok, err := f.c.LocalGet(e.Key)
+			if ok {
+				f.localHits.Add(1)
+			} else {
+				err = memcloud.ErrWrongOwner
+			}
+			e.Settle(val, err)
 		}
-		for _, e := range d.queue {
-			f.resolveLocked(e, nil, ErrClosed)
-		}
-		d.queue = nil
+		return nil
 	}
-}
-
-// enqueueLocked routes the entry to its owner's queue and pumps.
-func (f *Fetcher) enqueueLocked(e *entry) {
-	owner := f.c.Owner(e.key)
-	d := f.dests[owner]
-	if d == nil {
-		d = &dest{target: f.opt.MinBatch}
-		f.dests[owner] = d
-	}
-	d.queue = append(d.queue, e)
-	f.pumpLocked(owner, d)
-}
-
-// pumpLocked ships as many batches as the watermarks allow: full batches
-// whenever the queue reaches the adaptive target, plus whatever a Flush
-// or timer promised to drain. It re-arms the age timer for anything that
-// stays queued.
-func (f *Fetcher) pumpLocked(m msg.MachineID, d *dest) {
-	for len(d.queue) > 0 && d.inflight < f.opt.Window &&
-		(len(d.queue) >= d.target || d.mustShip > 0) {
-		f.shipLocked(m, d)
-	}
-	if len(d.queue) > 0 && d.timer == nil && !f.closed {
-		d.timer = time.AfterFunc(f.opt.MaxDelay, func() { f.timerFlush(m) })
-	}
-}
-
-// shipLocked puts one batch (up to target keys) on the wire.
-func (f *Fetcher) shipLocked(m msg.MachineID, d *dest) {
-	n := min(len(d.queue), d.target)
-	batch := make([]*entry, n)
-	copy(batch, d.queue[:n])
-	// batch owns its own copy of the shipped prefix, so the tail can be
-	// slid down in place and the queue's backing array reused forever.
-	rest := copy(d.queue, d.queue[n:])
-	clear(d.queue[rest:])
-	d.queue = d.queue[:rest]
-	d.mustShip = max(0, d.mustShip-n)
-	d.inflight++
-	f.inflight.Add(1)
-	f.batches.Add(1)
-	f.keysTotal.Add(int64(n))
-	f.batchSize.Observe(int64(n))
-	// A per-key Get client would have made n round trips; this frame
-	// makes one.
-	f.savedRT.Add(int64(n - 1))
-	go f.send(m, batch)
-}
-
-// timerFlush is the age watermark: whatever queued since the oldest key
-// arrived ships now, even below target. Shipping well under target on a
-// timer means the workload is latency-bound, so the target shrinks.
-func (f *Fetcher) timerFlush(m msg.MachineID) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	d := f.dests[m]
-	if d == nil {
-		return
-	}
-	d.timer = nil
-	if len(d.queue) == 0 || f.closed {
-		return
-	}
-	if len(d.queue) < d.target/2 {
-		d.target = max(d.target/2, f.opt.MinBatch)
-	}
-	d.mustShip = len(d.queue)
-	f.pumpLocked(m, d)
-}
-
-// send performs one wire exchange off the lock and resolves or requeues
-// its batch. The request is encoded into a pooled lease and the reply is
-// decoded in place out of the reply frame's lease, which is released once
-// every future in the batch has resolved — no per-exchange buffer churn.
-func (f *Fetcher) send(m msg.MachineID, batch []*entry) {
-	req := buf.Get(4 + 8*len(batch))
+	req := buf.Get(4 + 8*len(b))
 	rb := req.Bytes()
-	binary.LittleEndian.PutUint32(rb, uint32(len(batch)))
-	for i, e := range batch {
-		binary.LittleEndian.PutUint64(rb[4+8*i:], e.key)
+	binary.LittleEndian.PutUint32(rb, uint32(len(b)))
+	for i, e := range b {
+		binary.LittleEndian.PutUint64(rb[4+8*i:], e.Key)
 	}
 	// Background, not a caller's ctx: one wire batch aggregates reads from
 	// many callers with different budgets, so no single caller's deadline
 	// may kill it. The msg-layer CallTimeout bounds the exchange.
 	lease, resp, err := f.c.Node().CallLease(context.Background(), m, memcloud.ProtoMultiGet, rb)
 	req.Release()
-	switch {
-	case err != nil:
-		f.transportFailed(m, batch, err)
-	default:
-		results, derr := memcloud.DecodeMultiGetResp(resp, len(batch))
-		if derr != nil {
-			f.errorsCtr.Add(1)
-			f.failBatch(batch, derr)
-		} else {
-			f.deliver(batch, results)
-		}
-		lease.Release()
+	if err != nil {
+		return err
 	}
-	f.completed(m)
-}
-
-// deliver resolves each entry from its per-key status; wrong-owner keys
-// get re-routed through a refreshed table, up to maxRetries times.
-//
-// Values decode in place: each results[i].Val aliases the reply frame's
-// lease, held by send until deliver returns. Futures outlive the frame
-// and their callers retain values indefinitely (the subgraph matcher's
-// cell cache), so OK values are copied out — but into one contiguous
-// arena for the whole batch, not one allocation per key, and the arena
-// holds only payload bytes, no wire headers.
-func (f *Fetcher) deliver(batch []*entry, results []memcloud.MultiGetResult) {
+	defer lease.Release()
+	results, err := memcloud.DecodeMultiGetResp(resp, len(b))
+	if err != nil {
+		return err
+	}
 	total := 0
 	for i := range results {
-		if results[i].Status == memcloud.MultiGetOK {
-			total += len(results[i].Val)
-		}
+		total += len(results[i].Val)
 	}
 	arena := make([]byte, 0, total) //alloc:ok one caller-owned value arena per batch
-	var moved []*entry
-	for i, e := range batch {
+	for i, e := range b {
 		switch results[i].Status {
 		case memcloud.MultiGetOK:
 			off := len(arena)
 			arena = append(arena, results[i].Val...)
-			f.resolve(e, arena[off:len(arena):len(arena)], nil)
+			e.Settle(arena[off:len(arena):len(arena)], nil)
 		case memcloud.MultiGetNotFound:
-			f.resolve(e, nil, memcloud.ErrNotFound)
-		default: // MultiGetWrongOwner
-			if e.attempts >= maxRetries {
-				f.resolve(e, nil, memcloud.ErrWrongOwner)
-			} else {
-				moved = append(moved, e)
-			}
+			e.Settle(nil, memcloud.ErrNotFound)
+		default:
+			e.Settle(nil, memcloud.ErrWrongOwner)
 		}
 	}
-	if len(moved) > 0 {
-		f.requeue(moved)
-	}
-}
-
-// transportFailed handles a batch whose call never got an answer: report
-// the machine, refresh the table, and give each key its single retry.
-func (f *Fetcher) transportFailed(m msg.MachineID, batch []*entry, err error) {
-	f.errorsCtr.Add(1)
-	if errors.Is(err, msg.ErrUnreachable) || errors.Is(err, msg.ErrTimeout) {
-		// Fire-and-forget: per-key retries below go through a table
-		// refresh, which re-routes whether or not a leader acked this.
-		_ = f.c.ReportFailure(context.Background(), m)
-	}
-	var retry []*entry
-	for _, e := range batch {
-		if e.attempts >= maxRetries {
-			f.resolve(e, nil, err)
-		} else {
-			retry = append(retry, e)
-		}
-	}
-	if len(retry) > 0 {
-		f.requeue(retry)
-	}
-}
-
-// requeue re-routes entries after a failure: refresh the addressing table
-// once for the whole group, then resolve each key locally if its trunk
-// moved to this very machine, or re-batch it toward the new owner. Runs
-// in a send goroutine, so the brief settling pause for repeat offenders
-// (recovery publishes the table before every new owner has acquired its
-// trunks) blocks no caller.
-func (f *Fetcher) requeue(entries []*entry) {
-	for _, e := range entries {
-		if e.attempts > 1 {
-			time.Sleep(time.Millisecond)
-			break
-		}
-	}
-	f.c.RefreshTable(context.Background())
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	for _, e := range entries {
-		e.attempts++
-		f.retries.Add(1)
-		if f.closed {
-			f.resolveLocked(e, nil, ErrClosed)
-			continue
-		}
-		if val, ok, err := f.c.LocalGet(e.key); ok {
-			f.localHits.Add(1)
-			f.resolveLocked(e, val, err)
-			continue
-		}
-		f.enqueueLocked(e)
-	}
-}
-
-// completed retires one in-flight batch and adapts: a backlog at
-// completion time means the pipeline is throughput-bound, so the target
-// grows to amortize more keys per frame.
-func (f *Fetcher) completed(m msg.MachineID) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	d := f.dests[m]
-	if d == nil {
-		return
-	}
-	d.inflight--
-	f.inflight.Add(-1)
-	if len(d.queue) >= d.target {
-		d.target = min(d.target*2, f.opt.MaxBatch)
-	}
-	f.pumpLocked(m, d)
-}
-
-func (f *Fetcher) failBatch(batch []*entry, err error) {
-	for _, e := range batch {
-		f.resolve(e, nil, err)
-	}
-}
-
-func (f *Fetcher) resolve(e *entry, val []byte, err error) {
-	f.mu.Lock()
-	f.resolveLocked(e, val, err)
-	f.mu.Unlock()
-}
-
-// resolveLocked completes a future. The pending-map delete happens under
-// the same lock as coalescing lookups, so a GetAsync after resolution
-// starts a fresh read instead of receiving a stale value.
-func (f *Fetcher) resolveLocked(e *entry, val []byte, err error) {
-	delete(f.pending, e.key)
-	e.fut.resolveFut(val, err)
+	return nil
 }

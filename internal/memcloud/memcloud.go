@@ -957,21 +957,54 @@ func (s *Slave) applyMultiPut(items []MultiPutItem) []byte {
 
 // --- client-side operations ---
 
-const maxRetries = 3
+// MaxRetries bounds how many times one operation may be re-routed through
+// a refreshed addressing table before it fails. Recovery publishes the new
+// table before the new owner has necessarily acquired its trunks, so the
+// first re-route can draw another wrong-owner disclaimer.
+const MaxRetries = 3
+
+// Rerouter is the slice of an endpoint the §6.2 failure step needs. Both
+// *Slave and *Proxy satisfy it.
+type Rerouter interface {
+	// ReportFailure tells the leader machine m is unreachable (step 1).
+	ReportFailure(ctx context.Context, m msg.MachineID) error
+	// RefreshTable re-reads the addressing table (step 2).
+	RefreshTable(ctx context.Context)
+}
+
+// Reroute is the §6.2 step taken after an exchange with owner failed with
+// err: an unreachable or silent owner is reported to the leader, then the
+// addressing table is refreshed. It reports whether a retry can help;
+// false means err is not a routing failure and the caller fails with it.
+// Both the synchronous client (withOwner) and the batching pipeline
+// (internal/memcloud/batch) recover through this one step, each at most
+// MaxRetries times per operation.
+func Reroute(ctx context.Context, r Rerouter, owner msg.MachineID, err error) bool {
+	switch {
+	case errors.Is(err, msg.ErrUnreachable), errors.Is(err, msg.ErrTimeout):
+		// The report's error only says whether a leader acknowledged it;
+		// the refresh below re-routes either way.
+		_ = r.ReportFailure(ctx, owner)
+	case errors.Is(err, ErrWrongOwner):
+	default:
+		return false
+	}
+	r.RefreshTable(ctx)
+	return true
+}
 
 // observeSince records the elapsed time since start into h.
 func (s *Slave) observeSince(h *obs.Histogram, start time.Time) {
 	h.Observe(int64(time.Since(start)))
 }
 
-// withOwner runs op against the key's owner, retrying through the §6.2
-// protocol on failure: report to leader, wait for the table update,
-// retry. A fired context stops the retry loop immediately: the caller's
+// withOwner runs op against the key's owner, retrying through Reroute on
+// failure. A fired context stops the retry loop immediately: the caller's
 // budget is spent, so reporting and refreshing on its behalf would only
 // delay the ctx.Err it is owed.
 func (s *Slave) withOwner(ctx context.Context, key uint64, local func(*trunk.Trunk) error, remote func(owner msg.MachineID) error) error {
 	var lastErr error
-	for attempt := 0; attempt <= maxRetries; attempt++ {
+	for attempt := 0; attempt <= MaxRetries; attempt++ {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
@@ -986,36 +1019,25 @@ func (s *Slave) withOwner(ctx context.Context, key uint64, local func(*trunk.Tru
 				return mapTrunkErr(local(t))
 			}
 			// The table says we own it but recovery hasn't delivered the
-			// trunk yet; refresh and retry.
-			s.member.RefreshTable(ctx)
+			// trunk yet.
 			lastErr = ErrWrongOwner
-			continue
+		} else {
+			s.remoteOps.Add(1)
+			err := remote(owner)
+			if err == nil {
+				return nil
+			}
+			lastErr = remoteErr(err)
+			if errors.Is(lastErr, ErrNotFound) || errors.Is(lastErr, ErrExists) {
+				return lastErr
+			}
+			if ctx.Err() != nil {
+				return ctx.Err()
+			}
 		}
-		s.remoteOps.Add(1)
-		err := remote(owner)
-		if err == nil {
-			return nil
+		if !Reroute(ctx, s, owner, lastErr) {
+			return lastErr
 		}
-		err = remoteErr(err)
-		if errors.Is(err, ErrNotFound) || errors.Is(err, ErrExists) {
-			return err
-		}
-		lastErr = err
-		if ctx.Err() != nil {
-			return ctx.Err()
-		}
-		if errors.Is(err, msg.ErrUnreachable) || errors.Is(err, msg.ErrTimeout) {
-			// Failure-report protocol: tell the leader, wait for the
-			// addressing table to change, try again.
-			s.member.ReportFailure(ctx, owner)
-			s.member.RefreshTable(ctx)
-			continue
-		}
-		if errors.Is(err, ErrWrongOwner) {
-			s.member.RefreshTable(ctx)
-			continue
-		}
-		return err
 	}
 	return fmt.Errorf("%w: key %#x: %v", ErrRetriesExhausted, key, lastErr)
 }

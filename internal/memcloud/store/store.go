@@ -5,46 +5,34 @@
 // out of it). A write-heavy phase is network-bound for the same reason a
 // computation's read phase is — many small exchanges, not much data — and
 // the remedy is the same bulk-exchange discipline GraphLab and the PBGL
-// baseline use for their update phases: (a) issue writes asynchronously,
-// (b) batch them per destination machine so one ProtoMultiPut frame
-// carries N ops, and (c) keep a bounded pipeline of batches in flight per
-// machine.
+// baseline use for their update phases.
 //
-// A Writer fronts a memcloud endpoint (slave or proxy). PutAsync/AddAsync
-// return a Future immediately; writes to the same key order through a
-// per-key successor chain (at most one op per key is queued or in flight
-// at any moment), and a Put landing on a still-queued Put coalesces
-// last-write-wins onto the same future. Queued ops are grouped by owner
-// machine and shipped as ProtoMultiPut batches when a queue reaches its
-// adaptive target size (the same 8→512 growth/shrink rule as fetch), when
-// the oldest queued op has waited MaxDelay, or when Flush is called.
-// Batches whose destination is the local slave skip the wire and apply
+// Batching, adaptation, re-routing and the failure contract (every
+// Future resolves, with nil or an error) are internal/memcloud/batch;
+// this package is the write policy on top of it. A Writer fronts a
+// memcloud endpoint (slave or proxy). PutAsync/AddAsync return a Future
+// immediately; writes to the same key order through a per-key successor
+// chain (at most one op per key is queued or in flight at any moment),
+// and a Put landing on a still-queued Put coalesces last-write-wins onto
+// the same future. Batches travel as ProtoMultiPut frames, except that a
+// batch whose destination is the local slave skips the wire and applies
 // through LocalMultiPut — keeping the batching wins (one trunk-mutex
-// acquisition and one WAL group record per trunk per batch) for the
-// owner-partitioned bulk loads graph.Builder performs.
+// acquisition and one WAL group record per trunk per batch).
 //
-// Failure contract: every Future resolves, with nil or an error — under
-// message drops, duplicates, delays, and machine failures. An op answered
-// MultiPutWrongOwner, or stranded by a transport error, is re-routed
-// through the §6.2 protocol (report failure, refresh the addressing
-// table, retry against the new owner) a bounded number of times; the
-// bound exhausts into the error. A transport failure leaves application
-// ambiguous (the frame may have been applied before the ack was lost), so
-// retried ops are marked: a re-sent Put is idempotent, and a re-sent Add
-// answered MultiPutExists after an ambiguous failure resolves nil — the
-// cell exists because our own first attempt created it.
+// A transport failure leaves application ambiguous (the frame may have
+// been applied before the ack was lost), so retried ops are marked: a
+// re-sent Put is idempotent, and a re-sent Add answered MultiPutExists
+// after an ambiguous failure resolves nil — the cell exists because our
+// own first attempt created it.
 package store
 
 import (
 	"context"
 	"errors"
-	"time"
-
-	"sync"
-	"sync/atomic"
 
 	"trinity/internal/buf"
 	"trinity/internal/memcloud"
+	"trinity/internal/memcloud/batch"
 	"trinity/internal/msg"
 	"trinity/internal/obs"
 )
@@ -60,225 +48,56 @@ var ErrRejected = errors.New("store: write rejected by owner")
 // Client is the slice of a memcloud endpoint the pipeline needs. Both
 // *memcloud.Slave and *memcloud.Proxy satisfy it.
 type Client interface {
-	ID() msg.MachineID
+	batch.Client
 	Node() *msg.Node
-	// Owner returns the machine currently believed to host the key.
-	Owner(key uint64) msg.MachineID
 	// LocalMultiPut applies a batch to local trunks; ok=false means the
 	// endpoint owns no data (a proxy) and the batch must go on the wire.
 	LocalMultiPut(items []memcloud.MultiPutItem) (statuses []byte, ok bool)
-	// RefreshTable re-reads the addressing table (§6.2 step 2).
-	RefreshTable(ctx context.Context)
-	// ReportFailure tells the leader machine m is unreachable (§6.2
-	// step 1).
-	ReportFailure(ctx context.Context, m msg.MachineID) error
 }
 
-// Options tune the pipeline. Zero values select the defaults, which
-// mirror the fetch pipeline's.
-type Options struct {
-	// MaxBatch caps ops per wire frame (default 512).
-	MaxBatch int
-	// MinBatch floors the adaptive target (default 8).
-	MinBatch int
-	// MaxDelay bounds how long a queued op may wait before a timer flush
-	// ships it regardless of batch size (default 2ms). Synchronous
-	// callers should Flush (or Drain) before blocking rather than lean on
-	// this timer.
-	MaxDelay time.Duration
-	// Window bounds concurrent in-flight batches per destination machine
-	// (default 4).
-	Window int
-	// Metrics selects the registry (default obs.Default()). Metrics land
-	// under scope "store.m<id>".
-	Metrics *obs.Registry
-}
-
-func (o *Options) fill() {
-	if o.MaxBatch <= 0 {
-		o.MaxBatch = 512
-	}
-	if o.MinBatch <= 0 {
-		o.MinBatch = 8
-	}
-	if o.MinBatch > o.MaxBatch {
-		o.MinBatch = o.MaxBatch
-	}
-	if o.MaxDelay <= 0 {
-		o.MaxDelay = 2 * time.Millisecond
-	}
-	if o.Window <= 0 {
-		o.Window = 4
-	}
-	if o.Metrics == nil {
-		o.Metrics = obs.Default()
-	}
-}
+// Options tune the pipeline; metrics land under scope "store.m<id>".
+type Options = batch.Options
 
 // Future is one pending cell write. Wait blocks until the pipeline
 // resolves it: nil means the write was applied on (and acknowledged by)
-// its owner. The completion channel is lazy, exactly as in fetch: a
-// pipelined loader rarely blocks on individual futures, so the channel is
-// only created when a caller actually waits.
-type Future struct {
-	resolvedFlag atomic.Bool
-	mu           sync.Mutex
-	done         chan struct{} // created on first blocking Wait/Done
-	err          error
-}
+// its owner.
+type Future batch.Future
 
 // Wait blocks until the future resolves or ctx fires. A cancelled Wait
 // only unhooks this caller: the write stays in the pipeline and still
 // lands (bounded by the msg call timeout), so a later read observes it.
 func (f *Future) Wait(ctx context.Context) error {
-	if f.resolvedFlag.Load() {
-		return f.err
-	}
-	select {
-	case <-f.doneChan():
-		return f.err
-	case <-ctx.Done():
-		return ctx.Err()
-	}
+	_, err := (*batch.Future)(f).Wait(ctx)
+	return err
 }
 
 // Done exposes the completion channel for select-based callers.
-func (f *Future) Done() <-chan struct{} { return f.doneChan() }
-
-// closedChan serves every already-resolved future that never had a
-// blocked waiter, so readiness polls cost no allocation.
-var closedChan = func() chan struct{} {
-	ch := make(chan struct{})
-	close(ch)
-	return ch
-}()
-
-func (f *Future) doneChan() chan struct{} {
-	if f.resolvedFlag.Load() {
-		return closedChan
-	}
-	f.mu.Lock()
-	if f.done == nil {
-		f.done = make(chan struct{})
-		if f.resolvedFlag.Load() {
-			close(f.done)
-		}
-	}
-	ch := f.done
-	f.mu.Unlock()
-	return ch
-}
-
-func (f *Future) resolveFut(err error) {
-	f.mu.Lock()
-	f.err = err
-	f.resolvedFlag.Store(true)
-	if f.done != nil {
-		close(f.done)
-	}
-	f.mu.Unlock()
-}
-
-func resolved(err error) *Future {
-	f := &Future{err: err}
-	f.resolvedFlag.Store(true)
-	return f
-}
-
-// maxRetries bounds how many times one op may be re-routed through a
-// refreshed addressing table, mirroring the memcloud client's §6.2 bound.
-const maxRetries = 3
-
-// entry is one write's place in the pipeline. The pending map holds the
-// TAIL of each key's chain (the latest write); the head of the chain is
-// the one queued or in flight, and next links successors that must wait
-// for it — writes to one key are strictly ordered, so two concurrent
-// multi-put frames can never race the same key.
-type entry struct {
-	op       byte // memcloud.MultiPutOpPut / MultiPutOpAdd
-	key      uint64
-	val      []byte
-	attempts int  // re-routes consumed, capped at maxRetries
-	shipped  bool // on the wire (or applying locally): no longer coalescible
-	// ambiguous is set when a transport failure left it unknown whether
-	// the op was applied: the re-sent Add then treats MultiPutExists as
-	// success (our own first attempt created the cell).
-	ambiguous bool
-	next      *entry // successor write to the same key
-	fut       Future
-}
-
-// entrySlabSize mirrors fetch: entries are carved from slabs so a
-// steady-state write costs a fraction of an allocation.
-const entrySlabSize = 256
-
-// dest is the per-destination-machine batch queue.
-type dest struct {
-	queue    []*entry
-	inflight int // batches on the wire (or applying locally)
-	target   int // adaptive batch-size watermark
-	mustShip int // queue-front ops promised to a Flush or timer
-	timer    *time.Timer
-}
+func (f *Future) Done() <-chan struct{} { return (*batch.Future)(f).Done() }
 
 // Writer is the asynchronous batched cell-write pipeline.
 type Writer struct {
-	c   Client
-	opt Options
-
-	mu          sync.Mutex
-	pending     map[uint64]*entry // tail of each key's chain
-	dests       map[msg.MachineID]*dest
-	slab        []entry
-	outstanding int           // unresolved entries across the pipeline
-	idle        chan struct{} // closed when outstanding drops to 0; nil when nobody drains
-	firstErr    error         // first non-nil resolution since the last Drain
-	closed      bool
-
-	batchSize    *obs.Histogram
-	coalesceHits *obs.Counter
+	c Client
+	p *batch.Pipeline
+	// pending holds the TAIL of each key's chain (the latest write); the
+	// head of the chain is the one queued or in flight, and Entry.Next
+	// links successors that must wait for it — writes to one key are
+	// strictly ordered, so two concurrent multi-put frames can never race
+	// the same key. Guarded by p.Mu.
+	pending      map[uint64]*batch.Entry
 	localBatches *obs.Counter
-	keysTotal    *obs.Counter
-	batches      *obs.Counter
-	savedRT      *obs.Counter
-	retries      *obs.Counter
-	errorsCtr    *obs.Counter
-	inflight     *obs.Gauge
 }
 
 // New builds a writer over the endpoint.
 func New(c Client, opt Options) *Writer {
-	opt.fill()
-	scope := opt.Metrics.Scope("store").Scope(machineScope(c.ID()))
-	return &Writer{
-		c:       c,
-		opt:     opt,
-		pending: make(map[uint64]*entry),
-		dests:   make(map[msg.MachineID]*dest),
-
-		batchSize:    scope.Histogram("batch_size"),
-		coalesceHits: scope.Counter("coalesce_hits"),
-		localBatches: scope.Counter("local_batches"),
-		keysTotal:    scope.Counter("keys"),
-		batches:      scope.Counter("batches"),
-		savedRT:      scope.Counter("round_trips_saved"),
-		retries:      scope.Counter("retries"),
-		errorsCtr:    scope.Counter("errors"),
-		inflight:     scope.Gauge("inflight"),
-	}
-}
-
-func machineScope(id msg.MachineID) string {
-	if id == 0 {
-		return "m0"
-	}
-	var buf [24]byte
-	i := len(buf)
-	for n := uint64(id); n > 0; n /= 10 {
-		i--
-		buf[i] = byte('0' + n%10)
-	}
-	return "m" + string(buf[i:])
+	w := &Writer{c: c, pending: make(map[uint64]*batch.Entry)}
+	w.p = batch.New(c, opt, batch.Policy{
+		Name:      "store",
+		ErrClosed: ErrClosed,
+		Exchange:  w.exchange,
+		OnResolve: w.advance,
+	})
+	w.localBatches = w.p.Scope().Counter("local_batches")
+	return w
 }
 
 // PutAsync schedules an upsert and returns its future immediately. val is
@@ -294,384 +113,120 @@ func (w *Writer) AddAsync(key uint64, val []byte) *Future {
 }
 
 func (w *Writer) write(op byte, key uint64, val []byte) *Future {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.closed {
-		return resolved(ErrClosed)
+	w.p.Mu.Lock()
+	defer w.p.Mu.Unlock()
+	if w.p.ClosedLocked() {
+		return (*Future)(batch.Resolved(nil, ErrClosed))
 	}
-	if tail := w.pending[key]; tail != nil {
-		// Last-write-wins coalescing: a Put landing on a still-queued Put
-		// replaces its payload in place and rides its future — one wire
-		// slot, one resolution, final value wins. Anything involving an
-		// Add (or an op already shipped) chains instead: Add's outcome
-		// depends on what the predecessor did, so it must observe it.
-		if op == memcloud.MultiPutOpPut && tail.op == memcloud.MultiPutOpPut && !tail.shipped {
-			tail.val = val
-			w.coalesceHits.Add(1)
-			w.savedRT.Add(1)
-			return &tail.fut
-		}
-		e := w.newEntryLocked(op, key, val)
-		tail.next = e
-		w.pending[key] = e
-		return &e.fut
+	tail := w.pending[key]
+	// Last-write-wins coalescing: a Put landing on a still-queued Put
+	// replaces its payload in place and rides its future — one wire slot,
+	// one resolution, final value wins. Anything involving an Add (or an
+	// op already shipped) chains instead: Add's outcome depends on what
+	// the predecessor did, so it must observe it.
+	if tail != nil && op == memcloud.MultiPutOpPut && tail.Op == memcloud.MultiPutOpPut && !tail.Shipped {
+		tail.Val = val
+		w.p.Coalesced()
+		return (*Future)(&tail.Fut)
 	}
-	e := w.newEntryLocked(op, key, val)
+	e := w.p.NewEntryLocked(key)
+	e.Op, e.Val = op, val
 	w.pending[key] = e
-	w.enqueueLocked(e)
-	return &e.fut
+	if tail != nil {
+		tail.Next = e
+	} else {
+		w.p.EnqueueLocked(e)
+	}
+	return (*Future)(&e.Fut)
 }
 
-// newEntryLocked carves one entry out of the slab, refilling it when
-// exhausted, and counts it outstanding.
-func (w *Writer) newEntryLocked(op byte, key uint64, val []byte) *entry {
-	if len(w.slab) == 0 {
-		w.slab = make([]entry, entrySlabSize)
+// advance moves a key's chain forward once its head resolved: the
+// successor (if any) becomes eligible to ship, preserving per-key write
+// order; otherwise the pending-map tail is cleared so the next write to
+// the key starts a fresh chain. After Close the enqueue resolves the
+// successor ErrClosed, cascading down the chain.
+func (w *Writer) advance(e *batch.Entry) {
+	if next := e.Next; next != nil {
+		e.Next = nil
+		w.p.EnqueueLocked(next)
+	} else {
+		delete(w.pending, e.Key)
 	}
-	e := &w.slab[0]
-	w.slab = w.slab[1:]
-	e.op = op
-	e.key = key
-	e.val = val
-	w.outstanding++
-	return e
 }
 
 // Flush ships every queued op without waiting for size or age
 // watermarks. It does not wait for acknowledgements; use Drain for that.
-func (w *Writer) Flush() {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	for m, d := range w.dests {
-		d.mustShip = len(d.queue)
-		w.pumpLocked(m, d)
-	}
-}
+func (w *Writer) Flush() { w.p.Flush() }
 
 // Drain flushes the pipeline and blocks until every write issued so far
 // has resolved (or ctx fires). It returns the first error any of those
 // writes resolved with — the bulk loader's one-line completion check.
 // Chained successors issued before Drain count as outstanding, so a
 // drained writer has truly quiesced.
-func (w *Writer) Drain(ctx context.Context) error {
-	w.mu.Lock()
-	for m, d := range w.dests {
-		d.mustShip = len(d.queue)
-		w.pumpLocked(m, d)
-	}
-	if w.outstanding == 0 {
-		err := w.firstErr
-		w.firstErr = nil
-		w.mu.Unlock()
-		return err
-	}
-	if w.idle == nil {
-		w.idle = make(chan struct{})
-	}
-	idle := w.idle
-	w.mu.Unlock()
-	select {
-	case <-idle:
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-	w.mu.Lock()
-	err := w.firstErr
-	w.firstErr = nil
-	w.mu.Unlock()
-	return err
-}
+func (w *Writer) Drain(ctx context.Context) error { return w.p.Drain(ctx) }
 
 // Close resolves every queued future (and its chained successors) with
 // ErrClosed and stops the pipeline. Batches already on the wire resolve
 // when their call returns.
-func (w *Writer) Close() {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.closed {
-		return
-	}
-	w.closed = true
-	for _, d := range w.dests {
-		if d.timer != nil {
-			d.timer.Stop()
-			d.timer = nil
-		}
-		for _, e := range d.queue {
-			w.resolveLocked(e, ErrClosed)
-		}
-		d.queue = nil
-	}
-}
+func (w *Writer) Close() { w.p.Close() }
 
-// enqueueLocked routes the entry to its owner's queue and pumps. While a
-// Drain is waiting (w.idle non-nil), every enqueue inherits the flush
-// promise: chained successors and re-routed retries surface mid-drain and
-// must ship immediately rather than wait out batch formation, or the
-// drain would stall on the age timer.
-func (w *Writer) enqueueLocked(e *entry) {
-	owner := w.c.Owner(e.key)
-	d := w.dests[owner]
-	if d == nil {
-		d = &dest{target: w.opt.MinBatch}
-		w.dests[owner] = d
+// exchange performs one multi-put with machine m. The destination being
+// this very machine takes the local path: LocalMultiPut applies the batch
+// trunk by trunk with the same amortized locking and WAL group commit the
+// remote handler uses, no frame at all. Otherwise the request is encoded
+// into a pooled lease and the statuses are decoded in place out of the
+// reply frame's lease.
+func (w *Writer) exchange(m msg.MachineID, b []*batch.Entry) error {
+	items := make([]memcloud.MultiPutItem, len(b))
+	for i, e := range b {
+		items[i] = memcloud.MultiPutItem{Op: e.Op, Key: e.Key, Val: e.Val}
 	}
-	d.queue = append(d.queue, e)
-	if w.idle != nil {
-		d.mustShip = len(d.queue)
-	}
-	w.pumpLocked(owner, d)
-}
-
-// pumpLocked ships as many batches as the watermarks allow and re-arms
-// the age timer for anything that stays queued.
-func (w *Writer) pumpLocked(m msg.MachineID, d *dest) {
-	for len(d.queue) > 0 && d.inflight < w.opt.Window &&
-		(len(d.queue) >= d.target || d.mustShip > 0) {
-		w.shipLocked(m, d)
-	}
-	if len(d.queue) > 0 && d.timer == nil && !w.closed {
-		d.timer = time.AfterFunc(w.opt.MaxDelay, func() { w.timerFlush(m) })
-	}
-}
-
-// shipLocked puts one batch (up to target ops) on the wire — or hands it
-// to the local apply goroutine when this machine is the destination.
-func (w *Writer) shipLocked(m msg.MachineID, d *dest) {
-	n := min(len(d.queue), d.target)
-	batch := make([]*entry, n)
-	copy(batch, d.queue[:n])
-	rest := copy(d.queue, d.queue[n:])
-	clear(d.queue[rest:])
-	d.queue = d.queue[:rest]
-	d.mustShip = max(0, d.mustShip-n)
-	for _, e := range batch {
-		e.shipped = true
-	}
-	d.inflight++
-	w.inflight.Add(1)
-	w.batches.Add(1)
-	w.keysTotal.Add(int64(n))
-	w.batchSize.Observe(int64(n))
-	// A per-key Put client would have made n round trips (or n lock
-	// handshakes and WAL appends on the local path); this batch makes one.
-	w.savedRT.Add(int64(n - 1))
-	go w.send(m, batch)
-}
-
-// timerFlush is the age watermark; shipping well under target on a timer
-// means the workload is latency-bound, so the target shrinks.
-func (w *Writer) timerFlush(m msg.MachineID) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	d := w.dests[m]
-	if d == nil {
-		return
-	}
-	d.timer = nil
-	if len(d.queue) == 0 || w.closed {
-		return
-	}
-	if len(d.queue) < d.target/2 {
-		d.target = max(d.target/2, w.opt.MinBatch)
-	}
-	d.mustShip = len(d.queue)
-	w.pumpLocked(m, d)
-}
-
-// send performs one exchange off the lock and resolves or requeues its
-// batch. The destination being this very machine takes the local path:
-// LocalMultiPut applies the batch trunk by trunk with the same amortized
-// locking and WAL group commit the remote handler uses, no frame at all.
-func (w *Writer) send(m msg.MachineID, batch []*entry) {
-	items := make([]memcloud.MultiPutItem, len(batch))
-	for i, e := range batch {
-		items[i] = memcloud.MultiPutItem{Op: e.op, Key: e.key, Val: e.val}
-	}
+	var statuses []byte
 	if m == w.c.ID() {
-		if statuses, ok := w.c.LocalMultiPut(items); ok {
-			w.localBatches.Add(1)
-			w.deliver(batch, statuses)
-			w.completed(m)
-			return
+		var ok bool
+		if statuses, ok = w.c.LocalMultiPut(items); !ok {
+			// An endpoint that owns no data (a proxy) routed a key to
+			// itself: a routing failure, re-routed through a refresh.
+			return memcloud.ErrWrongOwner
 		}
-		// An endpoint that owns no data (a proxy) routed a key to itself:
-		// treat as a routing failure and re-route through a refresh.
-		w.transportFailed(m, batch, memcloud.ErrWrongOwner, false)
-		w.completed(m)
-		return
-	}
-	req := buf.Get(memcloud.MultiPutReqSize(items))
-	req.SetLen(0)
-	req = buf.Wrap(memcloud.AppendMultiPutReq(req.Bytes(), items))
-	// Background, not a caller's ctx: one frame aggregates writes from
-	// many callers with different budgets. The msg CallTimeout bounds it.
-	lease, resp, err := w.c.Node().CallLease(context.Background(), m, memcloud.ProtoMultiPut, req.Bytes())
-	req.Release()
-	switch {
-	case err != nil:
-		// The frame may have been applied before the ack was lost:
-		// mark the retry ambiguous so Add dedups against itself.
-		w.transportFailed(m, batch, err, true)
-	default:
-		statuses, derr := memcloud.DecodeMultiPutResp(resp, len(batch))
-		if derr != nil {
-			w.errorsCtr.Add(1)
-			w.failBatch(batch, derr)
-		} else {
-			w.deliver(batch, statuses)
+		w.localBatches.Add(1)
+	} else {
+		req := buf.Get(memcloud.MultiPutReqSize(items))
+		// Background, not a caller's ctx: one frame aggregates writes from
+		// many callers with different budgets. The msg CallTimeout bounds it.
+		lease, resp, err := w.c.Node().CallLease(context.Background(), m, memcloud.ProtoMultiPut,
+			memcloud.AppendMultiPutReq(req.Bytes()[:0], items))
+		req.Release()
+		if err != nil {
+			// The frame may have been applied before the ack was lost:
+			// mark the retry ambiguous so Add dedups against itself.
+			for _, e := range b {
+				e.Ambiguous = true
+			}
+			return err
 		}
-		lease.Release()
+		defer lease.Release()
+		if statuses, err = memcloud.DecodeMultiPutResp(resp, len(b)); err != nil {
+			return err
+		}
 	}
-	w.completed(m)
-}
-
-// deliver resolves each entry from its per-key status; wrong-owner keys
-// get re-routed through a refreshed table, up to maxRetries times.
-func (w *Writer) deliver(batch []*entry, statuses []byte) {
-	var moved []*entry
-	w.mu.Lock()
-	for i, e := range batch {
+	for i, e := range b {
 		switch statuses[i] {
 		case memcloud.MultiPutOK:
-			w.resolveLocked(e, nil)
+			e.Settle(nil, nil)
 		case memcloud.MultiPutExists:
-			if e.ambiguous {
+			if e.Ambiguous {
 				// Our own earlier attempt applied before its ack was
 				// lost; the insert happened exactly once.
-				w.resolveLocked(e, nil)
+				e.Settle(nil, nil)
 			} else {
-				w.resolveLocked(e, memcloud.ErrExists)
+				e.Settle(nil, memcloud.ErrExists)
 			}
 		case memcloud.MultiPutErr:
-			w.resolveLocked(e, ErrRejected)
-		default: // MultiPutWrongOwner
-			if e.attempts >= maxRetries {
-				w.resolveLocked(e, memcloud.ErrWrongOwner)
-			} else {
-				moved = append(moved, e)
-			}
+			e.Settle(nil, ErrRejected)
+		default:
+			e.Settle(nil, memcloud.ErrWrongOwner)
 		}
 	}
-	w.mu.Unlock()
-	if len(moved) > 0 {
-		w.requeue(moved)
-	}
-}
-
-// transportFailed handles a batch whose exchange never got an answer:
-// report the machine, refresh the table, and give each op its bounded
-// retries. ambiguous marks whether the batch may have been applied.
-func (w *Writer) transportFailed(m msg.MachineID, batch []*entry, err error, ambiguous bool) {
-	w.errorsCtr.Add(1)
-	if errors.Is(err, msg.ErrUnreachable) || errors.Is(err, msg.ErrTimeout) {
-		_ = w.c.ReportFailure(context.Background(), m)
-	}
-	var retry []*entry
-	w.mu.Lock()
-	for _, e := range batch {
-		if ambiguous {
-			e.ambiguous = true
-		}
-		if e.attempts >= maxRetries {
-			w.resolveLocked(e, err)
-		} else {
-			retry = append(retry, e)
-		}
-	}
-	w.mu.Unlock()
-	if len(retry) > 0 {
-		w.requeue(retry)
-	}
-}
-
-// requeue re-routes entries after a failure: refresh the addressing
-// table once for the whole group, then re-batch each op toward the new
-// owner (which may be this machine, taking the local path on the next
-// ship). Runs in a send goroutine; the brief settling pause for repeat
-// offenders blocks no caller.
-func (w *Writer) requeue(entries []*entry) {
-	for _, e := range entries {
-		if e.attempts > 1 {
-			time.Sleep(time.Millisecond)
-			break
-		}
-	}
-	w.c.RefreshTable(context.Background())
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	for _, e := range entries {
-		e.attempts++
-		w.retries.Add(1)
-		if w.closed {
-			w.resolveLocked(e, ErrClosed)
-			continue
-		}
-		w.enqueueLocked(e)
-	}
-}
-
-// completed retires one in-flight batch and adapts: a backlog at
-// completion time means the pipeline is throughput-bound, so the target
-// grows to amortize more ops per frame.
-func (w *Writer) completed(m msg.MachineID) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	d := w.dests[m]
-	if d == nil {
-		return
-	}
-	d.inflight--
-	w.inflight.Add(-1)
-	if len(d.queue) >= d.target {
-		d.target = min(d.target*2, w.opt.MaxBatch)
-	}
-	w.pumpLocked(m, d)
-}
-
-func (w *Writer) failBatch(batch []*entry, err error) {
-	w.mu.Lock()
-	for _, e := range batch {
-		w.resolveLocked(e, err)
-	}
-	w.mu.Unlock()
-}
-
-// resolveLocked completes a future and advances its key's chain: the
-// successor (if any) becomes eligible to ship, preserving per-key write
-// order; otherwise the pending-map tail is cleared so the next write to
-// the key starts a fresh chain. Non-nil resolutions feed Drain's sticky
-// first-error and the idle latch fires when the pipeline quiesces.
-func (w *Writer) resolveLocked(e *entry, err error) {
-	if err != nil && w.firstErr == nil {
-		w.firstErr = err
-	}
-	if next := e.next; next != nil {
-		e.next = nil
-		if w.closed {
-			e.fut.resolveFut(err)
-			w.retireLocked()
-			w.resolveLocked(next, ErrClosed)
-			return
-		}
-		e.fut.resolveFut(err)
-		w.retireLocked()
-		w.enqueueLocked(next)
-		return
-	}
-	if w.pending[e.key] == e {
-		delete(w.pending, e.key)
-	}
-	e.fut.resolveFut(err)
-	w.retireLocked()
-}
-
-// retireLocked counts one entry resolved and releases Drain waiters when
-// the pipeline goes idle.
-func (w *Writer) retireLocked() {
-	w.outstanding--
-	if w.outstanding == 0 && w.idle != nil {
-		close(w.idle)
-		w.idle = nil
-	}
+	return nil
 }

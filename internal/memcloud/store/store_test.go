@@ -397,3 +397,60 @@ func TestWriterBatchesAmortizeWAL(t *testing.T) {
 func hasSuffix(s, suf string) bool {
 	return len(s) >= len(suf) && s[len(s)-len(suf):] == suf
 }
+
+// gatedSlave parks every local multi-put on a gate, holding its batch in
+// flight for as long as the test wants.
+type gatedSlave struct {
+	*memcloud.Slave
+	gate chan struct{}
+}
+
+func (g gatedSlave) LocalMultiPut(items []memcloud.MultiPutItem) ([]byte, bool) {
+	<-g.gate
+	return g.Slave.LocalMultiPut(items)
+}
+
+// A Drain that gives up must take its flush-everything latch with it:
+// writes issued afterwards batch normally instead of shipping one by one
+// for as long as the pipeline stays busy.
+func TestCancelledDrainRestoresBatching(t *testing.T) {
+	reg := obs.NewRegistry()
+	c := memcloud.New(testConfig(2, reg))
+	defer c.Close()
+	s0 := gatedSlave{Slave: c.Slave(0), gate: make(chan struct{})}
+
+	w := store.New(s0, store.Options{MinBatch: 1024, MaxDelay: time.Minute, Metrics: reg})
+	defer w.Close()
+	batches := reg.Scope("store.m0").Counter("batches")
+
+	// One local write, held in flight by the gate, keeps the pipeline
+	// busy; the Drain that flushed it times out waiting.
+	var local uint64
+	for s0.Owner(local) != s0.ID() {
+		local++
+	}
+	w.PutAsync(local, val(8, 1))
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	if err := w.Drain(ctx); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("Drain behind a parked batch = %v, want DeadlineExceeded", err)
+	}
+	if got := batches.Load(); got != 1 {
+		t.Fatalf("batches = %d after the first Drain, want 1", got)
+	}
+
+	for k := uint64(1000); k < 1100; k++ {
+		w.PutAsync(k, val(8, byte(k)))
+	}
+	if got := batches.Load(); got != 1 {
+		t.Fatalf("%d batches shipped below the watermark after a cancelled Drain", got-1)
+	}
+	w.Flush()
+	if got := batches.Load(); got == 1 {
+		t.Fatal("Flush shipped nothing")
+	}
+	close(s0.gate)
+	if err := w.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+}
