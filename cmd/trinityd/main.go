@@ -93,6 +93,7 @@ func main() {
 	}
 	log.Printf("trinityd: %d-machine memory cloud serving on %s", *machines, l.Addr())
 
+	sv := &server{cloud: cloud, g: g, trav: trav, cmdTimeout: *cmdTimeout}
 	var conns sync.WaitGroup
 	go func() {
 		for {
@@ -103,7 +104,7 @@ func main() {
 			conns.Add(1)
 			go func() {
 				defer conns.Done()
-				serve(ctx, conn, cloud, g, trav, *cmdTimeout)
+				sv.serve(ctx, conn)
 			}()
 		}
 	}()
@@ -137,175 +138,187 @@ func main() {
 	log.Printf("trinityd: shutdown complete")
 }
 
-func serve(ctx context.Context, conn net.Conn, cloud *memcloud.Cloud, g *graph.Graph, trav *traversal.Engine, cmdTimeout time.Duration) {
+// server is what a client connection executes commands against.
+type server struct {
+	cloud      *memcloud.Cloud
+	g          *graph.Graph
+	trav       *traversal.Engine
+	cmdTimeout time.Duration
+}
+
+// Replies after which the connection closes.
+const (
+	replyBye          = "BYE\r\n"
+	replyShuttingDown = "ERR shutting down\r\n"
+)
+
+// serve is the connection loop: one line in, exec, one write and one flush
+// out.
+func (sv *server) serve(ctx context.Context, conn net.Conn) {
 	defer conn.Close()
-	s := cloud.Slave(0)
 	sc := bufio.NewScanner(conn)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	w := bufio.NewWriter(conn)
-	reply := func(format string, args ...any) {
-		fmt.Fprintf(w, format+"\r\n", args...)
-		w.Flush()
-	}
-	// cmdCtx derives one command's context: the daemon root (so shutdown
-	// aborts in-flight commands) bounded by the per-command deadline, which
-	// Call propagates over the wire.
-	cmdCtx := func() (context.Context, context.CancelFunc) {
-		if cmdTimeout > 0 {
-			return context.WithTimeout(ctx, cmdTimeout)
-		}
-		return context.WithCancel(ctx)
-	}
 	for sc.Scan() {
-		if ctx.Err() != nil {
-			reply("ERR shutting down")
+		out := sv.exec(ctx, sc.Text())
+		if out == "" {
+			continue
+		}
+		w.WriteString(out)
+		if w.Flush() != nil || out == replyBye || out == replyShuttingDown {
 			return
 		}
-		line := sc.Text()
-		cmd, rest, _ := strings.Cut(line, " ")
-		switch strings.ToUpper(cmd) {
-		case "SET", "APPEND":
-			keyStr, val, ok := strings.Cut(rest, " ")
-			key, err := strconv.ParseUint(keyStr, 10, 64)
-			if !ok || err != nil {
-				reply("ERR usage: %s <key> <value>", strings.ToUpper(cmd))
-				continue
-			}
-			cctx, cancel := cmdCtx()
-			if strings.EqualFold(cmd, "SET") {
-				err = s.Put(cctx, key, []byte(val))
-			} else {
-				err = s.Append(cctx, key, []byte(val))
-			}
-			cancel()
-			if err != nil {
-				reply("ERR %v", err)
-				continue
-			}
-			reply("OK")
-		case "GET":
-			key, err := strconv.ParseUint(strings.TrimSpace(rest), 10, 64)
-			if err != nil {
-				reply("ERR usage: GET <key>")
-				continue
-			}
-			cctx, cancel := cmdCtx()
-			val, err := s.Get(cctx, key)
-			cancel()
-			if errors.Is(err, memcloud.ErrNotFound) {
-				reply("NOT_FOUND")
-				continue
-			}
-			if err != nil {
-				reply("ERR %v", err)
-				continue
-			}
-			reply("VALUE %s", val)
-		case "DEL":
-			key, err := strconv.ParseUint(strings.TrimSpace(rest), 10, 64)
-			if err != nil {
-				reply("ERR usage: DEL <key>")
-				continue
-			}
-			cctx, cancel := cmdCtx()
-			err = s.Remove(cctx, key)
-			cancel()
-			if err != nil {
-				reply("ERR %v", err)
-				continue
-			}
-			reply("OK")
-		case "ADDNODE":
-			key, err := strconv.ParseUint(strings.TrimSpace(rest), 10, 64)
-			if err != nil {
-				reply("ERR usage: ADDNODE <id>")
-				continue
-			}
-			cctx, cancel := cmdCtx()
-			err = g.On(0).PutNode(cctx, &graph.Node{ID: key})
-			cancel()
-			if err != nil {
-				reply("ERR %v", err)
-				continue
-			}
-			reply("OK")
-		case "ADDEDGE":
-			parts := strings.Fields(rest)
-			if len(parts) != 2 {
-				reply("ERR usage: ADDEDGE <src> <dst>")
-				continue
-			}
-			src, err1 := strconv.ParseUint(parts[0], 10, 64)
-			dst, err2 := strconv.ParseUint(parts[1], 10, 64)
-			if err1 != nil || err2 != nil {
-				reply("ERR usage: ADDEDGE <src> <dst>")
-				continue
-			}
-			cctx, cancel := cmdCtx()
-			err := g.On(0).AddEdge(cctx, src, dst)
-			cancel()
-			if err != nil {
-				reply("ERR %v", err)
-				continue
-			}
-			reply("OK")
-		case "PAGERANK":
-			iters := 5
-			if rest = strings.TrimSpace(rest); rest != "" {
-				n, err := strconv.Atoi(rest)
-				if err != nil || n < 1 {
-					reply("ERR usage: PAGERANK [iters]")
-					continue
-				}
-				iters = n
-			}
-			cctx, cancel := cmdCtx()
-			res, err := algo.PageRank(cctx, g, iters, 0)
-			cancel()
-			if err != nil {
-				reply("ERR %v", err)
-				continue
-			}
-			reply("OK supersteps=%d ranked=%d", res.Supersteps, len(res.Ranks))
-		case "KHOP":
-			parts := strings.Fields(rest)
-			if len(parts) != 2 {
-				reply("ERR usage: KHOP <node> <hops>")
-				continue
-			}
-			node, err1 := strconv.ParseUint(parts[0], 10, 64)
-			hops, err2 := strconv.Atoi(parts[1])
-			if err1 != nil || err2 != nil {
-				reply("ERR usage: KHOP <node> <hops>")
-				continue
-			}
-			cctx, cancel := cmdCtx()
-			n, err := trav.KHopNeighborhoodSize(cctx, 0, node, hops)
-			cancel()
-			if err != nil {
-				reply("ERR %v", err)
-				continue
-			}
-			reply("VISITED %d", n)
-		case "STATS":
-			st := cloud.Stats()
-			reply("STATS local=%d remote=%d retries=%d recoveries=%d mem=%dB",
-				st.LocalOps, st.RemoteOps, st.Retries, st.Recoveries, cloud.MemoryUsage())
-		case "METRICS":
-			cloud.Metrics().WriteJSON(w)
-			w.Flush()
-		case "BACKUP":
-			if err := cloud.Backup(); err != nil {
-				reply("ERR %v", err)
-				continue
-			}
-			reply("OK")
-		case "QUIT":
-			reply("BYE")
-			return
-		case "":
-		default:
-			reply("ERR unknown command %q", cmd)
+	}
+}
+
+// reply formats one reply line.
+func reply(format string, args ...any) string {
+	return fmt.Sprintf(format+"\r\n", args...)
+}
+
+// cmdCtx derives one command's context: the daemon root (so shutdown
+// aborts in-flight commands) bounded by the per-command deadline, which
+// Call propagates over the wire.
+func (sv *server) cmdCtx(ctx context.Context) (context.Context, context.CancelFunc) {
+	if sv.cmdTimeout > 0 {
+		return context.WithTimeout(ctx, sv.cmdTimeout)
+	}
+	return context.WithCancel(ctx)
+}
+
+// exec runs one command line and returns the exact bytes to send back
+// (terminator included; empty for a blank line).
+func (sv *server) exec(ctx context.Context, line string) string {
+	if ctx.Err() != nil {
+		return replyShuttingDown
+	}
+	s := sv.cloud.Slave(0)
+	cmd, rest, _ := strings.Cut(line, " ")
+	switch strings.ToUpper(cmd) {
+	case "SET", "APPEND":
+		keyStr, val, ok := strings.Cut(rest, " ")
+		key, err := strconv.ParseUint(keyStr, 10, 64)
+		if !ok || err != nil {
+			return reply("ERR usage: %s <key> <value>", strings.ToUpper(cmd))
 		}
+		cctx, cancel := sv.cmdCtx(ctx)
+		if strings.EqualFold(cmd, "SET") {
+			err = s.Put(cctx, key, []byte(val))
+		} else {
+			err = s.Append(cctx, key, []byte(val))
+		}
+		cancel()
+		if err != nil {
+			return reply("ERR %v", err)
+		}
+		return reply("OK")
+	case "GET":
+		key, err := strconv.ParseUint(strings.TrimSpace(rest), 10, 64)
+		if err != nil {
+			return reply("ERR usage: GET <key>")
+		}
+		cctx, cancel := sv.cmdCtx(ctx)
+		val, err := s.Get(cctx, key)
+		cancel()
+		if errors.Is(err, memcloud.ErrNotFound) {
+			return reply("NOT_FOUND")
+		}
+		if err != nil {
+			return reply("ERR %v", err)
+		}
+		return reply("VALUE %s", val)
+	case "DEL":
+		key, err := strconv.ParseUint(strings.TrimSpace(rest), 10, 64)
+		if err != nil {
+			return reply("ERR usage: DEL <key>")
+		}
+		cctx, cancel := sv.cmdCtx(ctx)
+		err = s.Remove(cctx, key)
+		cancel()
+		if err != nil {
+			return reply("ERR %v", err)
+		}
+		return reply("OK")
+	case "ADDNODE":
+		key, err := strconv.ParseUint(strings.TrimSpace(rest), 10, 64)
+		if err != nil {
+			return reply("ERR usage: ADDNODE <id>")
+		}
+		cctx, cancel := sv.cmdCtx(ctx)
+		err = sv.g.On(0).PutNode(cctx, &graph.Node{ID: key})
+		cancel()
+		if err != nil {
+			return reply("ERR %v", err)
+		}
+		return reply("OK")
+	case "ADDEDGE":
+		parts := strings.Fields(rest)
+		if len(parts) != 2 {
+			return reply("ERR usage: ADDEDGE <src> <dst>")
+		}
+		src, err1 := strconv.ParseUint(parts[0], 10, 64)
+		dst, err2 := strconv.ParseUint(parts[1], 10, 64)
+		if err1 != nil || err2 != nil {
+			return reply("ERR usage: ADDEDGE <src> <dst>")
+		}
+		cctx, cancel := sv.cmdCtx(ctx)
+		err := sv.g.On(0).AddEdge(cctx, src, dst)
+		cancel()
+		if err != nil {
+			return reply("ERR %v", err)
+		}
+		return reply("OK")
+	case "PAGERANK":
+		iters := 5
+		if rest = strings.TrimSpace(rest); rest != "" {
+			n, err := strconv.Atoi(rest)
+			if err != nil || n < 1 {
+				return reply("ERR usage: PAGERANK [iters]")
+			}
+			iters = n
+		}
+		cctx, cancel := sv.cmdCtx(ctx)
+		res, err := algo.PageRank(cctx, sv.g, iters, 0)
+		cancel()
+		if err != nil {
+			return reply("ERR %v", err)
+		}
+		return reply("OK supersteps=%d ranked=%d", res.Supersteps, len(res.Ranks))
+	case "KHOP":
+		parts := strings.Fields(rest)
+		if len(parts) != 2 {
+			return reply("ERR usage: KHOP <node> <hops>")
+		}
+		node, err1 := strconv.ParseUint(parts[0], 10, 64)
+		hops, err2 := strconv.Atoi(parts[1])
+		if err1 != nil || err2 != nil {
+			return reply("ERR usage: KHOP <node> <hops>")
+		}
+		cctx, cancel := sv.cmdCtx(ctx)
+		n, err := sv.trav.KHopNeighborhoodSize(cctx, 0, node, hops)
+		cancel()
+		if err != nil {
+			return reply("ERR %v", err)
+		}
+		return reply("VISITED %d", n)
+	case "STATS":
+		st := sv.cloud.Stats()
+		return reply("STATS local=%d remote=%d retries=%d recoveries=%d mem=%dB",
+			st.LocalOps, st.RemoteOps, st.Retries, st.Recoveries, sv.cloud.MemoryUsage())
+	case "METRICS":
+		var b strings.Builder
+		sv.cloud.Metrics().WriteJSON(&b)
+		return b.String()
+	case "BACKUP":
+		if err := sv.cloud.Backup(); err != nil {
+			return reply("ERR %v", err)
+		}
+		return reply("OK")
+	case "QUIT":
+		return replyBye
+	case "":
+		return ""
+	default:
+		return reply("ERR unknown command %q", cmd)
 	}
 }

@@ -90,7 +90,7 @@ func TestTableEncodeDecodeProperty(t *testing.T) {
 func TestReassign(t *testing.T) {
 	tab := NewTable(4, ids(4))
 	owned := tab.TrunksOf(2)
-	nt, err := tab.Reassign(2, []msg.MachineID{0, 1, 3})
+	nt, err := tab.ReassignSet(map[msg.MachineID]bool{2: true}, []msg.MachineID{0, 1, 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,8 +115,8 @@ func TestReassign(t *testing.T) {
 	if total != len(owned) {
 		t.Fatalf("Diff total = %d, want %d", total, len(owned))
 	}
-	if _, err := tab.Reassign(2, nil); err == nil {
-		t.Fatal("Reassign with no survivors should fail")
+	if _, err := tab.ReassignSet(map[msg.MachineID]bool{2: true}, nil); err == nil {
+		t.Fatal("ReassignSet with no survivors should fail")
 	}
 }
 
@@ -314,7 +314,7 @@ func TestRefreshTableAfterMissedBroadcast(t *testing.T) {
 	leader := tc.members[int(tc.members[0].Leader())]
 	// Manually commit a newer table without broadcasting to member 2 by
 	// writing it to TFS only (simulating a lost broadcast).
-	nt, _ := leader.Table().Reassign(2, []msg.MachineID{0, 1})
+	nt, _ := leader.Table().ReassignSet(map[msg.MachineID]bool{2: true}, []msg.MachineID{0, 1})
 	tc.fs.WriteFile("cluster/addressing-table", nt.Encode())
 
 	// Member 2's replica is stale until it refreshes.

@@ -141,7 +141,7 @@ func TestStaleLeaderCannotClobberNewerTable(t *testing.T) {
 			survivorsA = append(survivorsA, id)
 		}
 	}
-	v2, err := v1.Reassign(victimA, survivorsA)
+	v2, err := v1.ReassignSet(map[msg.MachineID]bool{victimA: true}, survivorsA)
 	if err != nil {
 		t.Fatal(err)
 	}

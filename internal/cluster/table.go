@@ -73,34 +73,14 @@ func (t *Table) Machines() []msg.MachineID {
 	return out
 }
 
-// Reassign returns a new table (version+1) in which every slot owned by
-// `failed` is redistributed round-robin across `survivors`. It implements
-// the recovery step "reload the memory trunks it owns ... to other alive
-// machines" at the addressing level.
-func (t *Table) Reassign(failed msg.MachineID, survivors []msg.MachineID) (*Table, error) {
-	if len(survivors) == 0 {
-		return nil, errors.New("cluster: no survivors to reassign to")
-	}
-	nt := &Table{Version: t.Version + 1, P: t.P, Slots: make([]msg.MachineID, len(t.Slots))}
-	copy(nt.Slots, t.Slots)
-	j := 0
-	for i, owner := range nt.Slots {
-		if owner == failed {
-			nt.Slots[i] = survivors[j%len(survivors)]
-			j++
-			_ = i
-		}
-	}
-	return nt, nil
-}
-
 // ReassignSet returns a new table (version+1) in which every slot owned
-// by a dead machine is redistributed round-robin across survivors. It is
-// the multi-failure generalization of Reassign, used when a recovery
-// retries after losing a table-commit CAS: the winning table may already
-// exclude some of the dead set, so the rebuild must diff against every
-// confirmed-dead machine at once. It returns nil (no error) when no slot
-// is owned by a dead machine — nothing to commit.
+// by a dead machine is redistributed round-robin across survivors: the
+// recovery step "reload the memory trunks it owns ... to other alive
+// machines" at the addressing level. It takes the whole dead set because a
+// recovery that retries after losing a table-commit CAS may find the
+// winning table already excludes some of it, so the rebuild must diff
+// against every confirmed-dead machine at once. It returns nil (no error)
+// when no slot is owned by a dead machine — nothing to commit.
 func (t *Table) ReassignSet(dead map[msg.MachineID]bool, survivors []msg.MachineID) (*Table, error) {
 	if len(survivors) == 0 {
 		return nil, errors.New("cluster: no survivors to reassign to")

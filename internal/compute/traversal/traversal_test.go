@@ -467,20 +467,8 @@ func benchCellsGraph(b *testing.B) *graph.Graph {
 	return g
 }
 
-// BenchmarkThreeHopCellsPerKeyGet is the pre-pipeline baseline: one
-// blocking round trip per remote cell.
-func BenchmarkThreeHopCellsPerKeyGet(b *testing.B) {
-	g := benchCellsGraph(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := naiveKHopCells(g, 0, uint64(i%5000), 3); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkThreeHopCellsPipelined is the same traversal through the
-// async batched fetch pipeline.
+// BenchmarkThreeHopCellsPipelined is the client-side cell-mode traversal
+// through the async batched fetch pipeline.
 func BenchmarkThreeHopCellsPipelined(b *testing.B) {
 	g := benchCellsGraph(b)
 	e := New(g)

@@ -18,12 +18,13 @@ import (
 // ErrNoNode reports that a node cell does not exist.
 var ErrNoNode = errors.New("graph: no such node")
 
-// Graph protocol IDs (engine-internal, below tsl.ProtoUserBase).
+// Graph protocol IDs (engine-internal, below tsl.ProtoUserBase). 0x0203
+// was a whole-node read that the fetch pipeline replaced; the id stays
+// retired so the others keep their wire values.
 const (
-	protoAddEdge msg.ProtocolID = 0x0201 + iota
-	protoAddInlink
-	protoGetNode
-	protoDegrees
+	protoAddEdge   msg.ProtocolID = 0x0201
+	protoAddInlink msg.ProtocolID = 0x0202
+	protoDegrees   msg.ProtocolID = 0x0204
 )
 
 // Graph is a distributed graph over a memory cloud. One Machine engine
@@ -60,9 +61,8 @@ func New(cloud *memcloud.Cloud, directed bool) *Graph {
 	for i := 0; i < cloud.Slaves(); i++ {
 		m := &Machine{g: g, s: cloud.Slave(i)}
 		node := m.s.Node()
-		node.HandleSync(protoAddEdge, m.onAddEdge)
-		node.HandleSync(protoAddInlink, m.onAddInlink)
-		node.HandleSync(protoGetNode, m.onGetNode)
+		node.HandleSync(protoAddEdge, m.onAddLink(false))
+		node.HandleSync(protoAddInlink, m.onAddLink(true))
 		node.HandleSync(protoDegrees, m.onDegrees)
 		g.machines = append(g.machines, m)
 	}
@@ -104,6 +104,25 @@ func (m *Machine) cellGet(ctx context.Context, id uint64) ([]byte, error) {
 		f.Flush()
 	}
 	return fu.Wait(ctx)
+}
+
+// readCell runs fn over node id's cell wherever it lives: a zero-copy View
+// on the owner, one fetch-pipeline read elsewhere. fn must not retain b. A
+// missing cell reports ErrNoNode.
+func (m *Machine) readCell(ctx context.Context, id uint64, fn func(b []byte) error) error {
+	var err error
+	if m.s.Owner(id) == m.s.ID() {
+		err = m.s.View(id, fn)
+	} else {
+		var blob []byte
+		if blob, err = m.cellGet(ctx, id); err == nil {
+			err = fn(blob)
+		}
+	}
+	if errors.Is(err, memcloud.ErrNotFound) {
+		return fmt.Errorf("%w: %d", ErrNoNode, id)
+	}
+	return err
 }
 
 func (m *Machine) stripe(id uint64) *sync.Mutex {
@@ -274,30 +293,17 @@ func (m *Machine) addLinkLocal(ctx context.Context, node, other uint64, inlink b
 	return nil
 }
 
-func (m *Machine) onAddEdge(ctx context.Context, _ msg.MachineID, req []byte) ([]byte, error) {
-	if len(req) != 16 {
-		return nil, errors.New("graph: bad AddEdge request")
+// onAddLink serves both edge protocols: the request names a local node
+// and the neighbor to append to its outlinks, or to its inlinks.
+func (m *Machine) onAddLink(inlink bool) msg.SyncHandler {
+	return func(ctx context.Context, _ msg.MachineID, req []byte) ([]byte, error) {
+		if len(req) != 16 {
+			return nil, errors.New("graph: bad add-link request")
+		}
+		node := binary.LittleEndian.Uint64(req)
+		other := binary.LittleEndian.Uint64(req[8:])
+		return nil, m.addLinkLocal(ctx, node, other, inlink)
 	}
-	node := binary.LittleEndian.Uint64(req)
-	other := binary.LittleEndian.Uint64(req[8:])
-	return nil, m.addLinkLocal(ctx, node, other, false)
-}
-
-func (m *Machine) onAddInlink(ctx context.Context, _ msg.MachineID, req []byte) ([]byte, error) {
-	if len(req) != 16 {
-		return nil, errors.New("graph: bad AddInlink request")
-	}
-	node := binary.LittleEndian.Uint64(req)
-	other := binary.LittleEndian.Uint64(req[8:])
-	return nil, m.addLinkLocal(ctx, node, other, true)
-}
-
-func (m *Machine) onGetNode(ctx context.Context, _ msg.MachineID, req []byte) ([]byte, error) {
-	if len(req) != 8 {
-		return nil, errors.New("graph: bad GetNode request")
-	}
-	blob, err := m.s.Get(ctx, binary.LittleEndian.Uint64(req))
-	return blob, err
 }
 
 // Outlinks returns the node's out-neighbors (copy).
@@ -313,7 +319,7 @@ func (m *Machine) Inlinks(ctx context.Context, id uint64) ([]uint64, error) {
 
 func (m *Machine) links(ctx context.Context, id uint64, list int) ([]uint64, error) {
 	var out []uint64
-	collect := func(b []byte) error {
+	err := m.readCell(ctx, id, func(b []byte) error {
 		off, count, err := blobListAt(b, list)
 		if err != nil {
 			return err
@@ -323,22 +329,8 @@ func (m *Machine) links(ctx context.Context, id uint64, list int) ([]uint64, err
 			out[i] = binary.LittleEndian.Uint64(b[off+8*i:])
 		}
 		return nil
-	}
-	if m.s.Owner(id) == m.s.ID() {
-		err := m.s.View(id, collect)
-		if errors.Is(err, memcloud.ErrNotFound) {
-			return nil, fmt.Errorf("%w: %d", ErrNoNode, id)
-		}
-		return out, err
-	}
-	blob, err := m.cellGet(ctx, id)
-	if err != nil {
-		if errors.Is(err, memcloud.ErrNotFound) {
-			return nil, fmt.Errorf("%w: %d", ErrNoNode, id)
-		}
-		return nil, err
-	}
-	return out, collect(blob)
+	})
+	return out, err
 }
 
 // ForEachOutlink streams a LOCAL node's out-neighbors zero-copy — the
@@ -382,28 +374,28 @@ func (m *Machine) ForEachInlink(id uint64, fn func(v uint64) bool) error {
 	})
 }
 
-// onDegrees serves the 16-byte degree summary of a local node; remote
+// localDegrees reads (outDegree, inDegree) off a LOCAL node's cell.
+func (m *Machine) localDegrees(id uint64) (out, in int, err error) {
+	err = m.s.View(id, func(b []byte) (err error) {
+		if _, out, err = blobListAt(b, listOutlinks); err == nil {
+			_, in, err = blobListAt(b, listInlinks)
+		}
+		return err
+	})
+	return out, in, err
+}
+
+// onDegrees serves the 8-byte degree summary of a local node; remote
 // degree queries use this instead of shipping a whole (possibly hub-sized)
 // cell across the wire.
 func (m *Machine) onDegrees(_ context.Context, _ msg.MachineID, req []byte) ([]byte, error) {
 	if len(req) != 8 {
 		return nil, errors.New("graph: bad Degrees request")
 	}
-	id := binary.LittleEndian.Uint64(req)
+	out, in, err := m.localDegrees(binary.LittleEndian.Uint64(req))
 	var resp [8]byte
-	err := m.s.View(id, func(b []byte) error {
-		_, out, err := blobListAt(b, listOutlinks)
-		if err != nil {
-			return err
-		}
-		_, in, err := blobListAt(b, listInlinks)
-		if err != nil {
-			return err
-		}
-		binary.LittleEndian.PutUint32(resp[0:], uint32(out))
-		binary.LittleEndian.PutUint32(resp[4:], uint32(in))
-		return nil
-	})
+	binary.LittleEndian.PutUint32(resp[0:], uint32(out))
+	binary.LittleEndian.PutUint32(resp[4:], uint32(in))
 	return resp[:], err
 }
 
@@ -411,20 +403,7 @@ func (m *Machine) onDegrees(_ context.Context, _ msg.MachineID, req []byte) ([]b
 func (m *Machine) degrees(ctx context.Context, id uint64) (int, int, error) {
 	owner := m.s.Owner(id)
 	if owner == m.s.ID() {
-		out, in := -1, -1
-		err := m.s.View(id, func(b []byte) error {
-			_, o, err := blobListAt(b, listOutlinks)
-			if err != nil {
-				return err
-			}
-			_, i, err := blobListAt(b, listInlinks)
-			if err != nil {
-				return err
-			}
-			out, in = o, i
-			return nil
-		})
-		return out, in, err
+		return m.localDegrees(id)
 	}
 	var req [8]byte
 	binary.LittleEndian.PutUint64(req[:], id)
@@ -453,21 +432,14 @@ func (m *Machine) InDegree(ctx context.Context, id uint64) (int, error) {
 // Label returns the node's label.
 func (m *Machine) Label(ctx context.Context, id uint64) (int64, error) {
 	var label int64
-	read := func(b []byte) error {
+	err := m.readCell(ctx, id, func(b []byte) error {
 		if len(b) < 8 {
 			return errors.New("graph: short node blob")
 		}
 		label = blobLabel(b)
 		return nil
-	}
-	if m.s.Owner(id) == m.s.ID() {
-		return label, m.s.View(id, read)
-	}
-	blob, err := m.cellGet(ctx, id)
-	if err != nil {
-		return 0, err
-	}
-	return label, read(blob)
+	})
+	return label, err
 }
 
 // Name returns the node's name.

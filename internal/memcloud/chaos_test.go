@@ -157,7 +157,7 @@ func TestChaosStaleTableWrongOwnerBounce(t *testing.T) {
 }
 
 // TestChaosRetriesExhausted: when the table keeps naming an owner that
-// keeps disclaiming the trunk, withOwner gives up with
+// keeps disclaiming the trunk, Slave.do gives up with
 // ErrRetriesExhausted after MaxRetries table refreshes.
 func TestChaosRetriesExhausted(t *testing.T) {
 	c, _ := NewChaosCloud(chaosConfig(2), 1)

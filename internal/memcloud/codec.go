@@ -9,12 +9,6 @@ import (
 	"fmt"
 )
 
-func encodeKey(key uint64) []byte {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], key)
-	return b[:]
-}
-
 func encodeKV(key uint64, val []byte) []byte {
 	out := make([]byte, 8+len(val)) //alloc:ok per-op sync path; batched writers encode into leases
 	binary.LittleEndian.PutUint64(out, key)

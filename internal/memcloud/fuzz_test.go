@@ -107,6 +107,6 @@ func FuzzReplayWAL(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tr := trunk.New(trunk.Options{Capacity: 1 << 16, PageSize: 1 << 10})
-		_ = replayLog(tr, data) // must not panic, whatever the bytes
+		_ = replay(tr, data, false) // must not panic, whatever the bytes
 	})
 }

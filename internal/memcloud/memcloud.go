@@ -15,7 +15,6 @@
 package memcloud
 
 import (
-	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -347,27 +346,15 @@ func (c *Cloud) KillMachine(id msg.MachineID) {
 	c.mu.RLock()
 	s := c.slaves[int(id)]
 	c.mu.RUnlock()
-	if !s.alive.Swap(false) {
-		return
+	if s.stop() {
+		c.bus.Disconnect(id)
 	}
-	if s.defrag != nil {
-		s.defrag.Stop()
-	}
-	s.member.Stop()
-	s.node.Close()
-	c.bus.Disconnect(id)
 }
 
 // Close shuts down the whole cloud.
 func (c *Cloud) Close() {
 	for _, s := range c.slaveList() {
-		if s.alive.Swap(false) {
-			if s.defrag != nil {
-				s.defrag.Stop()
-			}
-			s.member.Stop()
-			s.node.Close()
-		}
+		s.stop()
 	}
 }
 
@@ -485,12 +472,9 @@ func newSlave(node *msg.Node, fs *tfs.FS, initial *cluster.Table, cfg Config) *S
 		ReleaseTrunks: s.releaseTrunks,
 	}
 	s.member = cluster.NewMember(node, fs, initial, hooks, cfg.Cluster)
-	node.HandleSync(protoGetCell, s.onGet)
-	node.HandleSync(protoPutCell, s.onPut)
-	node.HandleSync(protoAddCell, s.onAdd)
-	node.HandleSync(protoRemoveCell, s.onRemove)
-	node.HandleSync(protoAppendCell, s.onAppend)
-	node.HandleSync(protoContains, s.onContains)
+	for i := range cellOps {
+		node.HandleSync(cellOps[i].proto, s.serve(&cellOps[i]))
+	}
 	node.HandleSync(ProtoMultiGet, s.onMultiGet)
 	node.HandleSync(ProtoMultiPut, s.onMultiPut)
 	if cfg.DefragInterval > 0 {
@@ -512,6 +496,21 @@ func (s *Slave) newTrunk() *trunk.Trunk {
 		Reservation: s.cfg.Reservation,
 		Metrics:     s.trunkMx,
 	})
+}
+
+// stop takes the slave out of service: background daemon, membership and
+// messaging runtime, in that order. It reports whether this call was the
+// one that stopped it.
+func (s *Slave) stop() bool {
+	if !s.alive.Swap(false) {
+		return false
+	}
+	if s.defrag != nil {
+		s.defrag.Stop()
+	}
+	s.member.Stop()
+	s.node.Close()
+	return true
 }
 
 // registerTrunkGauges publishes snapshot-time gauges over this slave's
@@ -696,13 +695,9 @@ func mapTrunkErr(err error) error {
 	}
 }
 
-// remoteErr maps an error that crossed the wire back to a sentinel,
-// preferring the one-byte wire code. The message-text fallback covers
-// errors from peers that attached no code.
+// remoteErr maps an error that crossed the wire back to its sentinel by
+// the one-byte wire code every memcloud handler attaches.
 func remoteErr(err error) error {
-	if err == nil {
-		return nil
-	}
 	switch msg.ErrorCode(err) {
 	case codeNotFound:
 		return ErrNotFound
@@ -711,17 +706,7 @@ func remoteErr(err error) error {
 	case codeWrongOwner:
 		return ErrWrongOwner
 	}
-	es := err.Error()
-	switch {
-	case bytes.Contains([]byte(es), []byte(ErrNotFound.Error())):
-		return ErrNotFound
-	case bytes.Contains([]byte(es), []byte(ErrExists.Error())):
-		return ErrExists
-	case bytes.Contains([]byte(es), []byte(ErrWrongOwner.Error())):
-		return ErrWrongOwner
-	default:
-		return err
-	}
+	return err
 }
 
 // --- server-side handlers ---
@@ -736,84 +721,21 @@ func (s *Slave) serveTrunk(key uint64) (*trunk.Trunk, error) {
 	return t, nil
 }
 
-func (s *Slave) onGet(_ context.Context, _ msg.MachineID, req []byte) ([]byte, error) {
-	key, _, err := decodeKV(req)
-	if err != nil {
-		return nil, err
+// serve is the owner side of every single-cell protocol: decode, find
+// the trunk (or disclaim it with ErrWrongOwner), apply and log the op.
+func (s *Slave) serve(op *cellOp) msg.SyncHandler {
+	return func(_ context.Context, _ msg.MachineID, req []byte) ([]byte, error) {
+		key, val, err := decodeKV(req)
+		if err != nil {
+			return nil, err
+		}
+		t, err := s.serveTrunk(key)
+		if err != nil {
+			return nil, err
+		}
+		out, err := s.loggedApply(op, t, key, val)
+		return out, mapTrunkErr(err)
 	}
-	t, err := s.serveTrunk(key)
-	if err != nil {
-		return nil, err
-	}
-	val, err := t.Get(key)
-	return val, mapTrunkErr(err)
-}
-
-func (s *Slave) onPut(_ context.Context, _ msg.MachineID, req []byte) ([]byte, error) {
-	key, val, err := decodeKV(req)
-	if err != nil {
-		return nil, err
-	}
-	t, err := s.serveTrunk(key)
-	if err != nil {
-		return nil, err
-	}
-	err = s.loggedApply(key, opPut, val, func() error { return t.Put(key, val) })
-	return nil, mapTrunkErr(err)
-}
-
-func (s *Slave) onAdd(_ context.Context, _ msg.MachineID, req []byte) ([]byte, error) {
-	key, val, err := decodeKV(req)
-	if err != nil {
-		return nil, err
-	}
-	t, err := s.serveTrunk(key)
-	if err != nil {
-		return nil, err
-	}
-	err = s.loggedApply(key, opPut, val, func() error { return t.Add(key, val) })
-	return nil, mapTrunkErr(err)
-}
-
-func (s *Slave) onRemove(_ context.Context, _ msg.MachineID, req []byte) ([]byte, error) {
-	key, _, err := decodeKV(req)
-	if err != nil {
-		return nil, err
-	}
-	t, err := s.serveTrunk(key)
-	if err != nil {
-		return nil, err
-	}
-	err = s.loggedApply(key, opRemove, nil, func() error { return t.Remove(key) })
-	return nil, mapTrunkErr(err)
-}
-
-func (s *Slave) onAppend(_ context.Context, _ msg.MachineID, req []byte) ([]byte, error) {
-	key, val, err := decodeKV(req)
-	if err != nil {
-		return nil, err
-	}
-	t, err := s.serveTrunk(key)
-	if err != nil {
-		return nil, err
-	}
-	err = s.loggedApply(key, opAppend, val, func() error { return t.Append(key, val) })
-	return nil, mapTrunkErr(err)
-}
-
-func (s *Slave) onContains(_ context.Context, _ msg.MachineID, req []byte) ([]byte, error) {
-	key, _, err := decodeKV(req)
-	if err != nil {
-		return nil, err
-	}
-	t, err := s.serveTrunk(key)
-	if err != nil {
-		return nil, err
-	}
-	if t.Contains(key) {
-		return []byte{1}, nil
-	}
-	return []byte{0}, nil
 }
 
 // onMultiGet answers N cell reads in one frame. Every key gets its own
@@ -924,6 +846,7 @@ func (s *Slave) applyMultiPut(items []MultiPutItem) []byte {
 			}
 		}
 		var errs []error
+		var walErr error
 		if s.cfg.BufferedLogging {
 			// Mutation + group log append are one critical section with
 			// respect to backup's dump+truncate, exactly like loggedApply:
@@ -932,23 +855,25 @@ func (s *Slave) applyMultiPut(items []MultiPutItem) []byte {
 			mu := &s.walMu[tid]
 			mu.RLock()
 			errs = t.PutBatch(bitems)
-			rec := encodeGroupRecord(bitems, errs)
-			if rec != nil {
-				s.fs.AppendFile(walFile(tid), rec)
-				s.walGroupCommits.Add(1)
-				s.walBytesAppended.Add(int64(len(rec)))
+			if rec := encodeGroupRecord(bitems, errs); rec != nil {
+				if walErr = s.appendWAL(tid, rec); walErr == nil {
+					s.walGroupCommits.Add(1)
+				}
 			}
 			mu.RUnlock()
 		} else {
 			errs = t.PutBatch(bitems)
 		}
 		for j, i := range idxs {
-			if errs == nil || errs[j] == nil {
-				statuses[i] = MultiPutOK
-			} else if errors.Is(errs[j], trunk.ErrExists) {
+			switch {
+			case errs != nil && errors.Is(errs[j], trunk.ErrExists):
 				statuses[i] = MultiPutExists
-			} else {
+			case errs != nil && errs[j] != nil, walErr != nil:
+				// An applied write whose group record did not land is
+				// visible in memory but not durable: not acknowledged.
 				statuses[i] = MultiPutErr
+			default:
+				statuses[i] = MultiPutOK
 			}
 		}
 	}
@@ -976,7 +901,7 @@ type Rerouter interface {
 // err: an unreachable or silent owner is reported to the leader, then the
 // addressing table is refreshed. It reports whether a retry can help;
 // false means err is not a routing failure and the caller fails with it.
-// Both the synchronous client (withOwner) and the batching pipeline
+// Both the synchronous client (do) and the batching pipeline
 // (internal/memcloud/batch) recover through this one step, each at most
 // MaxRetries times per operation.
 func Reroute(ctx context.Context, r Rerouter, owner msg.MachineID, err error) bool {
@@ -998,15 +923,70 @@ func (s *Slave) observeSince(h *obs.Histogram, start time.Time) {
 	h.Observe(int64(time.Since(start)))
 }
 
-// withOwner runs op against the key's owner, retrying through Reroute on
-// failure. A fired context stops the retry loop immediately: the caller's
-// budget is spent, so reporting and refreshing on its behalf would only
-// delay the ctx.Err it is owed.
-func (s *Slave) withOwner(ctx context.Context, key uint64, local func(*trunk.Trunk) error, remote func(owner msg.MachineID) error) error {
+// cellOp is one row of the single-cell operation table (paper §3, §4.4):
+// all that distinguishes one atomic cell operation from another. The
+// owner-side handler (serve), the client (do) and the WAL (loggedApply)
+// are written once against it.
+type cellOp struct {
+	// proto is the wire protocol the owner serves the op on. Every request
+	// is key(8) + value; reads send an empty value.
+	proto msg.ProtocolID
+	// wal is the record op logged under buffered logging once apply has
+	// succeeded; 0 marks a read, which is never logged.
+	wal byte
+	// apply runs the op on the key's trunk and returns the reply payload.
+	apply func(t *trunk.Trunk, key uint64, val []byte) ([]byte, error)
+}
+
+// Indexes into cellOps.
+const (
+	cellGet = iota
+	cellPut
+	cellAdd
+	cellRemove
+	cellAppend
+	cellContains
+)
+
+// Contains replies; shared because no caller writes to a reply.
+var containsYes, containsNo = []byte{1}, []byte{0}
+
+var cellOps = [...]cellOp{
+	cellGet: {protoGetCell, 0, func(t *trunk.Trunk, key uint64, _ []byte) ([]byte, error) {
+		return t.Get(key)
+	}},
+	cellPut: {protoPutCell, opPut, func(t *trunk.Trunk, key uint64, val []byte) ([]byte, error) {
+		return nil, t.Put(key, val)
+	}},
+	// Add logs opPut: replay's Put is idempotent and the Add already won
+	// its race when the record was written.
+	cellAdd: {protoAddCell, opPut, func(t *trunk.Trunk, key uint64, val []byte) ([]byte, error) {
+		return nil, t.Add(key, val)
+	}},
+	cellRemove: {protoRemoveCell, opRemove, func(t *trunk.Trunk, key uint64, _ []byte) ([]byte, error) {
+		return nil, t.Remove(key)
+	}},
+	cellAppend: {protoAppendCell, opAppend, func(t *trunk.Trunk, key uint64, val []byte) ([]byte, error) {
+		return nil, t.Append(key, val)
+	}},
+	cellContains: {protoContains, 0, func(t *trunk.Trunk, key uint64, _ []byte) ([]byte, error) {
+		if t.Contains(key) {
+			return containsYes, nil
+		}
+		return containsNo, nil
+	}},
+}
+
+// do runs op against the key's owner — in place when that is this slave,
+// over the wire otherwise — retrying through Reroute on failure. A fired
+// context stops the retry loop immediately: the caller's budget is spent,
+// so reporting and refreshing on its behalf would only delay the ctx.Err
+// it is owed.
+func (s *Slave) do(ctx context.Context, op *cellOp, key uint64, val []byte) ([]byte, error) {
 	var lastErr error
 	for attempt := 0; attempt <= MaxRetries; attempt++ {
 		if err := ctx.Err(); err != nil {
-			return err
+			return nil, err
 		}
 		if attempt > 0 {
 			s.retries.Add(1)
@@ -1016,115 +996,71 @@ func (s *Slave) withOwner(ctx context.Context, key uint64, local func(*trunk.Tru
 		if owner == s.id {
 			if t := s.localTrunk(tid); t != nil {
 				s.localOps.Add(1)
-				return mapTrunkErr(local(t))
+				out, err := s.loggedApply(op, t, key, val)
+				return out, mapTrunkErr(err)
 			}
 			// The table says we own it but recovery hasn't delivered the
 			// trunk yet.
 			lastErr = ErrWrongOwner
 		} else {
 			s.remoteOps.Add(1)
-			err := remote(owner)
+			out, err := s.node.Call(ctx, owner, op.proto, encodeKV(key, val))
 			if err == nil {
-				return nil
+				return out, nil
 			}
 			lastErr = remoteErr(err)
 			if errors.Is(lastErr, ErrNotFound) || errors.Is(lastErr, ErrExists) {
-				return lastErr
+				return nil, lastErr
 			}
 			if ctx.Err() != nil {
-				return ctx.Err()
+				return nil, ctx.Err()
 			}
 		}
 		if !Reroute(ctx, s, owner, lastErr) {
-			return lastErr
+			return nil, lastErr
 		}
 	}
-	return fmt.Errorf("%w: key %#x: %v", ErrRetriesExhausted, key, lastErr)
+	return nil, fmt.Errorf("%w: key %#x: %v", ErrRetriesExhausted, key, lastErr)
 }
 
 // Get returns the cell's value.
 func (s *Slave) Get(ctx context.Context, key uint64) ([]byte, error) {
 	defer s.observeSince(s.getNs, time.Now())
-	var out []byte
-	err := s.withOwner(ctx, key,
-		func(t *trunk.Trunk) error {
-			v, err := t.Get(key)
-			out = v
-			return err
-		},
-		func(owner msg.MachineID) error {
-			v, err := s.node.Call(ctx, owner, protoGetCell, encodeKey(key))
-			out = v
-			return err
-		})
-	return out, err
+	return s.do(ctx, &cellOps[cellGet], key, nil)
 }
 
-// Put inserts or overwrites a cell.
+// Put inserts or overwrites a cell. Under buffered logging an error from
+// the log append means the write is not acknowledged — not that it was not
+// applied: the owner's memory may already show it, but it will not survive
+// the owner's failure. The same holds for Add, Remove and Append.
 func (s *Slave) Put(ctx context.Context, key uint64, val []byte) error {
 	defer s.observeSince(s.setNs, time.Now())
-	return s.withOwner(ctx, key,
-		func(t *trunk.Trunk) error {
-			return s.loggedApply(key, opPut, val, func() error { return t.Put(key, val) })
-		},
-		func(owner msg.MachineID) error {
-			_, err := s.node.Call(ctx, owner, protoPutCell, encodeKV(key, val))
-			return err
-		})
+	_, err := s.do(ctx, &cellOps[cellPut], key, val)
+	return err
 }
 
 // Add inserts a new cell, failing with ErrExists if present.
 func (s *Slave) Add(ctx context.Context, key uint64, val []byte) error {
-	return s.withOwner(ctx, key,
-		func(t *trunk.Trunk) error {
-			return s.loggedApply(key, opPut, val, func() error { return t.Add(key, val) })
-		},
-		func(owner msg.MachineID) error {
-			_, err := s.node.Call(ctx, owner, protoAddCell, encodeKV(key, val))
-			return err
-		})
+	_, err := s.do(ctx, &cellOps[cellAdd], key, val)
+	return err
 }
 
 // Remove deletes a cell.
 func (s *Slave) Remove(ctx context.Context, key uint64) error {
-	return s.withOwner(ctx, key,
-		func(t *trunk.Trunk) error {
-			return s.loggedApply(key, opRemove, nil, func() error { return t.Remove(key) })
-		},
-		func(owner msg.MachineID) error {
-			_, err := s.node.Call(ctx, owner, protoRemoveCell, encodeKey(key))
-			return err
-		})
+	_, err := s.do(ctx, &cellOps[cellRemove], key, nil)
+	return err
 }
 
 // Append extends a cell's value (adjacency-list growth).
 func (s *Slave) Append(ctx context.Context, key uint64, extra []byte) error {
-	return s.withOwner(ctx, key,
-		func(t *trunk.Trunk) error {
-			return s.loggedApply(key, opAppend, extra, func() error { return t.Append(key, extra) })
-		},
-		func(owner msg.MachineID) error {
-			_, err := s.node.Call(ctx, owner, protoAppendCell, encodeKV(key, extra))
-			return err
-		})
+	_, err := s.do(ctx, &cellOps[cellAppend], key, extra)
+	return err
 }
 
 // Contains reports whether the cell exists anywhere in the cloud.
 func (s *Slave) Contains(ctx context.Context, key uint64) (bool, error) {
-	var found bool
-	err := s.withOwner(ctx, key,
-		func(t *trunk.Trunk) error {
-			found = t.Contains(key)
-			return nil
-		},
-		func(owner msg.MachineID) error {
-			resp, err := s.node.Call(ctx, owner, protoContains, encodeKey(key))
-			if err == nil {
-				found = len(resp) == 1 && resp[0] == 1
-			}
-			return err
-		})
-	return found, err
+	out, err := s.do(ctx, &cellOps[cellContains], key, nil)
+	return len(out) == 1 && out[0] == 1, err
 }
 
 // View runs fn over a zero-copy, spin-locked view of a LOCAL cell. It

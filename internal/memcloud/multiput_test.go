@@ -241,7 +241,7 @@ func TestReplayLogGroupRecords(t *testing.T) {
 			single(opRemove, 2, nil),
 			group(4),
 		)
-		if err := replayLog(tr, log); err != nil {
+		if err := replay(tr, log, false); err != nil {
 			t.Fatal(err)
 		}
 		for _, k := range []uint64{1, 3, 4} {
@@ -259,7 +259,7 @@ func TestReplayLogGroupRecords(t *testing.T) {
 		full := group(1, 2, 3)
 		for cut := 1; cut < len(full); cut++ {
 			tr := newTrunk()
-			if err := replayLog(tr, full[:cut]); err != nil {
+			if err := replay(tr, full[:cut], false); err != nil {
 				t.Fatalf("cut at %d: %v (crash tails must not error)", cut, err)
 			}
 			// Whatever applied, nothing may be corrupt.
@@ -275,7 +275,7 @@ func TestReplayLogGroupRecords(t *testing.T) {
 		tr := newTrunk()
 		full := group(7)
 		log := concat(group(1, 2), full[:len(full)-3])
-		if err := replayLog(tr, log); err != nil {
+		if err := replay(tr, log, false); err != nil {
 			t.Fatal(err)
 		}
 		for _, k := range []uint64{1, 2} {
@@ -291,20 +291,20 @@ func TestReplayLogGroupRecords(t *testing.T) {
 	t.Run("garbage inside framed group errors", func(t *testing.T) {
 		g := group(1, 2)
 		g[5] = 0x7F // first sub-record's op byte: not a valid plain op
-		if err := replayLog(newTrunk(), g); err == nil {
+		if err := replay(newTrunk(), g, false); err == nil {
 			t.Fatal("corrupt group body replayed without error")
 		}
 		// Sub-record truncated inside a fully framed body: also corruption.
 		g2 := group(1)
 		binary.LittleEndian.PutUint32(g2[1:], uint32(len(g2)-5+8)) // lie: body longer than sub-records
 		g2 = append(g2, make([]byte, 8)...)                        // pad so frame is "complete" but tail is junk
-		if err := replayLog(newTrunk(), g2); err == nil {
+		if err := replay(newTrunk(), g2, false); err == nil {
 			t.Fatal("truncated sub-record inside complete frame replayed without error")
 		}
 	})
 
 	t.Run("unknown plain op errors", func(t *testing.T) {
-		if err := replayLog(newTrunk(), single(0x7E, 1, val(4, 1))); err == nil {
+		if err := replay(newTrunk(), single(0x7E, 1, val(4, 1)), false); err == nil {
 			t.Fatal("unknown op replayed without error")
 		}
 	})

@@ -40,14 +40,14 @@ func (p *Proxy) Close() error { return p.node.Close() }
 // Get fetches a cell by routing the request to its owner slave.
 func (p *Proxy) Get(ctx context.Context, key uint64) ([]byte, error) {
 	owner := p.ownerOf(key)
-	resp, err := p.node.Call(ctx, owner, protoGetCell, encodeKey(key))
+	resp, err := p.node.Call(ctx, owner, cellOps[cellGet].proto, encodeKV(key, nil))
 	return resp, remoteErr(err)
 }
 
 // Put stores a cell via its owner slave.
 func (p *Proxy) Put(ctx context.Context, key uint64, val []byte) error {
 	owner := p.ownerOf(key)
-	_, err := p.node.Call(ctx, owner, protoPutCell, encodeKV(key, val))
+	_, err := p.node.Call(ctx, owner, cellOps[cellPut].proto, encodeKV(key, val))
 	return remoteErr(err)
 }
 

@@ -47,7 +47,9 @@ func (s *Slave) backupTrunk(tid uint32, t *trunk.Trunk) error {
 		return err
 	}
 	if s.cfg.BufferedLogging {
-		s.fs.WriteFile(walFile(tid), nil)
+		if err := s.fs.WriteFile(walFile(tid), nil); err != nil {
+			return fmt.Errorf("memcloud: truncate wal of trunk %d: %w", tid, err)
+		}
 	}
 	return nil
 }
@@ -66,7 +68,7 @@ func (s *Slave) acquireTrunks(tids []uint32) {
 			if log, err := s.fs.ReadFile(walFile(tid)); err == nil {
 				// Best effort: a corrupt record stops replay at the last
 				// decodable prefix; everything before it is applied.
-				_ = replayLog(t, log)
+				_ = replay(t, log, false)
 			}
 		}
 		s.mu.Lock()

@@ -28,9 +28,8 @@ func benchCloud(b *testing.B, machines int, reg *obs.Registry) *memcloud.Cloud {
 // machine sees during a bulk ingest: writes issued asynchronously from
 // one access point, coalesced into per-owner ProtoMultiPut frames
 // (encoded into pooled leases), applied with amortized trunk locking and
-// resolved through futures. The per-cell baseline below is the same
-// workload one synchronous Put at a time; the pipeline's allocs/op is a
-// gated number (entry slabs + one frame per batch, not per write).
+// resolved through futures. The pipeline's allocs/op is a gated number
+// (entry slabs + one frame per batch, not per write).
 func BenchmarkPutPipeline(b *testing.B) {
 	reg := obs.NewRegistry()
 	c := benchCloud(b, 4, reg)
@@ -55,35 +54,6 @@ func BenchmarkPutPipeline(b *testing.B) {
 		}
 		if err := w.Drain(context.Background()); err != nil {
 			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkPutPerCell is the pre-pipeline baseline: the identical write
-// stream as one synchronous Put per cell from the same access point. The
-// EXPERIMENTS.md bulk-load table derives its sync-call ablation from the
-// gap between this and BenchmarkPutPipeline.
-func BenchmarkPutPerCell(b *testing.B) {
-	reg := obs.NewRegistry()
-	c := benchCloud(b, 4, reg)
-	defer c.Close()
-	s0 := c.Slave(0)
-
-	const (
-		batchSize = 256
-		cellSize  = 64
-	)
-	payload := val(cellSize, 3)
-
-	b.ReportAllocs()
-	b.SetBytes(int64(batchSize * cellSize))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		base := uint64(i) * batchSize
-		for k := uint64(0); k < batchSize; k++ {
-			if err := s0.Put(context.Background(), base+k, payload); err != nil {
-				b.Fatal(err)
-			}
 		}
 	}
 }

@@ -58,45 +58,58 @@ func encodeGroupRecord(items []trunk.BatchItem, errs []error) []byte {
 	return rec
 }
 
-// loggedApply runs a trunk mutation and, under buffered logging, appends
-// its record to the trunk's TFS log ("the key idea is to log operations
-// to remote memory buffers before committing them to the local memory" —
-// TFS plays the remote buffer here). The trunk's wal lock is held in
-// read mode across both steps so a concurrent backup cannot dump the
-// mutated trunk and then truncate the log before the record lands: every
-// mutation is in the dump that the truncation trusts, or in the log, or
-// both (replay of Put/Remove is idempotent; Append records truncated
-// with their covering dump are never replayed twice).
-func (s *Slave) loggedApply(key uint64, op byte, val []byte, apply func() error) error {
-	if !s.cfg.BufferedLogging {
-		return apply()
+// loggedApply runs a cell op on its trunk and, for a mutation under
+// buffered logging, appends its record to the trunk's TFS log ("the key
+// idea is to log operations to remote memory buffers before committing
+// them to the local memory" — TFS plays the remote buffer here). The
+// trunk's wal lock is held in read mode across both steps so a concurrent
+// backup cannot dump the mutated trunk and then truncate the log before
+// the record lands: every mutation is in the dump that the truncation
+// trusts, or in the log, or both (replay of Put/Remove is idempotent;
+// Append records truncated with their covering dump are never replayed
+// twice). A failed append is returned after the mutation has been applied:
+// the caller must treat the op as not acknowledged.
+func (s *Slave) loggedApply(op *cellOp, t *trunk.Trunk, key uint64, val []byte) ([]byte, error) {
+	if op.wal == 0 || !s.cfg.BufferedLogging {
+		return op.apply(t, key, val)
 	}
 	tid := s.trunkFor(key)
 	mu := &s.walMu[tid]
 	mu.RLock()
 	defer mu.RUnlock()
-	if err := apply(); err != nil {
-		return err
+	out, err := op.apply(t, key, val)
+	if err != nil {
+		return nil, err
 	}
 	rec := make([]byte, 13+len(val)) //alloc:ok per-op WAL record; batched writers use the group-commit path
-	rec[0] = op
+	rec[0] = op.wal
 	binary.LittleEndian.PutUint64(rec[1:], key)
 	binary.LittleEndian.PutUint32(rec[9:], uint32(len(val)))
 	copy(rec[13:], val)
-	s.fs.AppendFile(walFile(tid), rec)
+	return out, s.appendWAL(tid, rec)
+}
+
+// appendWAL appends one encoded record — a single op's or a multi-put
+// group's — to the trunk's log. Called with the trunk's wal lock held.
+func (s *Slave) appendWAL(tid uint32, rec []byte) error {
+	if err := s.fs.AppendFile(walFile(tid), rec); err != nil {
+		return fmt.Errorf("memcloud: wal append: %w", err)
+	}
 	s.walBytesAppended.Add(int64(len(rec)))
 	return nil
 }
 
-// replayLog applies a mutation log to a trunk. A truncated tail — the
-// normal residue of a crash mid-append — stops replay cleanly with a nil
-// error: the half-written record was never acked. Garbage that cannot be
-// a crash artifact (an unknown op code, or a malformed record inside a
-// fully appended group) stops replay with an error so recovery can count
-// the corruption; replay never panics, whatever the bytes.
-func replayLog(t *trunk.Trunk, log []byte) error {
+// replay applies a mutation log to a trunk. A truncated tail — the normal
+// residue of a crash mid-append — stops replay cleanly with a nil error:
+// the half-written record was never acked. Garbage that cannot be a crash
+// artifact (an unknown op code, or a malformed record inside a fully
+// appended group) stops replay with an error so recovery can count the
+// corruption; replay never panics, whatever the bytes. inGroup is false
+// for a log and true for the body of a group record, which was framed
+// whole: there a short record is corruption, not a crash tail.
+func replay(t *trunk.Trunk, log []byte, inGroup bool) error {
 	for len(log) > 0 {
-		if log[0] == opGroup {
+		if log[0] == opGroup && !inGroup {
 			if len(log) < 5 {
 				return nil // truncated tail: group header cut off
 			}
@@ -104,76 +117,42 @@ func replayLog(t *trunk.Trunk, log []byte) error {
 			if n < 0 || n > len(log)-5 {
 				return nil // truncated tail: crash mid group append
 			}
-			// The group framed n bytes and all n are present, so every
-			// sub-record must parse completely: a short record here is
-			// corruption, not a crash tail.
-			if err := replayRecords(t, log[5:5+n], true); err != nil {
+			if err := replay(t, log[5:5+n], true); err != nil {
 				return err
 			}
 			log = log[5+n:]
 			continue
 		}
-		var err error
-		log, err = replayOne(t, log, false)
-		if err != nil {
-			return err
-		}
-		if log == nil {
-			return nil // truncated tail
-		}
-	}
-	return nil
-}
-
-// replayRecords replays a run of plain records. strict reports a
-// truncated record as an error instead of a silent stop (used inside
-// fully framed group bodies).
-func replayRecords(t *trunk.Trunk, log []byte, strict bool) error {
-	for len(log) > 0 {
-		var err error
-		log, err = replayOne(t, log, strict)
-		if err != nil {
-			return err
-		}
-		if log == nil {
+		if len(log) < 13 {
+			if inGroup {
+				return fmt.Errorf("memcloud: wal record truncated at %d bytes", len(log))
+			}
 			return nil
 		}
+		op := log[0]
+		key := binary.LittleEndian.Uint64(log[1:])
+		n := int(binary.LittleEndian.Uint32(log[9:]))
+		log = log[13:]
+		if n < 0 || n > len(log) {
+			if inGroup {
+				return fmt.Errorf("memcloud: wal value truncated (%d of %d bytes)", len(log), n)
+			}
+			return nil
+		}
+		val := log[:n]
+		log = log[n:]
+		switch op {
+		case opPut:
+			t.Put(key, val)
+		case opRemove:
+			t.Remove(key)
+		case opAppend:
+			if err := t.Append(key, val); errors.Is(err, trunk.ErrNotFound) {
+				t.Put(key, val)
+			}
+		default:
+			return fmt.Errorf("memcloud: unknown wal op %d", op)
+		}
 	}
 	return nil
-}
-
-// replayOne decodes and applies a single plain record, returning the
-// remaining log. A nil remainder with nil error means a truncated tail
-// stopped replay (only when !strict).
-func replayOne(t *trunk.Trunk, log []byte, strict bool) ([]byte, error) {
-	if len(log) < 13 {
-		if strict {
-			return nil, fmt.Errorf("memcloud: wal record truncated at %d bytes", len(log))
-		}
-		return nil, nil
-	}
-	op := log[0]
-	key := binary.LittleEndian.Uint64(log[1:])
-	n := int(binary.LittleEndian.Uint32(log[9:]))
-	rest := log[13:]
-	if n < 0 || n > len(rest) {
-		if strict {
-			return nil, fmt.Errorf("memcloud: wal value truncated (%d of %d bytes)", len(rest), n)
-		}
-		return nil, nil
-	}
-	val := rest[:n]
-	switch op {
-	case opPut:
-		t.Put(key, val)
-	case opRemove:
-		t.Remove(key)
-	case opAppend:
-		if err := t.Append(key, val); errors.Is(err, trunk.ErrNotFound) {
-			t.Put(key, val)
-		}
-	default:
-		return nil, fmt.Errorf("memcloud: unknown wal op %d", op)
-	}
-	return rest[n:], nil
 }

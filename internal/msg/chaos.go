@@ -34,7 +34,7 @@ import (
 //     that retains a transport-owned buffer (see the Transport ownership
 //     contract in transport.go).
 //   - Contract-breaking faults (Drop, Dup, Delay, Cut): the network is
-//     allowed to do these, so layers above msg (memcloud's withOwner
+//     allowed to do these, so layers above msg (memcloud's Slave.do
 //     retry, cluster failure detection) must recover; the Node itself
 //     promises nothing about messages the transport never delivered.
 type Chaos struct {

@@ -388,31 +388,62 @@ func (t *Trunk) alloc(need int64) (int64, error) {
 	return 0, ErrFull
 }
 
-// Add inserts a new cell. It fails with ErrExists if the key is present
-// and ErrFull if space cannot be found even after a defragmentation pass.
-func (t *Trunk) Add(key uint64, payload []byte) error {
-	if key == wrapKey {
-		return fmt.Errorf("trunk: key %#x is reserved", key)
-	}
+// mutKind selects what mutate does with the key's present state.
+type mutKind uint8
+
+const (
+	mutAdd    mutKind = iota // insert; ErrExists when the key is present
+	mutPut                   // insert or overwrite
+	mutAppend                // extend; ErrNotFound when the key is absent
+)
+
+// mutate is the one allocate-or-defragment path under Add, Put and
+// Append: apply the mutation under the trunk mutex and, if the circular
+// allocator is out of contiguous room, run one defragmentation pass (it
+// may coalesce enough gaps and expired reservations) and apply once more.
+// It stays a flat function on purpose — no closure, no helper taking a
+// func: owner-side handlers run on fresh goroutines with small stacks,
+// and extra frames above alloc send every write through stack growth.
+func (t *Trunk) mutate(kind mutKind, key uint64, payload []byte) error {
 	t.mu.Lock()
-	if _, ok := t.index[key]; ok {
-		t.mu.Unlock()
-		return ErrExists
+	err := t.mutateLocked(kind, key, payload)
+	if errors.Is(err, ErrFull) && t.defragmentLocked() > 0 {
+		err = t.mutateLocked(kind, key, payload)
 	}
-	err := t.addLocked(key, payload)
 	t.mu.Unlock()
-	if errors.Is(err, ErrFull) {
-		// One defragmentation pass may coalesce enough space.
-		if t.Defragment() > 0 {
-			t.mu.Lock()
-			err = t.addLocked(key, payload)
-			t.mu.Unlock()
-		}
-	}
 	return err
 }
 
+// mutateLocked applies one mutation without retrying. Called with t.mu
+// held.
+func (t *Trunk) mutateLocked(kind mutKind, key uint64, payload []byte) error {
+	e, ok := t.index[key]
+	switch {
+	case !ok && kind == mutAppend:
+		return ErrNotFound
+	case !ok:
+		return t.addLocked(key, payload)
+	case kind == mutAdd:
+		return ErrExists
+	case kind == mutAppend:
+		return t.appendLocked(key, e, payload)
+	default:
+		return t.rewriteLocked(key, e, payload)
+	}
+}
+
+// Add inserts a new cell. It fails with ErrExists if the key is present
+// and ErrFull if space cannot be found even after a defragmentation pass.
+func (t *Trunk) Add(key uint64, payload []byte) error {
+	return t.mutate(mutAdd, key, payload)
+}
+
+// addLocked allocates and indexes a cell for a key that is not present.
+// Called with t.mu held.
 func (t *Trunk) addLocked(key uint64, payload []byte) error {
+	if key == wrapKey {
+		return fmt.Errorf("trunk: key %#x is reserved", key)
+	}
 	need := int64(headerSize + len(payload))
 	off, err := t.alloc(need)
 	if err != nil {
@@ -428,33 +459,7 @@ func (t *Trunk) addLocked(key uint64, payload []byte) error {
 
 // Put inserts or overwrites a cell.
 func (t *Trunk) Put(key uint64, payload []byte) error {
-	if key == wrapKey {
-		return fmt.Errorf("trunk: key %#x is reserved", key)
-	}
-	t.mu.Lock()
-	e, ok := t.index[key]
-	if !ok {
-		err := t.addLocked(key, payload)
-		t.mu.Unlock()
-		if errors.Is(err, ErrFull) && t.Defragment() > 0 {
-			t.mu.Lock()
-			err = t.addLocked(key, payload)
-			t.mu.Unlock()
-		}
-		return err
-	}
-	err := t.rewriteLocked(key, e, payload)
-	t.mu.Unlock()
-	if errors.Is(err, ErrFull) && t.Defragment() > 0 {
-		t.mu.Lock()
-		if e2, ok := t.index[key]; ok {
-			err = t.rewriteLocked(key, e2, payload)
-		} else {
-			err = t.addLocked(key, payload)
-		}
-		t.mu.Unlock()
-	}
-	return err
+	return t.mutate(mutPut, key, payload)
 }
 
 // BatchItem is one write inside a PutBatch: an upsert by default, or an
@@ -463,6 +468,13 @@ type BatchItem struct {
 	Key uint64
 	Val []byte
 	Add bool
+}
+
+func (it *BatchItem) kind() mutKind {
+	if it.Add {
+		return mutAdd
+	}
+	return mutPut
 }
 
 // PutBatch applies every item under a single acquisition of the trunk
@@ -486,55 +498,26 @@ func (t *Trunk) PutBatch(items []BatchItem) []error {
 	}
 	var full []int
 	t.mu.Lock()
+	defer t.mu.Unlock()
 	for i := range items {
-		it := &items[i]
-		if it.Key == wrapKey {
-			fail(i, fmt.Errorf("trunk: key %#x is reserved", it.Key))
-			continue
-		}
-		e, ok := t.index[it.Key]
-		var err error
-		switch {
-		case ok && it.Add:
-			err = ErrExists
-		case ok:
-			err = t.rewriteLocked(it.Key, e, it.Val)
-		default:
-			err = t.addLocked(it.Key, it.Val)
-		}
+		err := t.mutateLocked(items[i].kind(), items[i].Key, items[i].Val)
 		if errors.Is(err, ErrFull) {
 			full = append(full, i)
-			continue
-		}
-		if err != nil {
+		} else if err != nil {
 			fail(i, err)
 		}
 	}
-	t.mu.Unlock()
 	if len(full) == 0 {
 		return errs
 	}
-	// Tight on space: one defragmentation pass, then retry just the full
-	// items (still batched under one lock acquisition).
-	t.Defragment()
-	t.mu.Lock()
+	// Tight on space: one defragmentation pass, then just the full items
+	// once more.
+	t.defragmentLocked()
 	for _, i := range full {
-		it := &items[i]
-		var err error
-		if e, ok := t.index[it.Key]; ok {
-			if it.Add {
-				err = ErrExists
-			} else {
-				err = t.rewriteLocked(it.Key, e, it.Val)
-			}
-		} else {
-			err = t.addLocked(it.Key, it.Val)
-		}
-		if err != nil {
+		if err := t.mutateLocked(items[i].kind(), items[i].Key, items[i].Val); err != nil {
 			fail(i, err)
 		}
 	}
-	t.mu.Unlock()
 	return errs
 }
 
@@ -597,12 +580,11 @@ func (t *Trunk) relocateLocked(key uint64, e *entry, payload []byte, reserved in
 // short-lived reservation can absorb the growth the operation is in-place;
 // otherwise the cell is relocated with a fresh reservation.
 func (t *Trunk) Append(key uint64, extra []byte) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	e, ok := t.index[key]
-	if !ok {
-		return ErrNotFound
-	}
+	return t.mutate(mutAppend, key, extra)
+}
+
+// appendLocked grows an existing cell by extra. Called with t.mu held.
+func (t *Trunk) appendLocked(key uint64, e *entry, extra []byte) error {
 	e.spinLock()
 	defer e.unlock()
 	growth := int32(len(extra))
@@ -761,6 +743,11 @@ func (t *Trunk) Keys() []uint64 {
 func (t *Trunk) Defragment() int64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	return t.defragmentLocked()
+}
+
+// defragmentLocked is Defragment's pass. Called with t.mu held.
+func (t *Trunk) defragmentLocked() int64 {
 	if t.gapBytes == 0 && t.reservedBytes == 0 {
 		return 0
 	}

@@ -470,6 +470,48 @@ func TestTrunkFullAndRecovery(t *testing.T) {
 	}
 }
 
+func TestAppendAndPutDefragmentWhenFreeSpaceIsAllGaps(t *testing.T) {
+	// Fill the trunk, then punch a hole at every other cell: half the
+	// trunk is free but none of it is contiguous. Every growing mutation
+	// must reach the one defragment-and-retry path, Append included.
+	tr := New(Options{Capacity: 64 << 10, PageSize: 4 << 10, Reservation: NoReservation})
+	var n uint64
+	for ; ; n++ {
+		if err := tr.Add(n, payload(1000, byte(n))); err != nil {
+			if !errors.Is(err, ErrFull) {
+				t.Fatal(err)
+			}
+			break
+		}
+	}
+	for k := uint64(0); k < n; k += 2 {
+		if err := tr.Remove(k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if gaps := tr.Stats().GapBytes; gaps < 30<<10 {
+		t.Fatalf("GapBytes = %d, want about half the trunk", gaps)
+	}
+	if err := tr.Append(1, payload(500, 7)); err != nil {
+		t.Fatalf("Append with room only in gaps: %v", err)
+	}
+	if err := tr.Put(3, payload(1500, 9)); err != nil {
+		t.Fatalf("Put with room only in gaps: %v", err)
+	}
+	want := append(payload(1000, 1), payload(500, 7)...)
+	if got, err := tr.Get(1); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("cell 1 after Append: %d bytes, err %v", len(got), err)
+	}
+	if got, err := tr.Get(3); err != nil || !bytes.Equal(got, payload(1500, 9)) {
+		t.Fatalf("cell 3 after Put: %d bytes, err %v", len(got), err)
+	}
+	for k := uint64(5); k < n; k += 2 {
+		if got, err := tr.Get(k); err != nil || !bytes.Equal(got, payload(1000, byte(k))) {
+			t.Fatalf("survivor %d damaged: err %v", k, err)
+		}
+	}
+}
+
 func TestOversizedAllocation(t *testing.T) {
 	tr := New(Options{Capacity: 4 << 10, PageSize: 1 << 10})
 	if err := tr.Add(1, make([]byte, 64<<10)); !errors.Is(err, ErrFull) {
