@@ -14,7 +14,7 @@ BENCH_JSON ?= bench_new.json
 BENCH_TOL ?= 0.20
 
 .PHONY: all build vet fmt-check lint-ctx test race chaos chaos-failover \
-	bench-smoke scored-smoke check bench bench-json bench-baseline bench-compare
+	bench-smoke scored-smoke check bench bench-json bench-baseline bench-compare loc
 
 all: build
 
@@ -106,3 +106,9 @@ bench-compare:
 	$(MAKE) bench-json
 	$(GO) run ./cmd/benchjson -compare -tol $(BENCH_TOL) \
 		BENCH_baseline.json $(BENCH_JSON)
+
+# The ROADMAP's size metric: non-blank, non-comment lines of non-test Go
+# in internal/ and cmd/.
+loc:
+	@find internal cmd -name '*.go' -not -name '*_test.go' | xargs cat \
+		| grep -v '^\s*$$' | grep -v '^\s*//' | wc -l

@@ -146,8 +146,11 @@ type server struct {
 	cmdTimeout time.Duration
 }
 
-// Replies after which the connection closes.
+// Fixed replies. The connection closes after replyBye and
+// replyShuttingDown; replyOK is a constant because it answers every write
+// on the serving hot path.
 const (
+	replyOK           = "OK\r\n"
 	replyBye          = "BYE\r\n"
 	replyShuttingDown = "ERR shutting down\r\n"
 )
@@ -211,7 +214,7 @@ func (sv *server) exec(ctx context.Context, line string) string {
 		if err != nil {
 			return reply("ERR %v", err)
 		}
-		return reply("OK")
+		return replyOK
 	case "GET":
 		key, err := strconv.ParseUint(strings.TrimSpace(rest), 10, 64)
 		if err != nil {
@@ -226,7 +229,7 @@ func (sv *server) exec(ctx context.Context, line string) string {
 		if err != nil {
 			return reply("ERR %v", err)
 		}
-		return reply("VALUE %s", val)
+		return "VALUE " + string(val) + "\r\n"
 	case "DEL":
 		key, err := strconv.ParseUint(strings.TrimSpace(rest), 10, 64)
 		if err != nil {
@@ -238,7 +241,7 @@ func (sv *server) exec(ctx context.Context, line string) string {
 		if err != nil {
 			return reply("ERR %v", err)
 		}
-		return reply("OK")
+		return replyOK
 	case "ADDNODE":
 		key, err := strconv.ParseUint(strings.TrimSpace(rest), 10, 64)
 		if err != nil {
@@ -250,7 +253,7 @@ func (sv *server) exec(ctx context.Context, line string) string {
 		if err != nil {
 			return reply("ERR %v", err)
 		}
-		return reply("OK")
+		return replyOK
 	case "ADDEDGE":
 		parts := strings.Fields(rest)
 		if len(parts) != 2 {
@@ -267,7 +270,7 @@ func (sv *server) exec(ctx context.Context, line string) string {
 		if err != nil {
 			return reply("ERR %v", err)
 		}
-		return reply("OK")
+		return replyOK
 	case "PAGERANK":
 		iters := 5
 		if rest = strings.TrimSpace(rest); rest != "" {
@@ -313,7 +316,7 @@ func (sv *server) exec(ctx context.Context, line string) string {
 		if err := sv.cloud.Backup(); err != nil {
 			return reply("ERR %v", err)
 		}
-		return reply("OK")
+		return replyOK
 	case "QUIT":
 		return replyBye
 	case "":

@@ -15,13 +15,7 @@ import (
 // keyOwnedBy returns a key the addressing table currently places on m.
 func keyOwnedBy(t *testing.T, c *Cloud, m msg.MachineID) uint64 {
 	t.Helper()
-	for k := uint64(0); k < 1<<16; k++ {
-		if c.Slave(0).Owner(k) == m {
-			return k
-		}
-	}
-	t.Fatalf("no key hashes to machine %d", m)
-	return 0
+	return keysOwnedBy(t, c, m, 1)[0]
 }
 
 // TestProxyGetPutAgainstKilledNode: a proxy routes by the addressing
