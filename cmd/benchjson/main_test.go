@@ -35,49 +35,54 @@ func writeJSON(t *testing.T, dir, name, body string) string {
 func TestCompareFlagsRegressions(t *testing.T) {
 	dir := t.TempDir()
 	oldP := writeJSON(t, dir, "old.json", `[
-	  {"name":"BenchmarkA","package":"p","iterations":10,"metrics":{"ns/op":1000}},
-	  {"name":"BenchmarkB","package":"p","iterations":10,"metrics":{"ns/op":1000}},
+	  {"name":"BenchmarkA","package":"p","iterations":10,"metrics":{"ns/op":1000,"allocs/op":100}},
+	  {"name":"BenchmarkB","package":"p","iterations":10,"metrics":{"ns/op":1000,"allocs/op":100}},
 	  {"name":"BenchmarkGone","package":"p","iterations":10,"metrics":{"ns/op":5}}
 	]`)
 	newP := writeJSON(t, dir, "new.json", `[
-	  {"name":"BenchmarkA","package":"p","iterations":10,"metrics":{"ns/op":1150}},
-	  {"name":"BenchmarkB","package":"p","iterations":10,"metrics":{"ns/op":1500}},
+	  {"name":"BenchmarkA","package":"p","iterations":10,"metrics":{"ns/op":1000,"allocs/op":115}},
+	  {"name":"BenchmarkB","package":"p","iterations":10,"metrics":{"ns/op":1000,"allocs/op":150}},
 	  {"name":"BenchmarkNew","package":"p","iterations":10,"metrics":{"ns/op":7}}
 	]`)
 	var out strings.Builder
-	regressed, err := runCompare(oldP, newP, 0.20, &out)
+	regressed, err := runCompare(oldP, newP, &out)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if regressed != 1 {
-		t.Fatalf("regressed = %d, want 1 (only B is past 20%%)\n%s", regressed, out.String())
+		t.Fatalf("regressed = %d, want 1 (only B allocates past 20%%)\n%s", regressed, out.String())
 	}
 	rep := out.String()
-	for _, want := range []string{"SLOW  p.BenchmarkB", "ok    p.BenchmarkA", "NEW   p.BenchmarkNew", "GONE  p.BenchmarkGone"} {
+	for _, want := range []string{"ALLOC p.BenchmarkB", "ok    p.BenchmarkA", "NEW   p.BenchmarkNew", "GONE  p.BenchmarkGone"} {
 		if !strings.Contains(rep, want) {
 			t.Fatalf("report missing %q:\n%s", want, rep)
 		}
 	}
 }
 
+// Time gates nothing, in either direction; nor does an allocs/op blip
+// inside the absolute grace, nor a side recorded without -benchmem.
 func TestCompareWithinToleranceIsClean(t *testing.T) {
 	dir := t.TempDir()
 	oldP := writeJSON(t, dir, "old.json", `[
-	  {"name":"BenchmarkA","package":"p","iterations":10,"metrics":{"ns/op":1000}}
+	  {"name":"BenchmarkSlow","package":"p","iterations":10,"metrics":{"ns/op":1000,"allocs/op":10}},
+	  {"name":"BenchmarkFast","package":"p","iterations":10,"metrics":{"ns/op":1000,"allocs/op":10}},
+	  {"name":"BenchmarkZero","package":"p","iterations":10,"metrics":{"ns/op":1000,"allocs/op":0}},
+	  {"name":"BenchmarkNoMem","package":"p","iterations":10,"metrics":{"ns/op":1000}}
 	]`)
 	newP := writeJSON(t, dir, "new.json", `[
-	  {"name":"BenchmarkA","package":"p","iterations":10,"metrics":{"ns/op":700}}
+	  {"name":"BenchmarkSlow","package":"p","iterations":10,"metrics":{"ns/op":3000,"allocs/op":10}},
+	  {"name":"BenchmarkFast","package":"p","iterations":10,"metrics":{"ns/op":300,"allocs/op":10}},
+	  {"name":"BenchmarkZero","package":"p","iterations":10,"metrics":{"ns/op":1000,"allocs/op":2}},
+	  {"name":"BenchmarkNoMem","package":"p","iterations":10,"metrics":{"ns/op":1000,"allocs/op":500}}
 	]`)
 	var out strings.Builder
-	regressed, err := runCompare(oldP, newP, 0.20, &out)
+	regressed, err := runCompare(oldP, newP, &out)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if regressed != 0 {
-		t.Fatalf("speedup flagged as regression:\n%s", out.String())
-	}
-	if !strings.Contains(out.String(), "fast ") {
-		t.Fatalf("large speedup not marked fast:\n%s", out.String())
+	if regressed != 0 || strings.Contains(out.String(), "ALLOC") {
+		t.Fatalf("clean comparison flagged %d regression(s):\n%s", regressed, out.String())
 	}
 }
 
@@ -85,10 +90,10 @@ func TestCompareRejectsBadInput(t *testing.T) {
 	dir := t.TempDir()
 	bad := writeJSON(t, dir, "bad.json", `{not json`)
 	good := writeJSON(t, dir, "good.json", `[]`)
-	if _, err := runCompare(bad, good, 0.2, &strings.Builder{}); err == nil {
+	if _, err := runCompare(bad, good, &strings.Builder{}); err == nil {
 		t.Fatal("corrupt old file accepted")
 	}
-	if _, err := runCompare(good, filepath.Join(dir, "missing.json"), 0.2, &strings.Builder{}); err == nil {
+	if _, err := runCompare(good, filepath.Join(dir, "missing.json"), &strings.Builder{}); err == nil {
 		t.Fatal("missing new file accepted")
 	}
 }

@@ -1,6 +1,6 @@
-// Command lintctx enforces the repo's cancellation and allocation
-// conventions with three AST checks over the internal/ tree (tests
-// excluded):
+// Command lintctx enforces the repo's cancellation, allocation and
+// reachability conventions with four checks over the internal/ tree
+// (tests excluded):
 //
 //  1. No time.After inside a select statement anywhere under internal/.
 //     time.After leaks its timer until it fires — in a select that has
@@ -27,6 +27,17 @@
 //     Cold-path or deliberately caller-owned allocations get the
 //     annotation with a reason.
 //
+//  4. Every exported function, method and type under internal/ is
+//     referenced by non-test code under internal/, cmd/, examples/ or
+//     benchmark/ — "the system" is what a binary can reach; code only a
+//     test calls has traffic nobody measured. Two escapes, both greppable
+//     and both carrying a reason: `//reach:test-seam <why>` in the doc
+//     comment of fault-injection and fixture API that tests need, and the
+//     reachPending table in reach.go for API waiting on a named ROADMAP
+//     bullet. Unlike checks 1-3 this one type-checks the tree (reach.go);
+//     it counts references, not call paths, so a function kept alive only
+//     by another unreferenced function surfaces once that one is deleted.
+//
 // Exit status is non-zero if any violation is found, so `make lint-ctx`
 // can gate CI. The tool has no dependencies outside the standard library.
 package main
@@ -39,6 +50,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 )
 
@@ -84,37 +96,22 @@ type violation struct {
 	msg string
 }
 
+// reachRoots are the trees whose non-test code is "the system" for check
+// 4: the library and every main package that links it. benchmark/ is a
+// module of its own, invisible to ./..., but it is the scored caller.
+var reachRoots = []string{"internal", "cmd", "examples", "benchmark"}
+
 func main() {
 	root := "."
 	if len(os.Args) > 1 {
 		root = os.Args[1]
 	}
-	var violations []violation
 	fset := token.NewFileSet()
-	err := filepath.WalkDir(filepath.Join(root, "internal"), func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		file, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
-		if err != nil {
-			return err
-		}
-		rel := filepath.ToSlash(path)
-		if r, e := filepath.Rel(root, path); e == nil {
-			rel = filepath.ToSlash(r)
-		}
-		violations = append(violations, checkTimeAfterInSelect(fset, file)...)
-		if inCtxPackage(rel) {
-			violations = append(violations, checkExportedBlocking(fset, file)...)
-		}
-		if inAllocPackage(rel) {
-			violations = append(violations, checkHotPathAllocs(fset, file)...)
-		}
-		return nil
-	})
+	files, err := parseTree(fset, root)
+	var violations []violation
+	if err == nil {
+		violations, err = lint(fset, files, reachPending)
+	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "lintctx:", err)
 		os.Exit(2)
@@ -126,6 +123,63 @@ func main() {
 		fmt.Fprintf(os.Stderr, "lintctx: %d violation(s)\n", len(violations))
 		os.Exit(1)
 	}
+}
+
+// parseTree parses every non-test Go file under the reach roots, keyed by
+// slash-separated path relative to root.
+func parseTree(fset *token.FileSet, root string) (map[string]*ast.File, error) {
+	files := make(map[string]*ast.File)
+	for _, dir := range reachRoots {
+		err := filepath.WalkDir(filepath.Join(root, dir), func(path string, d fs.DirEntry, err error) error {
+			if err != nil {
+				return err
+			}
+			if d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+				return nil
+			}
+			rel, err := filepath.Rel(root, path)
+			if err != nil {
+				return err
+			}
+			files[filepath.ToSlash(rel)], err = parser.ParseFile(fset, path, nil, parser.ParseComments)
+			return err
+		})
+		if err != nil {
+			return nil, err
+		}
+	}
+	return files, nil
+}
+
+// lint runs checks 1-3 on each file under internal/ and check 4 on the
+// whole set, and returns the violations in position order.
+func lint(fset *token.FileSet, files map[string]*ast.File, pending []pendingRow) ([]violation, error) {
+	var violations []violation
+	for rel, file := range files {
+		if !strings.HasPrefix(rel, "internal/") {
+			continue
+		}
+		violations = append(violations, checkTimeAfterInSelect(fset, file)...)
+		if inCtxPackage(rel) {
+			violations = append(violations, checkExportedBlocking(fset, file)...)
+		}
+		if inAllocPackage(rel) {
+			violations = append(violations, checkHotPathAllocs(fset, file)...)
+		}
+	}
+	reach, err := checkReach(fset, files, pending)
+	if err != nil {
+		return nil, err
+	}
+	violations = append(violations, reach...)
+	sort.Slice(violations, func(i, j int) bool {
+		a, b := violations[i].pos, violations[j].pos
+		if a.Filename != b.Filename {
+			return a.Filename < b.Filename
+		}
+		return a.Line < b.Line
+	})
+	return violations, nil
 }
 
 func inCtxPackage(rel string) bool {

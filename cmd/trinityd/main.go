@@ -1,7 +1,7 @@
 // Command trinityd hosts a Trinity memory cloud and serves it to external
 // clients over a line-oriented TCP protocol — the "Trinity client"
 // interaction tier of the paper's Figure 1, where applications link a
-// client library and talk to the slave/proxy tier over the network.
+// client library and talk to the slave tier over the network.
 //
 // Start a daemon:
 //

@@ -2,7 +2,6 @@ package algo
 
 import (
 	"context"
-	"math"
 	"testing"
 	"time"
 
@@ -143,80 +142,6 @@ func TestBFSWithHubOptimizationMatches(t *testing.T) {
 	}
 }
 
-func TestSSSPWeighted(t *testing.T) {
-	cloud := newCloud(t, 2)
-	b := graph.NewBuilder(true)
-	// 1 -> 2 (w 10), 1 -> 3 (w 1), 3 -> 2 (w 2): shortest 1->2 is 3.
-	b.AddWeightedEdge(1, 2, 10)
-	b.AddWeightedEdge(1, 3, 1)
-	b.AddWeightedEdge(3, 2, 2)
-	g, err := b.Load(context.Background(), cloud)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := SSSP(context.Background(), g, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Dist[2] != 3 {
-		t.Fatalf("dist(2) = %v, want 3", res.Dist[2])
-	}
-	if res.Dist[3] != 1 {
-		t.Fatalf("dist(3) = %v", res.Dist[3])
-	}
-}
-
-func TestSSSPUnweightedEqualsBFS(t *testing.T) {
-	cloud := newCloud(t, 3)
-	g := loadUniform(t, cloud, 300, 4, 0, 3)
-	bfs, err := BFS(context.Background(), g, 5, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sssp, err := SSSP(context.Background(), g, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for id, lvl := range bfs.Levels {
-		d := sssp.Dist[id]
-		if lvl == Unreached {
-			if !math.IsInf(d, 1) {
-				t.Fatalf("vertex %d: BFS unreached but SSSP %v", id, d)
-			}
-			continue
-		}
-		if d != lvl {
-			t.Fatalf("vertex %d: BFS %v != SSSP %v", id, lvl, d)
-		}
-	}
-}
-
-func TestWCC(t *testing.T) {
-	cloud := newCloud(t, 3)
-	// Two components: ring 0..9 and ring 100..104 (undirected).
-	b := graph.NewBuilder(false)
-	for i := uint64(0); i < 10; i++ {
-		b.AddEdge(i, (i+1)%10)
-	}
-	for i := uint64(100); i < 105; i++ {
-		b.AddEdge(i, 100+((i+1)-100)%5)
-	}
-	g, err := b.Load(context.Background(), cloud)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := WCC(context.Background(), g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Components != 2 {
-		t.Fatalf("components = %d, want 2", res.Components)
-	}
-	if res.Component[0] != 9 || res.Component[104] != 104 {
-		t.Fatalf("labels: %v %v", res.Component[0], res.Component[104])
-	}
-}
-
 func TestGenerateQueryHasEmbedding(t *testing.T) {
 	cloud := newCloud(t, 2)
 	g := loadUniform(t, cloud, 300, 8, 5, 3)
@@ -233,7 +158,7 @@ func TestGenerateQueryHasEmbedding(t *testing.T) {
 			t.Fatalf("query has %d edges, want a connected pattern", len(edges))
 		}
 		mt := NewMatcher(g)
-		matches, err := mt.Match(context.Background(), 0, p, 1)
+		matches, err := mt.MatchBudget(context.Background(), 0, p, 1, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -291,7 +216,7 @@ func TestMatchCountsTriangles(t *testing.T) {
 	}
 	p := &Pattern{Labels: []int64{0, 0, 0}, Out: [][]int{{1}, {2}, {0}}}
 	mt := NewMatcher(g)
-	matches, err := mt.Match(context.Background(), 0, p, 0)
+	matches, err := mt.MatchBudget(context.Background(), 0, p, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,7 +239,7 @@ func TestMatchNoEmbedding(t *testing.T) {
 	mt := NewMatcher(g)
 	// Label 9 does not exist.
 	p := &Pattern{Labels: []int64{9, 9}, Out: [][]int{{1}, {}}}
-	matches, err := mt.Match(context.Background(), 0, p, 0)
+	matches, err := mt.MatchBudget(context.Background(), 0, p, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,7 +263,7 @@ func TestMatchLimit(t *testing.T) {
 	}
 	p := &Pattern{Labels: []int64{0, 0}, Out: [][]int{{1}, {}}}
 	mt := NewMatcher(g)
-	matches, err := mt.Match(context.Background(), 0, p, 5)
+	matches, err := mt.MatchBudget(context.Background(), 0, p, 5, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -401,108 +326,5 @@ func TestOracleEstimateIsUpperBound(t *testing.T) {
 	}
 	if o.Estimate(5, 5) != 0 {
 		t.Fatal("self-distance must be 0")
-	}
-}
-
-func TestOracleMaterializedMatchesInMemory(t *testing.T) {
-	cloud := newCloud(t, 4)
-	b := graph.NewBuilder(false)
-	gen.BuildSocial(gen.SocialConfig{People: 300, AvgDegree: 8, Seed: 3}, b)
-	g, err := b.Load(context.Background(), cloud)
-	if err != nil {
-		t.Fatal(err)
-	}
-	o, err := BuildOracle(context.Background(), g, 8, ByDegree, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := o.Materialize(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	// Query through machine 1 so most landmark cells are remote and ride
-	// multi-get batches; include a self pair and a vertex with no cell.
-	pairs := [][2]uint64{{7, 7}, {0, 99999}}
-	for u := uint64(0); u < 60; u++ {
-		pairs = append(pairs, [2]uint64{u, 299 - u})
-	}
-	got, err := o.EstimateFetched(context.Background(), 1, pairs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, p := range pairs {
-		want := o.Estimate(p[0], p[1])
-		if got[i] != want && !(math.IsInf(got[i], 1) && math.IsInf(want, 1)) {
-			t.Fatalf("pair %v: fetched estimate %v, in-memory %v", p, got[i], want)
-		}
-	}
-	// The sweep must have gone through the fetch pipeline, batched.
-	scope := cloud.Metrics().Scope("fetch.m1")
-	wireKeys := scope.Counter("keys").Load()
-	batches := scope.Counter("batches").Load()
-	if wireKeys == 0 {
-		t.Fatal("no landmark cells fetched over the wire")
-	}
-	if batches >= wireKeys {
-		t.Fatalf("no batching: %d batches for %d keys", batches, wireKeys)
-	}
-}
-
-func TestPartitionBeatsRandom(t *testing.T) {
-	cloud := newCloud(t, 2)
-	b := graph.NewBuilder(false)
-	// A graph with clear community structure: 4 dense clusters plus a few
-	// bridges.
-	const per = 50
-	id := func(c, i int) uint64 { return uint64(c*per + i) }
-	for c := 0; c < 4; c++ {
-		for i := 0; i < per; i++ {
-			for j := i + 1; j < i+5 && j < per; j++ {
-				b.AddEdge(id(c, i), id(c, j))
-			}
-		}
-	}
-	for c := 0; c < 4; c++ {
-		b.AddEdge(id(c, 0), id((c+1)%4, 0))
-	}
-	g, err := b.Load(context.Background(), cloud)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ml, err := Partition(g, 4, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rnd, err := RandomPartition(g, 4, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ml.EdgeCut >= rnd.EdgeCut {
-		t.Fatalf("multilevel cut %d >= random cut %d", ml.EdgeCut, rnd.EdgeCut)
-	}
-	// Balance: no part may hold more than half the vertices.
-	counts := map[int]int{}
-	for _, p := range ml.Part {
-		counts[p]++
-	}
-	for p, c := range counts {
-		if c > 2*per*4/4 {
-			t.Fatalf("part %d has %d vertices", p, c)
-		}
-	}
-	t.Logf("edge cut: multilevel %d vs random %d", ml.EdgeCut, rnd.EdgeCut)
-}
-
-func TestPartitionValidatesK(t *testing.T) {
-	cloud := newCloud(t, 1)
-	g := loadUniform(t, cloud, 20, 2, 0, 1)
-	if _, err := Partition(g, 0, 1); err == nil {
-		t.Fatal("k=0 accepted")
-	}
-	p, err := Partition(g, 1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.EdgeCut != 0 {
-		t.Fatalf("k=1 cut = %d", p.EdgeCut)
 	}
 }

@@ -2,8 +2,6 @@ package algo
 
 import (
 	"context"
-	"encoding/binary"
-	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -11,7 +9,6 @@ import (
 	"trinity/internal/graph"
 	"trinity/internal/graph/view"
 	"trinity/internal/hash"
-	"trinity/internal/memcloud"
 )
 
 // LandmarkStrategy selects landmark vertices for the distance oracle —
@@ -103,124 +100,6 @@ func (o *Oracle) Estimate(u, v uint64) float64 {
 		}
 	}
 	return best
-}
-
-// landmarkKeyBase namespaces materialized landmark-distance cells away
-// from vertex cells. Vertex ids are dense small integers throughout this
-// codebase, so a high bit cleanly partitions the key space.
-const landmarkKeyBase uint64 = 1 << 62
-
-// LandmarkKey is the cell key holding vertex u's landmark-distance vector.
-func LandmarkKey(u uint64) uint64 { return landmarkKeyBase | u }
-
-// Materialize writes every vertex's landmark-distance vector into the
-// memory cloud as a cell of its own, keyed by LandmarkKey. The cells hash
-// across machines like any other cell, so after materialization any
-// machine can answer estimate queries with batched cell fetches instead
-// of holding the whole index (the in-memory dist maps become redundant).
-//
-// The vector layout is u32 landmark count followed by one i32 hop
-// distance per landmark, Unreached encoded as -1.
-func (o *Oracle) Materialize(ctx context.Context) error {
-	k := len(o.dist)
-	vecs := map[uint64][]int32{}
-	for i, d := range o.dist {
-		for u, du := range d {
-			v, ok := vecs[u]
-			if !ok {
-				v = make([]int32, k)
-				for j := range v {
-					v[j] = int32(Unreached)
-				}
-				vecs[u] = v
-			}
-			v[i] = int32(du)
-		}
-	}
-	s := o.g.On(0).Slave()
-	for u, v := range vecs {
-		buf := make([]byte, 4+4*len(v))
-		binary.LittleEndian.PutUint32(buf, uint32(len(v)))
-		for i, d := range v {
-			binary.LittleEndian.PutUint32(buf[4+4*i:], uint32(d))
-		}
-		if err := s.Put(ctx, LandmarkKey(u), buf); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func decodeLandmarkVec(b []byte) ([]int32, error) {
-	if len(b) < 4 {
-		return nil, errors.New("algo: short landmark cell")
-	}
-	n := int(binary.LittleEndian.Uint32(b))
-	if len(b) != 4+4*n {
-		return nil, errors.New("algo: corrupt landmark cell")
-	}
-	v := make([]int32, n)
-	for i := range v {
-		v[i] = int32(binary.LittleEndian.Uint32(b[4+4*i:]))
-	}
-	return v, nil
-}
-
-// EstimateFetched answers a batch of distance queries from materialized
-// landmark cells (see Materialize), fetching every needed cell in one
-// scatter-gather sweep through machine via's cell-fetch pipeline. A pair
-// whose endpoint has no materialized cell, or that shares no landmark,
-// estimates +Inf; u == v estimates 0.
-func (o *Oracle) EstimateFetched(ctx context.Context, via int, pairs [][2]uint64) ([]float64, error) {
-	var keys []uint64
-	seen := map[uint64]bool{}
-	for _, p := range pairs {
-		for _, u := range p {
-			if !seen[u] {
-				seen[u] = true
-				keys = append(keys, LandmarkKey(u))
-			}
-		}
-	}
-	vecs := make(map[uint64][]int32, len(keys))
-	var firstErr error
-	o.g.On(via).Fetcher().GetBatch(ctx, keys, func(_ int, key uint64, blob []byte, err error) {
-		if err != nil {
-			if !errors.Is(err, memcloud.ErrNotFound) && firstErr == nil {
-				firstErr = err
-			}
-			return
-		}
-		v, derr := decodeLandmarkVec(blob)
-		if derr != nil {
-			if firstErr == nil {
-				firstErr = derr
-			}
-			return
-		}
-		vecs[key&^landmarkKeyBase] = v
-	})
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	out := make([]float64, len(pairs))
-	for i, p := range pairs {
-		u, v := p[0], p[1]
-		if u == v {
-			continue // 0
-		}
-		best := math.Inf(1)
-		du, dv := vecs[u], vecs[v]
-		for l := 0; l < len(du) && l < len(dv); l++ {
-			if du[l] >= 0 && dv[l] >= 0 {
-				if e := float64(du[l] + dv[l]); e < best {
-					best = e
-				}
-			}
-		}
-		out[i] = best
-	}
-	return out, nil
 }
 
 // Accuracy samples `pairs` random connected vertex pairs, compares the

@@ -183,16 +183,11 @@ func NewMatcher(g *graph.Graph) *Matcher {
 	return mt
 }
 
-// Match finds embeddings of the pattern, stopping after `limit` (0 = all).
-// An embedding maps query vertex i to data vertex result[i]; embeddings
-// are injective.
-func (mt *Matcher) Match(ctx context.Context, via int, p *Pattern, limit int) ([][]uint64, error) {
-	return mt.MatchBudget(ctx, via, p, limit, 0)
-}
-
-// MatchBudget is Match with a step budget: the search aborts (returning
-// whatever it has found) after maxSteps candidate extensions across all
-// workers. Zero means no budget. The benchmark harness uses budgets so
+// MatchBudget finds embeddings of the pattern, stopping after `limit`
+// (0 = all). An embedding maps query vertex i to data vertex result[i];
+// embeddings are injective. The search aborts (returning whatever it has
+// found) after maxSteps candidate extensions across all workers; zero
+// means no budget. The benchmark harness uses budgets so
 // adversarial R-MAT hub structures cannot stall a sweep.
 func (mt *Matcher) MatchBudget(ctx context.Context, via int, p *Pattern, limit, maxSteps int) ([][]uint64, error) {
 	if p.Size() == 0 {

@@ -1,10 +1,10 @@
 // Package algo implements the graph algorithms of the paper's evaluation
-// on top of Trinity's computation engines: PageRank, BFS and SSSP in the
-// restrictive vertex-centric model (Figures 12(b), 12(c)), weakly
-// connected components, index-free distributed subgraph matching
-// (Figures 8(a), 14(a)), the landmark-based distance oracle with three
-// landmark-selection strategies (Figure 8(b)), and a multilevel graph
-// partitioner (§5.3's "billion-node graph partitioning" claim, scaled).
+// on top of Trinity's computation engines: PageRank and BFS in the
+// restrictive vertex-centric model (Figures 12(b), 12(c)), index-free
+// distributed subgraph matching (Figures 8(a), 14(a)), the landmark-based
+// distance oracle with three landmark-selection strategies (Figure 8(b)),
+// and a multilevel graph partitioner (§5.3's "billion-node graph
+// partitioning" claim, scaled).
 package algo
 
 import (
@@ -50,16 +50,11 @@ func (p *pageRankProg) Compute(ctx *bsp.Context, id uint64, val float64, msgs []
 // PageRank runs `iters` power iterations over the distributed graph.
 // HubThreshold > 0 enables the §5.4 hub optimization.
 func PageRank(ctx context.Context, g *graph.Graph, iters, hubThreshold int) (*PageRankResult, error) {
-	e := bsp.New(g, bsp.Options{
-		Combine:       func(a, b float64) float64 { return a + b },
-		HubThreshold:  hubThreshold,
-		MaxSupersteps: iters + 1,
-	})
-	steps, err := e.Run(ctx, &pageRankProg{iters: iters})
+	res, err := PageRankInstrumented(ctx, g, iters, hubThreshold)
 	if err != nil {
 		return nil, err
 	}
-	return &PageRankResult{Ranks: e.Values(), Supersteps: steps}, nil
+	return &res.PageRankResult, nil
 }
 
 // InstrumentedPageRank extends PageRankResult with engine counters.
@@ -146,99 +141,5 @@ func BFS(ctx context.Context, g *graph.Graph, source uint64, hubThreshold int) (
 			res.Reached++
 		}
 	}
-	return res, nil
-}
-
-// ssspProg computes single-source shortest distances over weighted edges.
-type ssspProg struct {
-	source uint64
-}
-
-func (p *ssspProg) Init(id uint64, _ int) (float64, bool) {
-	if id == p.source {
-		return 0, true
-	}
-	return math.Inf(1), false
-}
-
-func (p *ssspProg) Compute(ctx *bsp.Context, id uint64, val float64, msgs []float64) (float64, bool) {
-	best := val
-	for _, m := range msgs {
-		if m < best {
-			best = m
-		}
-	}
-	if best < val || (ctx.Superstep() == 0 && id == p.source) {
-		ctx.ForEachOutEdge(func(dst uint64, w int64) bool {
-			ctx.Send(dst, best+float64(w))
-			return true
-		})
-	}
-	return best, true
-}
-
-// SSSPResult carries shortest distances from the source (+Inf =
-// unreachable).
-type SSSPResult struct {
-	Dist       map[uint64]float64
-	Supersteps int
-}
-
-// SSSP computes single-source shortest paths over the distributed graph,
-// using edge weights when present (weight 1 otherwise).
-func SSSP(ctx context.Context, g *graph.Graph, source uint64) (*SSSPResult, error) {
-	e := bsp.New(g, bsp.Options{
-		Combine: func(a, b float64) float64 { return math.Min(a, b) },
-	})
-	steps, err := e.Run(ctx, &ssspProg{source: source})
-	if err != nil {
-		return nil, err
-	}
-	return &SSSPResult{Dist: e.Values(), Supersteps: steps}, nil
-}
-
-// wccProg labels every vertex with the maximum vertex id reachable in its
-// weakly connected component (out-edges only here; callers wanting true
-// WCC should load the graph undirected, which the builders support).
-type wccProg struct{}
-
-func (wccProg) Init(id uint64, _ int) (float64, bool) { return float64(id), true }
-
-func (wccProg) Compute(ctx *bsp.Context, id uint64, val float64, msgs []float64) (float64, bool) {
-	changed := ctx.Superstep() == 0
-	for _, m := range msgs {
-		if m > val {
-			val = m
-			changed = true
-		}
-	}
-	if changed {
-		ctx.SendToAllOut(val)
-	}
-	return val, true
-}
-
-// WCCResult maps every vertex to its component label.
-type WCCResult struct {
-	Component  map[uint64]float64
-	Components int
-	Supersteps int
-}
-
-// WCC computes connected components by max-label propagation.
-func WCC(ctx context.Context, g *graph.Graph) (*WCCResult, error) {
-	e := bsp.New(g, bsp.Options{
-		Combine: func(a, b float64) float64 { return math.Max(a, b) },
-	})
-	steps, err := e.Run(ctx, wccProg{})
-	if err != nil {
-		return nil, err
-	}
-	res := &WCCResult{Component: e.Values(), Supersteps: steps}
-	distinct := map[float64]bool{}
-	for _, c := range res.Component {
-		distinct[c] = true
-	}
-	res.Components = len(distinct)
 	return res, nil
 }

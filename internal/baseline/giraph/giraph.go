@@ -60,9 +60,6 @@ type Context struct {
 // Superstep returns the current superstep.
 func (c *Context) Superstep() int { return c.step }
 
-// NumVertices returns the global vertex count.
-func (c *Context) NumVertices() int { return c.w.e.totalVertices }
-
 // Send delivers a boxed message to the target vertex next superstep.
 func (c *Context) Send(target uint64, value any) {
 	c.w.sendMessage(target, value)
@@ -81,9 +78,8 @@ func (c *Context) VoteToHalt(v *Vertex) { v.halted = true }
 // Engine is the Giraph-style runtime: one worker per machine over a
 // message bus configured WITHOUT packing.
 type Engine struct {
-	workers       []*worker
-	totalVertices int
-	bus           *msg.Bus
+	workers []*worker
+	bus     *msg.Bus
 }
 
 type worker struct {
@@ -138,7 +134,6 @@ func New(machines int, adjacency map[uint64][]uint64) *Engine {
 			v.Edges = append(v.Edges, &Edge{Target: t})
 		}
 		w.vertices[id] = v
-		e.totalVertices++
 	}
 	return e
 }
@@ -156,15 +151,6 @@ func (e *Engine) Close() {
 	for _, w := range e.workers {
 		w.node.Close()
 	}
-}
-
-// MessagesSent returns the cumulative wire message count.
-func (e *Engine) MessagesSent() int64 {
-	var total int64
-	for _, w := range e.workers {
-		total += w.node.Stats().FramesSent
-	}
-	return total
 }
 
 // Run executes the program until every vertex halts with no messages in
@@ -269,17 +255,6 @@ func (w *worker) waitForMarkers(want int) {
 	}
 	w.doneFrom = make(map[msg.MachineID]bool)
 	w.doneMu.Unlock()
-}
-
-// Values snapshots all vertex values.
-func (e *Engine) Values() map[uint64]any {
-	out := make(map[uint64]any, e.totalVertices)
-	for _, w := range e.workers {
-		for id, v := range w.vertices {
-			out[id] = v.Value
-		}
-	}
-	return out
 }
 
 // PageRank is the Giraph-style PageRank program used by Figure 12(d).

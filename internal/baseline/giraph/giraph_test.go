@@ -15,6 +15,17 @@ func ringAdjacency(n int) map[uint64][]uint64 {
 	return adj
 }
 
+// values snapshots all vertex values.
+func values(e *Engine) map[uint64]any {
+	out := make(map[uint64]any)
+	for _, w := range e.workers {
+		for id, v := range w.vertices {
+			out[id] = v.Value
+		}
+	}
+	return out
+}
+
 func TestPageRankOnRing(t *testing.T) {
 	e := New(3, ringAdjacency(30))
 	defer e.Close()
@@ -22,7 +33,7 @@ func TestPageRankOnRing(t *testing.T) {
 	if steps < 25 {
 		t.Fatalf("steps = %d", steps)
 	}
-	for id, v := range e.Values() {
+	for id, v := range values(e) {
 		if math.Abs(v.(float64)-1.0) > 1e-6 {
 			t.Fatalf("rank(%d) = %v", id, v)
 		}
@@ -62,7 +73,7 @@ func TestPageRankMatchesReference(t *testing.T) {
 	e := New(4, adj)
 	defer e.Close()
 	e.Run(&PageRank{Iterations: iters}, iters+2)
-	for id, v := range e.Values() {
+	for id, v := range values(e) {
 		if math.Abs(v.(float64)-ref[id]) > 1e-9 {
 			t.Fatalf("rank(%d) = %v, reference %v", id, v, ref[id])
 		}
@@ -76,7 +87,11 @@ func TestNoPackingMeansManyFrames(t *testing.T) {
 	e.Run(&PageRank{Iterations: 3}, 10)
 	// Every cross-machine message is its own frame; a 100-vertex ring over
 	// 4 machines for 3 iterations must send hundreds of frames.
-	if got := e.MessagesSent(); got < 100 {
+	var got int64
+	for _, w := range e.workers {
+		got += w.node.Stats().FramesSent
+	}
+	if got < 100 {
 		t.Fatalf("frames = %d; packing appears enabled in the baseline", got)
 	}
 }

@@ -13,7 +13,6 @@ package bench
 import (
 	"fmt"
 	"io"
-	"runtime"
 	"strings"
 	"time"
 )
@@ -82,17 +81,6 @@ func (t *Table) Print(w io.Writer) {
 	for _, row := range t.Rows {
 		line(row)
 	}
-}
-
-// HeapInUse reports live heap bytes after a forced collection. Figure 13
-// uses the deterministic accounting in baseline/pbgl instead (GC noise
-// made this measure unstable for small graphs), but the helper remains
-// for ad-hoc profiling of experiment memory.
-func HeapInUse() uint64 {
-	runtime.GC()
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	return ms.HeapInuse
 }
 
 // Timed runs fn and returns its wall-clock duration.

@@ -126,6 +126,8 @@ func Sized(n, capacity int) *Lease {
 // first if poisoned). Wrap exists so lease-consuming APIs can be fed
 // buffers that did not come from the pool (tests, fuzzers, one-off
 // frames).
+//
+//reach:test-seam msg's chaos, ctx and fuzz tests feed hand-built frames to lease-consuming receivers
 func Wrap(b []byte) *Lease {
 	metricInUse.Add(1)
 	l := &Lease{data: b, class: -1}
@@ -139,19 +141,6 @@ func (l *Lease) Bytes() []byte { return l.data }
 
 // Len returns the payload length.
 func (l *Lease) Len() int { return len(l.data) }
-
-// Cap returns the backing array's capacity.
-func (l *Lease) Cap() int { return cap(l.data) }
-
-// SetLen shortens or extends the payload within the backing capacity.
-// Extending exposes whatever bytes the backing array holds; callers
-// overwrite them. Only the sole owner may call SetLen.
-func (l *Lease) SetLen(n int) {
-	if n < 0 || n > cap(l.data) {
-		panic("buf: SetLen out of range")
-	}
-	l.data = l.data[:n]
-}
 
 // Retain adds a reference and returns the lease for chaining. Each
 // Retain obligates exactly one additional Release.
@@ -212,19 +201,4 @@ func (l *Lease) Append(ps ...[]byte) *Lease {
 		l.data = append(l.data, p...)
 	}
 	return l
-}
-
-// PoolStats is a snapshot of the pool counters, for tests and debugging.
-type PoolStats struct {
-	Hits, Misses, Oversize, InUse int64
-}
-
-// Stats returns the current pool counters.
-func Stats() PoolStats {
-	return PoolStats{
-		Hits:     metricHits.Load(),
-		Misses:   metricMisses.Load(),
-		Oversize: metricOversize.Load(),
-		InUse:    metricInUse.Load(),
-	}
 }

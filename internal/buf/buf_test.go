@@ -13,20 +13,20 @@ func TestClassRounding(t *testing.T) {
 	}
 	for _, c := range cases {
 		l := Get(c.n)
-		if l.Len() != c.n || l.Cap() != c.wantCap {
-			t.Errorf("Get(%d): len=%d cap=%d, want len=%d cap=%d", c.n, l.Len(), l.Cap(), c.n, c.wantCap)
+		if l.Len() != c.n || cap(l.Bytes()) != c.wantCap {
+			t.Errorf("Get(%d): len=%d cap=%d, want len=%d cap=%d", c.n, l.Len(), cap(l.Bytes()), c.n, c.wantCap)
 		}
 		l.Release()
 	}
 }
 
 func TestOversizeUnpooled(t *testing.T) {
-	before := Stats().Oversize
+	before := metricOversize.Load()
 	l := Get(MaxPooled + 1)
 	if l.Len() != MaxPooled+1 {
 		t.Fatalf("oversize len = %d", l.Len())
 	}
-	if Stats().Oversize != before+1 {
+	if metricOversize.Load() != before+1 {
 		t.Fatalf("oversize counter not bumped")
 	}
 	l.Release()
@@ -88,7 +88,7 @@ func TestRetainAcrossGoroutines(t *testing.T) {
 
 func TestPoisonScribblesOnFinalRelease(t *testing.T) {
 	l := Get(64)
-	backing := l.Bytes()[:l.Cap()]
+	backing := l.Bytes()[:cap(l.Bytes())]
 	for i := range backing {
 		backing[i] = 0x11
 	}
@@ -134,19 +134,6 @@ func TestWrapUnpooled(t *testing.T) {
 	l := Wrap(b)
 	if &l.Bytes()[0] != &b[0] {
 		t.Fatal("Wrap copied instead of aliasing")
-	}
-	l.Release()
-}
-
-func TestSetLen(t *testing.T) {
-	l := Get(10)
-	l.SetLen(4)
-	if l.Len() != 4 {
-		t.Fatalf("SetLen(4): len=%d", l.Len())
-	}
-	l.SetLen(l.Cap())
-	if l.Len() != l.Cap() {
-		t.Fatalf("SetLen(cap): len=%d", l.Len())
 	}
 	l.Release()
 }

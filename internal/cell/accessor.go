@@ -77,12 +77,6 @@ func NewAccessor(st *StructType, buf []byte) Accessor {
 	return Accessor{st: st, buf: buf}
 }
 
-// Schema returns the accessor's struct type.
-func (a Accessor) Schema() *StructType { return a.st }
-
-// Bytes returns the underlying blob.
-func (a Accessor) Bytes() []byte { return a.buf }
-
 // fieldOffset resolves the byte offset of field i by skipping fields 0..i-1.
 func (a Accessor) fieldOffset(i int) (int, error) {
 	off := 0
@@ -130,12 +124,6 @@ type Ref struct {
 	buf []byte
 	off int
 }
-
-// Type returns the referenced value's type.
-func (r Ref) Type() *Type { return r.typ }
-
-// Offset returns the value's byte offset within the blob.
-func (r Ref) Offset() int { return r.off }
 
 func (r Ref) check(kind Kind, n int) {
 	if r.typ.Kind != kind {
@@ -224,17 +212,6 @@ func (r Ref) Str() string {
 	return string(r.buf[r.off+4 : r.off+4+n])
 }
 
-// StrBytes returns the string field's bytes without copying. The slice
-// must not be retained beyond the accessor's validity.
-func (r Ref) StrBytes() []byte {
-	r.check(KindString, 4)
-	n := int(binary.LittleEndian.Uint32(r.buf[r.off:]))
-	if r.off+4+n > len(r.buf) {
-		panic(ErrShortBlob)
-	}
-	return r.buf[r.off+4 : r.off+4+n]
-}
-
 // Struct descends into a struct-typed field.
 func (r Ref) Struct() Accessor {
 	if r.typ.Kind != KindStruct {
@@ -299,20 +276,4 @@ func (l ListRef) Longs() []int64 {
 		out[i] = int64(binary.LittleEndian.Uint64(l.buf[base+8*i:]))
 	}
 	return out
-}
-
-// ForEachLong iterates a List<long> without allocating; fn returning
-// false stops the iteration. This is the hot path of graph exploration
-// (Outlinks.Foreach in the paper's API sketch).
-func (l ListRef) ForEachLong(fn func(v int64) bool) {
-	if l.elem.Kind != KindLong {
-		panic(fmt.Sprintf("cell: ForEachLong on List<%v>", l.elem))
-	}
-	n := l.Len()
-	base := l.off + 4
-	for i := 0; i < n; i++ {
-		if !fn(int64(binary.LittleEndian.Uint64(l.buf[base+8*i:]))) {
-			return
-		}
-	}
 }

@@ -14,6 +14,8 @@ type Value any
 
 // Encode serializes a struct value described by v into a fresh blob laid
 // out per the schema. It is the write-side complement of Accessor.
+//
+//reach:test-seam reference encoder: graph's blob test and tsl's codegen test check the hand-written and generated codecs against it
 func Encode(st *StructType, v map[string]Value) ([]byte, error) {
 	var buf []byte
 	return appendStruct(buf, st, v)
@@ -234,39 +236,4 @@ func decodeRef(r Ref) (Value, error) {
 	default:
 		return nil, fmt.Errorf("cell: cannot decode kind %v", r.typ.Kind)
 	}
-}
-
-// TailLongList reports whether the struct's last field is a List<long>,
-// the layout that allows O(1) adjacency append: growing the list is a
-// count bump plus a trunk Append, with no tail shifting. The graph engine
-// declares its link lists last for exactly this reason.
-func TailLongList(st *StructType) bool {
-	if len(st.Fields) == 0 {
-		return false
-	}
-	t := st.Fields[len(st.Fields)-1].Type
-	return t.Kind == KindList && t.Elem.Kind == KindLong
-}
-
-// BumpTailListCount increments the element count of the struct's final
-// List<long> field in place and returns the 8 bytes to append to the cell
-// for the new element. The caller is responsible for the actual append
-// (e.g. memcloud.Slave.Append).
-func BumpTailListCount(st *StructType, blob []byte, newElem int64) ([8]byte, error) {
-	var enc [8]byte
-	if !TailLongList(st) {
-		return enc, fmt.Errorf("cell: %s has no tail List<long>", st.Name)
-	}
-	a := NewAccessor(st, blob)
-	r, err := a.Field(st.Fields[len(st.Fields)-1].Name)
-	if err != nil {
-		return enc, err
-	}
-	if r.off+4 > len(blob) {
-		return enc, ErrShortBlob
-	}
-	count := binary.LittleEndian.Uint32(blob[r.off:])
-	binary.LittleEndian.PutUint32(blob[r.off:], count+1)
-	binary.LittleEndian.PutUint64(enc[:], uint64(newElem))
-	return enc, nil
 }

@@ -187,15 +187,6 @@ func NewStruct(name string, cell bool, fields []Field) (*StructType, error) {
 	return st, nil
 }
 
-// MustStruct is NewStruct that panics on error; for static schemas.
-func MustStruct(name string, cell bool, fields []Field) *StructType {
-	st, err := NewStruct(name, cell, fields)
-	if err != nil {
-		panic(err)
-	}
-	return st
-}
-
 // FieldIndex returns the position of the named field, or -1.
 func (st *StructType) FieldIndex(name string) int {
 	if i, ok := st.index[name]; ok {

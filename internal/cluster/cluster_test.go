@@ -120,27 +120,6 @@ func TestReassign(t *testing.T) {
 	}
 }
 
-func TestRebalanceOnJoin(t *testing.T) {
-	tab := NewTable(4, ids(2)) // 16 trunks on 2 machines
-	nt, moved := tab.Rebalance(9)
-	if len(moved) != 16/3 {
-		t.Fatalf("moved %d trunks, want %d", len(moved), 16/3)
-	}
-	if len(nt.TrunksOf(9)) != len(moved) {
-		t.Fatal("moved trunks not owned by joiner")
-	}
-	// Old owners keep a balanced share.
-	for _, m := range []msg.MachineID{0, 1} {
-		if n := len(nt.TrunksOf(m)); n < 5 || n > 6 {
-			t.Fatalf("machine %d left with %d trunks", m, n)
-		}
-	}
-	// Rebalancing toward an existing member is a no-op.
-	if _, moved := nt.Rebalance(9); moved != nil {
-		t.Fatal("re-join moved trunks")
-	}
-}
-
 // testCluster spins up n members over an in-process bus and shared TFS.
 type testCluster struct {
 	bus     *msg.Bus
@@ -330,48 +309,5 @@ func TestRefreshTableAfterMissedBroadcast(t *testing.T) {
 	if m2.Table().Version < nt.Version {
 		t.Fatalf("replica still stale after refresh: v%d < v%d",
 			m2.Table().Version, nt.Version)
-	}
-}
-
-func TestAnnounceJoinMovesTrunks(t *testing.T) {
-	tc := newTestCluster(t, 3, 4, nil)
-	leader := tc.members[int(tc.members[0].Leader())]
-
-	// Wire up a 4th machine.
-	joiner := msg.NewNode(tc.bus.Endpoint(9), msg.Options{FlushInterval: time.Millisecond, CallTimeout: 500 * time.Millisecond})
-	defer joiner.Close()
-	var acquired []uint32
-	var mu sync.Mutex
-	jm := NewMember(joiner, tc.fs, leader.Table(), RecoveryHooks{
-		AcquireTrunks: func(ts []uint32) { mu.Lock(); acquired = append(acquired, ts...); mu.Unlock() },
-	}, Config{HeartbeatInterval: 10 * time.Millisecond})
-	jm.Start()
-	defer jm.Stop()
-
-	if err := leader.AnnounceJoin(9); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		mu.Lock()
-		n := len(acquired)
-		mu.Unlock()
-		if n > 0 && len(jm.Table().TrunksOf(9)) == n {
-			return
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	t.Fatal("joiner never acquired trunks")
-}
-
-func TestNonLeaderCannotAnnounceJoin(t *testing.T) {
-	tc := newTestCluster(t, 3, 3, nil)
-	for _, m := range tc.members {
-		if !m.IsLeader() {
-			if err := m.AnnounceJoin(42); err == nil {
-				t.Fatal("non-leader AnnounceJoin should fail")
-			}
-			return
-		}
 	}
 }

@@ -95,7 +95,7 @@ func TestConcurrentFailureRecoverySerialized(t *testing.T) {
 	// Each commit bumps the version by exactly one; two concurrent
 	// reports produce one or two commits (the second may find the first
 	// already moved everything), never zero and never a gap.
-	commits := lm.Stats().Recoveries
+	commits := lm.recoveries.Load()
 	if commits < 1 || commits > 2 {
 		t.Fatalf("recoveries = %d, want 1 or 2", commits)
 	}
@@ -157,7 +157,7 @@ func TestStaleLeaderCannotClobberNewerTable(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if got := lm.Stats().TableCASRetries; got < 1 {
+	if got := lm.tableCASRetries.Load(); got < 1 {
 		t.Fatalf("table_cas_retries = %d, want >= 1 (stale predecessor must lose)", got)
 	}
 	nt := lm.Table()
@@ -198,7 +198,7 @@ func TestStepDownReleasesFlagForSuccessor(t *testing.T) {
 	if lm.IsLeader() {
 		t.Fatal("still leader after stepDown")
 	}
-	if got := lm.Stats().Stepdowns; got != 1 {
+	if got := lm.stepdowns.Load(); got != 1 {
 		t.Fatalf("stepdowns = %d, want 1", got)
 	}
 	flag, err := tc.fs.ReadFile(leaderFlagFile)
@@ -227,7 +227,7 @@ func TestStepDownReleasesFlagForSuccessor(t *testing.T) {
 	// times would instantly expire them and run spurious recoveries.
 	time.Sleep(4 * tc.members[0].cfg.FailureTimeout)
 	for i, m := range tc.members {
-		if got := m.Stats().Recoveries; got != 0 {
+		if got := m.recoveries.Load(); got != 0 {
 			t.Fatalf("member %d ran %d spurious recoveries after hand-off", i, got)
 		}
 		if v := m.Table().Version; v != before {

@@ -78,7 +78,7 @@ type RecoveryHooks struct {
 	// the trunk contents from TFS.
 	AcquireTrunks func(trunks []uint32)
 	// ReleaseTrunks is invoked when trunks move away from this machine
-	// (e.g. rebalancing toward a newly joined machine).
+	// (it was falsely suspected while alive and recovery reassigned them).
 	ReleaseTrunks func(trunks []uint32)
 }
 
@@ -94,10 +94,10 @@ type Member struct {
 	hooks RecoveryHooks
 
 	// recMu serializes all reconfiguration on this member: failure
-	// recovery, join admission, and leader assumption. Two concurrent
-	// confirmAndRecover calls (two machines dying in one detector window,
-	// or a slave report racing the leader's own detector) must not both
-	// reassign from the same table version.
+	// recovery and leader assumption. Two concurrent confirmAndRecover
+	// calls (two machines dying in one detector window, or a slave report
+	// racing the leader's own detector) must not both reassign from the
+	// same table version.
 	recMu sync.Mutex
 
 	mu        sync.Mutex
@@ -120,8 +120,7 @@ type Member struct {
 	// its current tenure. A commit that loses its CAS re-diffs the winning
 	// table against this whole set, so a recovery can never resurrect a
 	// machine another in-flight recovery just removed. Cleared on
-	// election (a new tenure starts with fresh knowledge) and on
-	// AnnounceJoin (an admitted machine is alive by definition).
+	// election (a new tenure starts with fresh knowledge).
 	confirmedDead map[msg.MachineID]bool
 	stopCh        chan struct{}
 	stopped       bool
@@ -132,8 +131,6 @@ type Member struct {
 	// test instrumentation only.
 	commitHook atomic.Pointer[func(*Table)]
 
-	// Registry-backed stats; the Stats() accessor keeps the pre-obs
-	// snapshot struct available.
 	recoveries      *obs.Counter
 	tableSyncs      *obs.Counter
 	elections       *obs.Counter
@@ -235,38 +232,14 @@ func (m *Member) Leader() msg.MachineID {
 // "mid-commit" window. Crash-consistency tests use it to kill or isolate a
 // leader between the persistent-replica write and the broadcast. A nil fn
 // removes the hook. Not for production use.
+//
+//reach:test-seam memcloud's ChaosFailover tests isolate the leader between the table persist and the broadcast
 func (m *Member) SetCommitHook(fn func(*Table)) {
 	if fn == nil {
 		m.commitHook.Store(nil)
 		return
 	}
 	m.commitHook.Store(&fn)
-}
-
-// Stats reports cluster activity counters for tests and dashboards.
-type Stats struct {
-	Recoveries           int64
-	TableSyncs           int64
-	Elections            int64
-	FailureReports       int64
-	TableCASRetries      int64
-	CommitErrors         int64
-	Stepdowns            int64
-	ConcurrentRecoveries int64
-}
-
-// Stats returns a snapshot of the member's counters.
-func (m *Member) Stats() Stats {
-	return Stats{
-		Recoveries:           m.recoveries.Load(),
-		TableSyncs:           m.tableSyncs.Load(),
-		Elections:            m.elections.Load(),
-		FailureReports:       m.failReports.Load(),
-		TableCASRetries:      m.tableCASRetries.Load(),
-		CommitErrors:         m.commitErrors.Load(),
-		Stepdowns:            m.stepdowns.Load(),
-		ConcurrentRecoveries: m.concurrentRecov.Load(),
-	}
 }
 
 // encodeID encodes a machine ID for the leader flag file.
@@ -692,33 +665,6 @@ func (m *Member) reassignDead(cur *Table) (*Table, error) {
 		sort.Slice(survivors, func(i, j int) bool { return survivors[i] < survivors[j] })
 	}
 	return cur.ReassignSet(dead, survivors)
-}
-
-// AnnounceJoin adds a new machine to the cluster (leader only): some
-// trunks are relocated to it and the table is broadcast.
-func (m *Member) AnnounceJoin(joined msg.MachineID) error {
-	if !m.IsLeader() {
-		return errors.New("cluster: only the leader admits machines")
-	}
-	m.recMu.Lock()
-	defer m.recMu.Unlock()
-	if !m.IsLeader() {
-		return errors.New("cluster: deposed before admitting the machine")
-	}
-	m.mu.Lock()
-	// An admitted machine is alive by definition; forget any stale death
-	// verdict and start monitoring it even before its first heartbeat.
-	delete(m.confirmedDead, joined)
-	m.lastSeen[joined] = time.Now()
-	m.mu.Unlock()
-	_, err := m.commitTable(func(cur *Table) (*Table, error) {
-		nt, moved := cur.Rebalance(joined)
-		if len(moved) == 0 {
-			return nil, nil
-		}
-		return nt, nil
-	})
-	return err
 }
 
 // commitTable serializes one reconfiguration into the table chain:

@@ -101,55 +101,6 @@ func (t *Table) ReassignSet(dead map[msg.MachineID]bool, survivors []msg.Machine
 	return nt, nil
 }
 
-// Rebalance returns a new table (version+1) in which roughly an equal
-// share of trunks is moved onto the newly joined machine, implementing
-// "when new machines join the memory cloud, we relocate some memory trunks
-// to those new machines". It returns the new table and the set of moved
-// trunks.
-func (t *Table) Rebalance(joined msg.MachineID) (*Table, []uint32) {
-	machines := t.Machines()
-	for _, m := range machines {
-		if m == joined {
-			return t, nil // already present
-		}
-	}
-	total := len(t.Slots)
-	share := total / (len(machines) + 1)
-	nt := &Table{Version: t.Version + 1, P: t.P, Slots: make([]msg.MachineID, total)}
-	copy(nt.Slots, t.Slots)
-	if share == 0 {
-		return nt, nil
-	}
-	// Take slots evenly from the most loaded machines.
-	load := make(map[msg.MachineID]int)
-	for _, m := range nt.Slots {
-		load[m]++
-	}
-	var moved []uint32
-	for len(moved) < share {
-		// Pick the machine with the highest remaining load.
-		var victim msg.MachineID
-		max := -1
-		for m, l := range load {
-			if l > max || (l == max && m < victim) {
-				victim, max = m, l
-			}
-		}
-		if max <= 0 {
-			break
-		}
-		for i := range nt.Slots {
-			if nt.Slots[i] == victim {
-				nt.Slots[i] = joined
-				load[victim]--
-				moved = append(moved, uint32(i))
-				break
-			}
-		}
-	}
-	return nt, moved
-}
-
 // Encode serializes the table.
 func (t *Table) Encode() []byte {
 	out := make([]byte, 13+4*len(t.Slots))

@@ -39,6 +39,7 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"trinity/internal/graph"
 	"trinity/internal/graph/view"
@@ -57,14 +58,10 @@ const (
 	protoActionScript
 )
 
-// Message is the vertex-to-vertex message type: a 64-bit value, matching
-// the paper's workloads (ranks, levels, distances, component labels).
-type Message = float64
-
 // Program is a vertex program in the restrictive vertex-centric model.
-// Vertex values are float64 (sufficient for the paper's workloads:
-// PageRank ranks, BFS levels, SSSP distances, WCC component IDs); richer
-// state belongs in cells via the TSL accessors.
+// Vertex values and messages are float64 (sufficient for the paper's
+// workloads: PageRank ranks, BFS levels); richer state belongs in cells
+// via the TSL accessors.
 type Program interface {
 	// Init returns the initial value of a vertex and whether it starts
 	// active.
@@ -126,32 +123,6 @@ func (c *Context) SendToAllOut(m float64) {
 	c.w.sendToAllOut(c.selfIdx, c.self, m)
 }
 
-// ForEachOut streams the current vertex's out-neighbors from the
-// partition view's CSR arena.
-func (c *Context) ForEachOut(fn func(dst uint64) bool) {
-	for _, dst := range c.w.pv.Out(c.selfIdx) {
-		if !fn(dst) {
-			return
-		}
-	}
-}
-
-// ForEachOutEdge streams the current vertex's out-edges with weights
-// (weight 1 when the graph is unweighted), for SSSP-style programs.
-func (c *Context) ForEachOutEdge(fn func(dst uint64, w int64) bool) {
-	out := c.w.pv.Out(c.selfIdx)
-	wts := c.w.pv.OutWeights(c.selfIdx)
-	for i, dst := range out {
-		w := int64(1)
-		if wts != nil {
-			w = wts[i]
-		}
-		if !fn(dst, w) {
-			return
-		}
-	}
-}
-
 // OutDegree returns the current vertex's out-degree.
 func (c *Context) OutDegree() int {
 	return c.w.pv.OutDegree(c.selfIdx)
@@ -168,9 +139,6 @@ func (c *Context) Aggregate(name string, v float64) {
 func (c *Context) Aggregated(name string) float64 {
 	return c.w.e.aggGlobal[name]
 }
-
-// NumVertices returns the global vertex count.
-func (c *Context) NumVertices() int { return c.w.e.totalVertices }
 
 // Engine runs vertex programs over a distributed graph. One worker is
 // attached to every machine; Run drives them through synchronized
@@ -193,7 +161,6 @@ type Engine struct {
 // across runs sharing one cloud; the per-step numbers the paper tables
 // need still flow through Options.OnSuperstep.
 type engineMetrics struct {
-	scope         *obs.Scope
 	supersteps    *obs.Counter
 	msgsSent      *obs.Counter // logical vertex messages
 	msgsWire      *obs.Counter // messages that crossed the wire
@@ -204,6 +171,8 @@ type engineMetrics struct {
 	runsCancelled *obs.Counter // Run calls that returned a context error
 	activeVerts   *obs.Gauge
 	superstepNs   *obs.Histogram
+	computeNs     *obs.Histogram // the compute phase of a superstep
+	barrierNs     *obs.Histogram // the marker wait that follows it
 }
 
 // worker is the per-machine execution state. Vertex state is dense,
@@ -254,7 +223,6 @@ func New(g *graph.Graph, opts Options) *Engine {
 	e := &Engine{g: g, opts: opts, aggGlobal: map[string]float64{}}
 	scope := g.On(0).Slave().Metrics().Scope("bsp")
 	e.metrics = engineMetrics{
-		scope:         scope,
 		supersteps:    scope.Counter("supersteps"),
 		msgsSent:      scope.Counter("messages_sent"),
 		msgsWire:      scope.Counter("messages_wire"),
@@ -265,6 +233,8 @@ func New(g *graph.Graph, opts Options) *Engine {
 		runsCancelled: scope.Counter("runs_cancelled"),
 		activeVerts:   scope.Gauge("active_vertices"),
 		superstepNs:   scope.Histogram("superstep_ns"),
+		computeNs:     scope.Histogram("superstep.compute_ns"),
+		barrierNs:     scope.Histogram("superstep.barrier_ns"),
 	}
 	for i := 0; i < g.Machines(); i++ {
 		m := g.On(i)
@@ -399,16 +369,6 @@ func (e *Engine) Values() map[uint64]float64 {
 	return out
 }
 
-// Value returns one vertex's value.
-func (e *Engine) Value(id uint64) (float64, bool) {
-	for _, w := range e.workers {
-		if idx, ok := w.pv.IndexOf(id); ok {
-			return w.values[idx], true
-		}
-	}
-	return 0, false
-}
-
 // WireMessages returns the cumulative number of messages that actually
 // crossed the wire (hub-buffered fan-outs count once). The hub ablation
 // benchmark compares this against logical messages.
@@ -422,8 +382,8 @@ func (e *Engine) WireMessages() int64 {
 
 // superstep drives one synchronized superstep across all machines.
 func (e *Engine) superstep(ctx context.Context, p Program, step int) (int64, int64, error) {
-	span := e.metrics.scope.StartSpan("superstep")
-	defer span.End()
+	start := time.Now()
+	defer func() { e.metrics.superstepNs.Observe(int64(time.Since(start))) }()
 	// Phase 1: rotate inboxes (prepared by the previous step).
 	for _, w := range e.workers {
 		w.inbox, w.next = w.next, make([][]float64, w.pv.NumVertices())
@@ -431,7 +391,7 @@ func (e *Engine) superstep(ctx context.Context, p Program, step int) (int64, int
 		w.sentTotal.Store(0)
 	}
 	// Phase 2: compute all machines in parallel.
-	compute := span.Child("compute")
+	computeStart := time.Now()
 	var wg sync.WaitGroup
 	errCh := make(chan error, len(e.workers))
 	for _, w := range e.workers {
@@ -444,7 +404,8 @@ func (e *Engine) superstep(ctx context.Context, p Program, step int) (int64, int
 		}(w)
 	}
 	wg.Wait()
-	compute.End()
+	computed := time.Now()
+	e.metrics.computeNs.Observe(int64(computed.Sub(computeStart)))
 	select {
 	case err := <-errCh:
 		return 0, 0, err
@@ -453,14 +414,16 @@ func (e *Engine) superstep(ctx context.Context, p Program, step int) (int64, int
 	// Phase 3: barrier — wait for all markers on every machine. The wait
 	// is ctx-aware: a peer that was cancelled (or whose markers a chaotic
 	// transport ate) must not park this run forever.
-	barrier := span.Child("barrier")
+	var err error
 	for _, w := range e.workers {
-		if err := w.waitForMarkers(ctx, len(e.workers)-1); err != nil {
-			barrier.End()
-			return 0, 0, err
+		if err = w.waitForMarkers(ctx, len(e.workers)-1); err != nil {
+			break
 		}
 	}
-	barrier.End()
+	e.metrics.barrierNs.Observe(int64(time.Since(computed)))
+	if err != nil {
+		return 0, 0, err
+	}
 	// Phase 4: reduce aggregators and counters on the coordinator.
 	agg := map[string]float64{}
 	var active, sent int64
@@ -589,7 +552,7 @@ func (w *worker) send(dst uint64, m float64) {
 	}
 	var buf [16]byte
 	binary.LittleEndian.PutUint64(buf[0:], dst)
-	binary.LittleEndian.PutUint64(buf[8:], mathFloat64bits(m))
+	binary.LittleEndian.PutUint64(buf[8:], math.Float64bits(m))
 	w.sentWire.Add(1)
 	w.m.Slave().Node().Send(owner, protoVertexMsg, buf[:])
 }
@@ -602,7 +565,7 @@ func (w *worker) sendToAllOut(srcIdx int, srcID uint64, m float64) {
 	if len(subs) > 0 {
 		var buf [16]byte
 		binary.LittleEndian.PutUint64(buf[0:], srcID)
-		binary.LittleEndian.PutUint64(buf[8:], mathFloat64bits(m))
+		binary.LittleEndian.PutUint64(buf[8:], math.Float64bits(m))
 		for _, dstMachine := range subs {
 			w.sentWire.Add(1)
 			w.m.Slave().Node().Send(dstMachine, protoHubMsg, buf[:])
@@ -639,7 +602,7 @@ func (w *worker) onVertexMsg(_ msg.MachineID, b []byte) {
 		return
 	}
 	dst := binary.LittleEndian.Uint64(b[0:])
-	m := mathFloat64frombits(binary.LittleEndian.Uint64(b[8:]))
+	m := math.Float64frombits(binary.LittleEndian.Uint64(b[8:]))
 	if idx, ok := w.pv.IndexOf(dst); ok {
 		w.deliverLocal(idx, m)
 	} else {
@@ -653,7 +616,7 @@ func (w *worker) onHubMsg(_ msg.MachineID, b []byte) {
 		return
 	}
 	src := binary.LittleEndian.Uint64(b[0:])
-	m := mathFloat64frombits(binary.LittleEndian.Uint64(b[8:]))
+	m := math.Float64frombits(binary.LittleEndian.Uint64(b[8:]))
 	for _, idx := range w.hubSources[src] {
 		w.deliverLocal(int(idx), m)
 	}
@@ -726,6 +689,3 @@ func (w *worker) onActionScript(_ context.Context, from msg.MachineID, script []
 	}
 	return nil, nil
 }
-
-func mathFloat64bits(f float64) uint64     { return math.Float64bits(f) }
-func mathFloat64frombits(b uint64) float64 { return math.Float64frombits(b) }

@@ -235,9 +235,6 @@ func (a *aggProg) Compute(ctx *Context, id uint64, v float64, _ []float64) (floa
 	if got := ctx.Aggregated("count"); got != 20 {
 		a.t.Errorf("aggregated count = %f, want 20", got)
 	}
-	if ctx.NumVertices() != 20 {
-		a.t.Errorf("NumVertices = %d", ctx.NumVertices())
-	}
 	return v, true
 }
 

@@ -221,6 +221,8 @@ func BuildRMAT(cfg RMATConfig, labels int, b *graph.Builder) {
 }
 
 // BuildUniform loads a uniform graph with uniform labels into a builder.
+//
+//reach:test-seam fixture: tests in algo and compute/* load it
 func BuildUniform(cfg UniformConfig, labels int, b *graph.Builder) {
 	rng := hash.NewRNG(cfg.Seed + 1)
 	for i := 0; i < cfg.Nodes; i++ {

@@ -107,16 +107,13 @@ func TestForEachListEntryMalformed(t *testing.T) {
 
 func TestAppendNodeListsMalformed(t *testing.T) {
 	blob := validBlob()
-	// Valid blob round-trips all three lists as appends.
-	label, wts, in, out, err := AppendNodeLists(blob, []int64{-1}, []uint64{100}, nil)
+	// Valid blob round-trips both link lists as appends.
+	label, in, out, err := AppendNodeLists(blob, []uint64{100}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if label != 42 {
 		t.Fatalf("label = %d", label)
-	}
-	if !reflect.DeepEqual(wts, []int64{-1, 7, 8}) {
-		t.Fatalf("wts = %v", wts)
 	}
 	if !reflect.DeepEqual(in, []uint64{100, 10, 11, 12}) {
 		t.Fatalf("in = %v", in)
@@ -127,16 +124,16 @@ func TestAppendNodeListsMalformed(t *testing.T) {
 	// Every truncation errors without panicking, and the caller's slices
 	// keep their original content up to their original lengths.
 	for cut := 0; cut < len(blob); cut++ {
-		w0, i0, o0 := []int64{5}, []uint64{6}, []uint64{7}
+		i0, o0 := []uint64{6}, []uint64{7}
 		func() {
 			defer func() {
 				if r := recover(); r != nil {
 					t.Fatalf("cut=%d panicked: %v", cut, r)
 				}
 			}()
-			if _, w, i, o, err := AppendNodeLists(blob[:cut], w0, i0, o0); err == nil {
+			if _, i, o, err := AppendNodeLists(blob[:cut], i0, o0); err == nil {
 				t.Fatalf("cut=%d accepted", cut)
-			} else if w[0] != 5 || i[0] != 6 || o[0] != 7 {
+			} else if i[0] != 6 || o[0] != 7 {
 				t.Fatalf("cut=%d corrupted caller slices", cut)
 			}
 		}()
@@ -148,7 +145,7 @@ func TestAppendNodeListsMalformed(t *testing.T) {
 		t.Fatal(err)
 	}
 	binary.LittleEndian.PutUint32(bad[off-4:], 1<<24)
-	if _, _, _, _, err := AppendNodeLists(bad, nil, nil, nil); err == nil {
+	if _, _, _, err := AppendNodeLists(bad, nil, nil); err == nil {
 		t.Fatal("overrunning inlinks count accepted")
 	}
 }

@@ -17,9 +17,9 @@ import (
 // WAL append per cell. Bulk loading this way is how the simulated cluster
 // ingests the multi-million-edge benchmark graphs; the per-edge AddEdge
 // path exists for dynamic updates. rdf.Builder loads through this same
-// path. (Loaders that feed the cloud from a single access point — a
-// client or proxy that owns no trunks — use store.Writer instead, which
-// ships the same batches over the wire asynchronously.)
+// path. (Loaders that feed the cloud from a single access point use
+// store.Writer instead, which ships the same batches over the wire
+// asynchronously.)
 //
 // A Builder is not safe for concurrent use; build the edge list first,
 // then Flush.
@@ -159,11 +159,7 @@ func flushOwner(ctx context.Context, s *memcloud.Slave, nodes []*Node) error {
 				Op: memcloud.MultiPutOpPut, Key: n.ID, Val: EncodeNode(n),
 			})
 		}
-		statuses, ok := s.LocalMultiPut(items)
-		if !ok {
-			return fmt.Errorf("graph: endpoint %d cannot apply batches locally", s.ID())
-		}
-		for i, st := range statuses {
+		for i, st := range s.LocalMultiPut(items) {
 			if st == memcloud.MultiPutOK {
 				continue
 			}

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -17,6 +16,11 @@ import (
 
 // ErrNoNode reports that a node cell does not exist.
 var ErrNoNode = errors.New("graph: no such node")
+
+// codeNoNode is the wire code the edge protocols tag ErrNoNode with, so
+// the caller recognises it by code, not by message text. It sits outside
+// memcloud's codes, whose errors an edge handler may pass through.
+const codeNoNode byte = 0x20
 
 // Graph protocol IDs (engine-internal, below tsl.ProtoUserBase). 0x0203
 // was a whole-node read that the fetch pipeline replaced; the id stays
@@ -168,6 +172,8 @@ func (m *Machine) invalidateOwner(key uint64) {
 }
 
 // AddNode creates a node cell. It can be called from any machine.
+//
+//reach:test-seam fixture: tests in algo, compute/* and graph/view build small graphs node by node
 func (m *Machine) AddNode(ctx context.Context, n *Node) error {
 	err := m.s.Add(ctx, n.ID, EncodeNode(n))
 	if err == nil {
@@ -251,16 +257,8 @@ func (m *Machine) mutateEndpoint(ctx context.Context, node, other uint64, inlink
 	binary.LittleEndian.PutUint64(req, node)
 	binary.LittleEndian.PutUint64(req[8:], other)
 	_, err := m.s.Node().Call(ctx, owner, proto, req)
-	if err != nil && errors.Is(mapRemote(err), ErrNoNode) {
+	if msg.ErrorCode(err) == codeNoNode {
 		return fmt.Errorf("%w: %d", ErrNoNode, node)
-	}
-	return err
-}
-
-// mapRemote recognizes ErrNoNode after it crossed the wire as text.
-func mapRemote(err error) error {
-	if err != nil && (errors.Is(err, ErrNoNode) || strings.Contains(err.Error(), "no such node")) {
-		return ErrNoNode
 	}
 	return err
 }
@@ -302,17 +300,25 @@ func (m *Machine) onAddLink(inlink bool) msg.SyncHandler {
 		}
 		node := binary.LittleEndian.Uint64(req)
 		other := binary.LittleEndian.Uint64(req[8:])
-		return nil, m.addLinkLocal(ctx, node, other, inlink)
+		err := m.addLinkLocal(ctx, node, other, inlink)
+		if errors.Is(err, ErrNoNode) {
+			err = msg.WithCode(codeNoNode, err)
+		}
+		return nil, err
 	}
 }
 
 // Outlinks returns the node's out-neighbors (copy).
+//
+//reach:test-seam tests in algo, compute/* and graph/view check adjacency against it
 func (m *Machine) Outlinks(ctx context.Context, id uint64) ([]uint64, error) {
 	return m.links(ctx, id, listOutlinks)
 }
 
 // Inlinks returns the node's in-neighbors (copy). For undirected graphs
 // the inlink list is empty: neighbors live in Outlinks on both endpoints.
+//
+//reach:test-seam graph/view's tests check the in-arena against it
 func (m *Machine) Inlinks(ctx context.Context, id uint64) ([]uint64, error) {
 	return m.links(ctx, id, listInlinks)
 }
@@ -336,6 +342,8 @@ func (m *Machine) links(ctx context.Context, id uint64, list int) ([]uint64, err
 // ForEachOutlink streams a LOCAL node's out-neighbors zero-copy — the
 // GetOutlinks/Foreach pattern of the paper's API sketch and the hot path
 // of every traversal. Remote nodes return ErrWrongOwner.
+//
+//reach:test-seam graph/view's benchmarks use the per-cell scan as the foil for the CSR scan
 func (m *Machine) ForEachOutlink(id uint64, fn func(v uint64) bool) error {
 	return m.s.View(id, func(b []byte) error {
 		return forEachListEntry(b, listOutlinks, fn)
@@ -364,13 +372,6 @@ func (m *Machine) ForEachOutEdge(id uint64, fn func(dst uint64, w int64) bool) e
 			}
 		}
 		return nil
-	})
-}
-
-// ForEachInlink streams a LOCAL node's in-neighbors zero-copy.
-func (m *Machine) ForEachInlink(id uint64, fn func(v uint64) bool) error {
-	return m.s.View(id, func(b []byte) error {
-		return forEachListEntry(b, listInlinks, fn)
 	})
 }
 

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"reflect"
 	"sort"
@@ -177,8 +178,16 @@ func TestAddEdgeMissingNode(t *testing.T) {
 	if err := m.AddEdge(context.Background(), 1, 999); !errors.Is(err, ErrNoNode) {
 		t.Fatalf("edge to missing local = %v", err)
 	}
-	if err := m.AddEdge(context.Background(), remote, 1); !errors.Is(mapRemote(err), ErrNoNode) {
+	if err := m.AddEdge(context.Background(), remote, 1); !errors.Is(err, ErrNoNode) {
 		t.Fatalf("edge from missing remote = %v", err)
+	}
+	// On the wire the sentinel is a code, not its message text.
+	req := make([]byte, 16)
+	binary.LittleEndian.PutUint64(req, remote)
+	binary.LittleEndian.PutUint64(req[8:], 1)
+	_, err := m.Slave().Node().Call(context.Background(), m.Slave().Owner(remote), protoAddEdge, req)
+	if msg.ErrorCode(err) != codeNoNode {
+		t.Fatalf("wire error %v carries code %d, want %d", err, msg.ErrorCode(err), codeNoNode)
 	}
 }
 

@@ -217,32 +217,25 @@ const (
 	listOutlinks
 )
 
-// AppendNodeLists appends a node blob's weights, in-links and out-links
-// to the given slices and returns the extended slices plus the label. It
-// is the bulk zero-intermediate-allocation decode the partition-view
-// builder (internal/graph/view) uses to fill its CSR arenas: one bounds
-// check per list, then straight copies. A malformed blob (truncated
-// header, list count overrunning the blob) returns an error with the
-// input slices unchanged in content up to their original lengths.
-func AppendNodeLists(blob []byte, wts []int64, in, out []uint64) (int64, []int64, []uint64, []uint64, error) {
+// AppendNodeLists appends a node blob's in-links and out-links to the
+// given slices and returns the extended slices plus the label. It is the
+// bulk zero-intermediate-allocation decode the partition-view builder
+// (internal/graph/view) uses to fill its CSR arenas: one bounds check per
+// list, then straight copies. A malformed blob (truncated header, list
+// count overrunning the blob) returns an error with the input slices
+// unchanged in content up to their original lengths.
+func AppendNodeLists(blob []byte, in, out []uint64) (int64, []uint64, []uint64, error) {
 	if len(blob) < 8 {
-		return 0, wts, in, out, fmt.Errorf("graph: short node blob (%d bytes)", len(blob))
+		return 0, in, out, fmt.Errorf("graph: short node blob (%d bytes)", len(blob))
 	}
 	label := blobLabel(blob)
-	wOff, wCount, err := blobListAt(blob, listWeights)
-	if err != nil {
-		return 0, wts, in, out, err
-	}
 	iOff, iCount, err := blobListAt(blob, listInlinks)
 	if err != nil {
-		return 0, wts, in, out, err
+		return 0, in, out, err
 	}
 	oOff, oCount, err := blobListAt(blob, listOutlinks)
 	if err != nil {
-		return 0, wts, in, out, err
-	}
-	for i := 0; i < wCount; i++ {
-		wts = append(wts, int64(binary.LittleEndian.Uint64(blob[wOff+8*i:])))
+		return 0, in, out, err
 	}
 	for i := 0; i < iCount; i++ {
 		in = append(in, binary.LittleEndian.Uint64(blob[iOff+8*i:]))
@@ -250,5 +243,5 @@ func AppendNodeLists(blob []byte, wts []int64, in, out []uint64) (int64, []int64
 	for i := 0; i < oCount; i++ {
 		out = append(out, binary.LittleEndian.Uint64(blob[oOff+8*i:]))
 	}
-	return label, wts, in, out, nil
+	return label, in, out, nil
 }

@@ -6,8 +6,8 @@
 //
 // A View is a CSR snapshot of one machine's local vertices: dense
 // local-index ↔ vertex-ID maps, out/in adjacency packed into shared
-// neighbor arenas with offset arrays, per-vertex labels, optional edge
-// weights, and the remote/local bipartite split (which remote vertices
+// neighbor arenas with offset arrays, per-vertex labels, and the
+// remote/local bipartite split (which remote vertices
 // feed which local targets) that the §5.4 hub-buffering pass consumes
 // directly.
 //
@@ -49,7 +49,6 @@ type View struct {
 
 	outOff []uint32 // len NumVertices()+1
 	out    []uint64 // out-neighbor arena
-	wts    []int64  // parallel to out; nil when no vertex carries weights
 
 	inOff []uint32
 	in    []uint64 // in-neighbor arena
@@ -62,14 +61,8 @@ type View struct {
 	hits *obs.Counter
 }
 
-// Epoch returns the machine mutation epoch this snapshot was built at.
-func (v *View) Epoch() uint64 { return v.epoch }
-
 // NumVertices returns the number of local vertices.
 func (v *View) NumVertices() int { return len(v.ids) }
-
-// NumEdges returns the number of local out-edges.
-func (v *View) NumEdges() int { return len(v.out) }
 
 // IDs returns the dense-index -> vertex-ID map (do not modify).
 func (v *View) IDs() []uint64 { return v.ids }
@@ -110,15 +103,6 @@ func (v *View) In(idx int) []uint64 {
 	return v.in[v.inOff[idx]:v.inOff[idx+1]]
 }
 
-// OutWeights returns the edge weights parallel to Out(idx), or nil when
-// the snapshot carries no weights at all (every edge then has weight 1).
-func (v *View) OutWeights(idx int) []int64 {
-	if v.wts == nil {
-		return nil
-	}
-	return v.wts[v.outOff[idx]:v.outOff[idx+1]]
-}
-
 // RemoteInSources returns the remote side of the bipartite split — every
 // non-local vertex with at least one out-edge into this partition, with
 // its local targets — sorted by vertex ID. The §5.4 hub-detection pass
@@ -152,7 +136,6 @@ type rec struct {
 	label          int64
 	outOff, outLen uint32
 	inOff, inLen   uint32
-	wOff, wLen     uint32
 }
 
 // part accumulates one trunk's decoded vertices.
@@ -160,7 +143,6 @@ type part struct {
 	recs []rec
 	out  []uint64
 	in   []uint64
-	wts  []int64
 	err  error
 }
 
@@ -215,12 +197,10 @@ func build(m *graph.Machine, epoch uint64) (*View, error) {
 	// Merge: dense indices are assigned in ascending vertex-ID order so
 	// snapshots of an unchanged partition are deterministic.
 	n, totalOut, totalIn := 0, 0, 0
-	hasW := false
 	for i := range parts {
 		n += len(parts[i].recs)
 		totalOut += len(parts[i].out)
 		totalIn += len(parts[i].in)
-		hasW = hasW || len(parts[i].wts) > 0
 	}
 	if totalOut > math.MaxUint32 || totalIn > math.MaxUint32 {
 		return nil, fmt.Errorf("view: partition exceeds %d edges", uint64(math.MaxUint32))
@@ -244,9 +224,6 @@ func build(m *graph.Machine, epoch uint64) (*View, error) {
 		in:     make([]uint64, 0, totalIn),
 		hits:   scope.Counter("cache_hits"),
 	}
-	if hasW {
-		v.wts = make([]int64, 0, totalOut)
-	}
 	for i, gr := range all {
 		p := &parts[gr.part]
 		r := gr.rec
@@ -255,19 +232,6 @@ func build(m *graph.Machine, epoch uint64) (*View, error) {
 		v.labels[i] = r.label
 		v.out = append(v.out, p.out[r.outOff:r.outOff+r.outLen]...)
 		v.in = append(v.in, p.in[r.inOff:r.inOff+r.inLen]...)
-		if hasW {
-			// Keep the weight arena parallel to the out arena: pad missing
-			// weights with 1 (the ForEachOutEdge contract) and drop any
-			// excess beyond the out-degree.
-			wn := r.wLen
-			if wn > r.outLen {
-				wn = r.outLen
-			}
-			v.wts = append(v.wts, p.wts[r.wOff:r.wOff+wn]...)
-			for k := wn; k < r.outLen; k++ {
-				v.wts = append(v.wts, 1)
-			}
-		}
 		v.outOff[i+1] = uint32(len(v.out))
 		v.inOff[i+1] = uint32(len(v.in))
 	}
@@ -281,13 +245,13 @@ func build(m *graph.Machine, epoch uint64) (*View, error) {
 // scanTrunk decodes every cell of one trunk into the part's arenas.
 func scanTrunk(s *memcloud.Slave, tid uint32, p *part) {
 	s.ForEachInTrunk(tid, func(key uint64, payload []byte) bool {
-		outStart, inStart, wStart := len(p.out), len(p.in), len(p.wts)
-		label, wts, in, out, err := graph.AppendNodeLists(payload, p.wts, p.in, p.out)
+		outStart, inStart := len(p.out), len(p.in)
+		label, in, out, err := graph.AppendNodeLists(payload, p.in, p.out)
 		if err != nil {
 			p.err = fmt.Errorf("view: vertex %d: %w", key, err)
 			return false
 		}
-		p.wts, p.in, p.out = wts, in, out
+		p.in, p.out = in, out
 		p.recs = append(p.recs, rec{
 			id:     key,
 			label:  label,
@@ -295,8 +259,6 @@ func scanTrunk(s *memcloud.Slave, tid uint32, p *part) {
 			outLen: uint32(len(p.out) - outStart),
 			inOff:  uint32(inStart),
 			inLen:  uint32(len(p.in) - inStart),
-			wOff:   uint32(wStart),
-			wLen:   uint32(len(p.wts) - wStart),
 		})
 		return true
 	})

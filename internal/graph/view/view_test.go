@@ -102,43 +102,10 @@ func TestViewMatchesGraph(t *testing.T) {
 			if v.InDegree(idx) != len(wantIn) {
 				t.Fatalf("indeg(%d) = %d", id, v.InDegree(idx))
 			}
-			if v.OutWeights(idx) != nil {
-				t.Fatalf("unweighted graph has weights at %d", id)
-			}
 		}
 	}
 	if total != n {
 		t.Fatalf("views cover %d vertices, want %d", total, n)
-	}
-}
-
-func TestViewWeights(t *testing.T) {
-	// One machine so every vertex shares a snapshot and the weighted
-	// vertex forces the weight arena to exist.
-	cloud := newCloud(t, 1)
-	b := graph.NewBuilder(true)
-	b.AddWeightedEdge(1, 2, 5)
-	b.AddWeightedEdge(1, 3, 9)
-	b.AddEdge(2, 3) // unweighted vertex in a weighted graph: padded with 1s
-	g, err := b.Load(context.Background(), cloud)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for mi := 0; mi < g.Machines(); mi++ {
-		v, err := Acquire(g.On(mi))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if idx, ok := v.IndexOf(1); ok {
-			if w := v.OutWeights(idx); !reflect.DeepEqual(w, []int64{5, 9}) {
-				t.Fatalf("weights(1) = %v", w)
-			}
-		}
-		if idx, ok := v.IndexOf(2); ok {
-			if w := v.OutWeights(idx); len(w) != 1 || w[0] != 1 {
-				t.Fatalf("padded weights(2) = %v", w)
-			}
-		}
 	}
 }
 
@@ -245,7 +212,7 @@ func TestViewInvalidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	heldEdges := held.NumEdges()
+	heldEdges := len(held.out)
 	epoch0 := m0.Epoch()
 
 	// Local mutation: both endpoints on machine 0.
@@ -287,7 +254,7 @@ func TestViewInvalidation(t *testing.T) {
 	if m0.Epoch() == epochSrc {
 		t.Fatal("AddEdge via non-owner machine did not bump src owner epoch")
 	}
-	if mOwner.Epoch() == vRemoteBefore.Epoch() {
+	if mOwner.Epoch() == vRemoteBefore.epoch {
 		t.Fatal("inlink write did not bump dst owner epoch")
 	}
 	vRemoteAfter, err := Acquire(mOwner)
@@ -317,7 +284,7 @@ func TestViewInvalidation(t *testing.T) {
 	}
 
 	// The held snapshot never changed.
-	if held.NumEdges() != heldEdges {
+	if len(held.out) != heldEdges {
 		t.Fatal("held snapshot mutated")
 	}
 	if idxH, ok := held.IndexOf(src); ok && len(held.Out(idxH)) != 0 {
@@ -343,7 +310,7 @@ func TestViewEmptyPartition(t *testing.T) {
 		if _, ok := v.IndexOf(id); ok != (g.On(mi).Slave().Owner(id) == g.On(mi).Slave().ID()) {
 			t.Fatalf("machine %d: wrong locality for %d", mi, id)
 		}
-		if v.NumVertices() == 0 && v.NumEdges() != 0 {
+		if v.NumVertices() == 0 && len(v.out) != 0 {
 			t.Fatalf("machine %d: empty view with edges", mi)
 		}
 	}

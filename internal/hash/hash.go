@@ -6,8 +6,9 @@
 // key is first hashed to a p-bit trunk number i ∈ [0, 2^p), which selects a
 // slot in the addressing table (yielding a machine); the key is then hashed
 // again inside the trunk's own hash table to find the cell's offset and
-// size. Both hashes are derived from the same strong 64-bit mixer but with
-// different seeds so they are statistically independent.
+// size. The trunk-selection hash lives here, seeded so that it is
+// independent of the plain mixer; the in-trunk table is a Go map with its
+// own hash (internal/trunk).
 package hash
 
 // Mix64 is a strong 64-bit finalizer (the splitmix64 finalizer, also used
@@ -22,11 +23,8 @@ func Mix64(x uint64) uint64 {
 	return x
 }
 
-// seeds separating the trunk-selection hash from the in-trunk hash.
-const (
-	trunkSeed = 0x9e3779b97f4a7c15
-	cellSeed  = 0xc2b2ae3d27d4eb4f
-)
+// trunkSeed separates the trunk-selection hash from plain Mix64.
+const trunkSeed = 0x9e3779b97f4a7c15
 
 // TrunkHash maps a 64-bit key to a p-bit trunk number in [0, 2^p).
 // p must be in [0, 32].
@@ -35,13 +33,6 @@ func TrunkHash(key uint64, p uint) uint32 {
 		return 0
 	}
 	return uint32(Mix64(key^trunkSeed) >> (64 - p))
-}
-
-// CellHash is the second-level hash used inside a memory trunk's hash
-// table. It is independent of TrunkHash so that keys colliding in one
-// level do not cluster in the other.
-func CellHash(key uint64) uint64 {
-	return Mix64(key ^ cellSeed)
 }
 
 // String hashes a string to a 64-bit value using the FNV-1a construction
@@ -58,12 +49,6 @@ func String(s string) uint64 {
 		h *= prime64
 	}
 	return Mix64(h)
-}
-
-// Combine folds two 64-bit values into one; used to derive composite cell
-// IDs (e.g. an edge cell ID from its endpoint IDs).
-func Combine(a, b uint64) uint64 {
-	return Mix64(a ^ Mix64(b+trunkSeed))
 }
 
 // RNG is a small, fast, deterministic pseudo-random generator (splitmix64)
@@ -92,32 +77,7 @@ func (r *RNG) Intn(n int) int {
 	return int(r.Next() % uint64(n))
 }
 
-// Uint64n returns a value uniform in [0, n). It panics if n == 0.
-func (r *RNG) Uint64n(n uint64) uint64 {
-	if n == 0 {
-		panic("hash: Uint64n called with n == 0")
-	}
-	return r.Next() % n
-}
-
 // Float64 returns a value uniform in [0, 1).
 func (r *RNG) Float64() float64 {
 	return float64(r.Next()>>11) / (1 << 53)
-}
-
-// Split returns a new RNG whose stream is independent of the parent's;
-// useful for handing deterministic sub-streams to parallel workers.
-func (r *RNG) Split() *RNG {
-	return &RNG{state: Mix64(r.Next() ^ cellSeed)}
-}
-
-// Perm returns a pseudo-random permutation of [0, n).
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		j := r.Intn(i + 1)
-		p[i] = p[j]
-		p[j] = i
-	}
-	return p
 }

@@ -81,27 +81,6 @@ func TestTrunkHashBalance(t *testing.T) {
 	}
 }
 
-func TestCellHashIndependentOfTrunkHash(t *testing.T) {
-	// Keys that collide into the same trunk must still have well-spread
-	// cell hashes.
-	const p = 4
-	var sameTrunk []uint64
-	for key := uint64(0); len(sameTrunk) < 1000; key++ {
-		if TrunkHash(key, p) == 0 {
-			sameTrunk = append(sameTrunk, key)
-		}
-	}
-	buckets := make([]int, 16)
-	for _, k := range sameTrunk {
-		buckets[CellHash(k)%16]++
-	}
-	for i, c := range buckets {
-		if c == 0 {
-			t.Fatalf("cell-hash bucket %d empty for trunk-colliding keys", i)
-		}
-	}
-}
-
 func TestStringHash(t *testing.T) {
 	if String("") == String("a") {
 		t.Fatal("empty and non-empty strings collide")
@@ -121,15 +100,6 @@ func TestStringHash(t *testing.T) {
 			t.Fatalf("collision between %q and %q", w, prev)
 		}
 		seen[h] = w
-	}
-}
-
-func TestCombine(t *testing.T) {
-	if Combine(1, 2) == Combine(2, 1) {
-		t.Fatal("Combine should be order-sensitive")
-	}
-	if Combine(0, 0) == Combine(0, 1) {
-		t.Fatal("Combine collision on trivial inputs")
 	}
 }
 
@@ -182,35 +152,6 @@ func TestRNGFloat64Range(t *testing.T) {
 	}
 	if mean := sum / n; mean < 0.49 || mean > 0.51 {
 		t.Fatalf("Float64 mean %.4f, want ~0.5", mean)
-	}
-}
-
-func TestRNGSplitIndependence(t *testing.T) {
-	parent := NewRNG(1)
-	child := parent.Split()
-	// The child stream must not equal a shifted parent stream.
-	p2 := NewRNG(1)
-	p2.Next() // align with post-split parent state
-	matches := 0
-	for i := 0; i < 100; i++ {
-		if child.Next() == p2.Next() {
-			matches++
-		}
-	}
-	if matches > 0 {
-		t.Fatalf("split stream overlaps parent stream %d/100", matches)
-	}
-}
-
-func TestRNGPerm(t *testing.T) {
-	r := NewRNG(5)
-	p := r.Perm(100)
-	seen := make([]bool, 100)
-	for _, v := range p {
-		if v < 0 || v >= 100 || seen[v] {
-			t.Fatalf("invalid permutation: %v", p)
-		}
-		seen[v] = true
 	}
 }
 

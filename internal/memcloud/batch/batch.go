@@ -40,7 +40,7 @@ import (
 	"trinity/internal/obs"
 )
 
-// Client is the slice of a memcloud endpoint the pipeline routes by.
+// Client is the slice of a *memcloud.Slave the pipeline routes by.
 type Client interface {
 	memcloud.Rerouter
 	ID() msg.MachineID

@@ -102,8 +102,7 @@ func (s *Slave) serve(op *cellOp) msg.SyncHandler {
 // first re-route can draw another wrong-owner disclaimer.
 const MaxRetries = 3
 
-// Rerouter is the slice of an endpoint the §6.2 failure step needs. Both
-// *Slave and *Proxy satisfy it.
+// Rerouter is the slice of a *Slave the §6.2 failure step needs.
 type Rerouter interface {
 	// ReportFailure tells the leader machine m is unreachable (step 1).
 	ReportFailure(ctx context.Context, m msg.MachineID) error

@@ -197,7 +197,7 @@ func TestWALAppendFailureIsNotAcknowledged(t *testing.T) {
 	if err := remote.Put(ctx, kRemote, val(8, 1)); err == nil {
 		t.Fatal("remote Put acknowledged with the WAL unwritable")
 	}
-	statuses, _ := owner.LocalMultiPut(batch)
+	statuses := owner.LocalMultiPut(batch)
 	if !bytes.Equal(statuses, []byte{MultiPutErr, MultiPutErr}) {
 		t.Fatalf("multi-put statuses with the WAL unwritable = %v, want all MultiPutErr", statuses)
 	}
@@ -233,7 +233,7 @@ func TestWALAppendFailureIsNotAcknowledged(t *testing.T) {
 	}
 	// keys[3] exists in memory from the unacknowledged Add, so this Add
 	// reports it; the Put in the same group is applied and logged.
-	statuses, _ = owner.LocalMultiPut(batch)
+	statuses = owner.LocalMultiPut(batch)
 	if !bytes.Equal(statuses, []byte{MultiPutOK, MultiPutExists}) {
 		t.Fatalf("multi-put statuses after datanodes recovered = %v", statuses)
 	}

@@ -155,7 +155,7 @@ func TestChaosFailoverDoubleKillConverges(t *testing.T) {
 			// Version chain: each commit bumps by exactly one; the CAS
 			// protocol forbids skips and out-of-order overwrites.
 			final := leader.member.Table().Version
-			commits := leader.member.Stats().Recoveries
+			commits := c.Metrics().Scope(fmt.Sprintf("cluster.m%d", leader.ID())).Counter("recoveries").Load()
 			if commits < 1 || commits > 2 {
 				t.Fatalf("recoveries = %d, want 1 or 2", commits)
 			}

@@ -74,73 +74,65 @@ func TestChaosWithOwnerRetryRecoversIsolatedOwner(t *testing.T) {
 	}
 }
 
-// TestChaosStaleTableWrongOwnerBounce: a machine that missed a table
-// broadcast (its link from the leader is cut) sends a request to the old
-// owner of a relocated trunk. The old owner answers ErrWrongOwner — as a
-// wire code, not message text — and the stale machine refreshes its table
-// from TFS and retries against the new owner.
+// TestChaosStaleTableWrongOwnerBounce: a live machine lost its trunks to a
+// table update (the way a falsely suspected machine does), and a machine
+// that missed that update's broadcast (its link from the leader is cut)
+// sends a request to the old owner. The old owner answers ErrWrongOwner —
+// as a wire code, not message text — and the stale machine refreshes its
+// table from TFS and retries against the new owner.
 func TestChaosStaleTableWrongOwnerBounce(t *testing.T) {
-	c, ch := NewChaosCloud(chaosConfig(3), 1)
+	c, ch := NewChaosCloud(chaosConfig(4), 1)
 	defer c.Close()
+	ctx := context.Background()
 	s0 := c.Slave(0)
 
-	var leader msg.MachineID = -1
-	for i := 0; i < c.Slaves(); i++ {
-		if c.Slave(i).Member().IsLeader() {
-			leader = c.Slave(i).ID()
-		}
-	}
-	if leader < 0 {
+	lead := cloudLeader(c)
+	if lead == nil {
 		t.Fatal("no leader")
 	}
-	victim := msg.MachineID((int(leader) + 1) % 3)
+	leader := lead.ID()
+	victim := msg.MachineID((int(leader) + 1) % 4)
+	// Neither the old nor the new owner may be the leader: the victim
+	// cannot hear the leader at all, so a call to it would escalate into a
+	// failure report instead of a clean wrong-owner bounce.
+	old := c.Slave((int(leader) + 2) % 4)
+	fresh := c.Slave((int(leader) + 3) % 4)
 
 	const n = 300
 	for k := uint64(0); k < n; k++ {
-		if err := s0.Put(context.Background(), k, val(16, byte(k))); err != nil {
+		if err := s0.Put(ctx, k, val(16, byte(k))); err != nil {
 			t.Fatal(err)
 		}
 	}
 
-	// The victim stops hearing from the leader: the join's table
-	// broadcast will never reach it.
+	// The victim stops hearing from the leader, then every trunk of the
+	// old owner moves to the fresh one: committed to the persistent replica,
+	// applied by the old owner (which dumps and drops the trunks) and then
+	// by the new one (which loads them). The victim's replica stays stale.
 	ch.Cut(leader, victim)
-	joiner, err := c.AddMachine()
+	cur := old.member.Table()
+	nt, err := cur.ReassignSet(map[msg.MachineID]bool{old.ID(): true}, []msg.MachineID{fresh.ID()})
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := c.FS().CompareAndSwap("cluster/addressing-table", cur.Encode(), nt.Encode()); err != nil {
+		t.Fatal(err)
+	}
+	old.RefreshTable(ctx)
+	fresh.RefreshTable(ctx)
 
-	// A key whose trunk moved to the joiner, away from a machine that DID
-	// apply the update (so it released the trunk), while the victim's
-	// replica still names the old owner. The old owner must not be the
-	// leader: the victim cannot hear the leader at all, so a call to it
-	// would escalate into a failure report instead of a clean
-	// wrong-owner bounce.
 	sv := c.Slave(int(victim))
 	var key uint64
-	var stale msg.MachineID
 	found := false
-	for k := uint64(0); k < n; k++ {
-		old := sv.Owner(k)
-		fresh := joiner.Owner(k)
-		if fresh == joiner.ID() && old != joiner.ID() && old != victim && old != leader {
-			key, stale, found = k, old, true
-			break
-		}
+	for k := uint64(0); k < n && !found; k++ {
+		key, found = k, sv.Owner(k) == old.ID()
 	}
 	if !found {
-		t.Fatal("no trunk relocated away from an updated non-leader incumbent")
-	}
-	// Make sure the old owner has applied the join table (and released
-	// the trunk) before poking it; the join broadcast is asynchronous.
-	want := joiner.Member().Table().Version
-	deadline := time.Now().Add(2 * time.Second)
-	for c.Slave(int(stale)).Member().Table().Version < want && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
+		t.Fatal("no key on the old owner")
 	}
 
 	before := c.Stats().Retries
-	got, err := sv.Get(context.Background(), key)
+	got, err := sv.Get(ctx, key)
 	if err != nil {
 		t.Fatalf("get with stale table: %v", err)
 	}
@@ -150,9 +142,9 @@ func TestChaosStaleTableWrongOwnerBounce(t *testing.T) {
 	if c.Stats().Retries <= before {
 		t.Fatal("stale table did not bounce through the retry path")
 	}
-	if got := sv.Owner(key); got != joiner.ID() {
-		t.Fatalf("victim's table replica not refreshed after the bounce: owner(key=%d)=%d, joiner=%d, victim=%d, leader=%d, version=%d vs %d",
-			key, got, joiner.ID(), victim, leader, sv.Member().Table().Version, joiner.Member().Table().Version)
+	if got := sv.Owner(key); got != fresh.ID() {
+		t.Fatalf("victim's table replica not refreshed after the bounce: owner(key=%d)=%d, new owner=%d, victim=%d, version=%d vs %d",
+			key, got, fresh.ID(), victim, sv.member.Table().Version, nt.Version)
 	}
 }
 

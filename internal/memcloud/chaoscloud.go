@@ -9,6 +9,8 @@ import "trinity/internal/msg"
 // schedule. Tests use it to drive the §6.2 failure protocol (failure
 // report, table refresh, retry) through real fault timings instead of
 // hand-sequenced mocks.
+//
+//reach:test-seam fixture: chaos tests in memcloud, fetch, store and compute/* boot their cloud through it
 func NewChaosCloud(cfg Config, seed int64) (*Cloud, *msg.Chaos) {
 	ch := msg.NewChaos(seed)
 	cfg.TransportWrap = ch.Wrap

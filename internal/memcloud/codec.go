@@ -23,17 +23,6 @@ func decodeKV(b []byte) (uint64, []byte, error) {
 	return binary.LittleEndian.Uint64(b), b[8:], nil
 }
 
-// EncodeMultiGetReq builds a ProtoMultiGet request: u32 count, then count
-// 64-bit keys.
-func EncodeMultiGetReq(keys []uint64) []byte {
-	out := make([]byte, 4+8*len(keys)) //alloc:ok caller-owned request frame, one per batch
-	binary.LittleEndian.PutUint32(out, uint32(len(keys)))
-	for i, k := range keys {
-		binary.LittleEndian.PutUint64(out[4+8*i:], k)
-	}
-	return out
-}
-
 // decodeMultiGetReq parses a ProtoMultiGet request.
 func decodeMultiGetReq(b []byte) ([]uint64, error) {
 	if len(b) < 4 {

@@ -9,10 +9,10 @@
 // Batching, adaptation, re-routing and the failure contract (every
 // Future resolves, with a value or an error) are internal/memcloud/batch;
 // this package is the read policy on top of it. A Fetcher fronts a
-// memcloud endpoint (slave or proxy). GetAsync returns a Future
-// immediately: a local key resolves on the spot without entering the
-// pipeline, and duplicate in-flight keys coalesce onto one wire request.
-// Batches travel as ProtoMultiGet frames.
+// memcloud slave. GetAsync returns a Future immediately: a local key
+// resolves on the spot without entering the pipeline, and duplicate
+// in-flight keys coalesce onto one wire request. Batches travel as
+// ProtoMultiGet frames.
 package fetch
 
 import (
@@ -31,8 +31,7 @@ import (
 // closed.
 var ErrClosed = errors.New("fetch: fetcher closed")
 
-// Client is the slice of a memcloud endpoint the pipeline needs. Both
-// *memcloud.Slave and *memcloud.Proxy satisfy it.
+// Client is the slice of a *memcloud.Slave the pipeline needs.
 type Client interface {
 	batch.Client
 	Node() *msg.Node

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"fmt"
 	"testing"
 	"time"
 
@@ -280,40 +279,5 @@ func TestFailedMachineKeysResolveViaRecovery(t *testing.T) {
 	}
 	if owner := s0.Owner(keys[0]); owner == 2 {
 		t.Fatal("table still names the dead machine")
-	}
-}
-
-func TestProxyBackedFetcher(t *testing.T) {
-	reg := obs.NewRegistry()
-	c := memcloud.New(testConfig(3, reg))
-	defer c.Close()
-	s0 := c.Slave(0)
-
-	const n = 120
-	keys := make([]uint64, n)
-	for k := uint64(0); k < n; k++ {
-		keys[k] = k
-		if err := s0.Put(context.Background(), k, val(12, byte(k))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	p := c.NewProxy()
-	defer p.Close()
-	f := fetch.New(p, fetch.Options{Metrics: reg})
-	defer f.Close()
-	f.GetBatch(context.Background(), keys, func(i int, key uint64, v []byte, err error) {
-		if err != nil {
-			t.Fatalf("key %d via proxy: %v", key, err)
-		}
-		if !bytes.Equal(v, val(12, byte(key))) {
-			t.Fatalf("key %d via proxy: corrupt", key)
-		}
-	})
-	scope := reg.Scope(fmt.Sprintf("fetch.m%d", p.ID()))
-	if scope.Counter("local_hits").Load() != 0 {
-		t.Fatal("a data-less proxy cannot serve local hits")
-	}
-	if scope.Counter("batches").Load() == 0 {
-		t.Fatal("proxy fetcher sent no batches")
 	}
 }

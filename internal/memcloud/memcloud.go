@@ -16,7 +16,6 @@ package memcloud
 
 import (
 	"errors"
-	"sync"
 	"time"
 
 	"trinity/internal/cluster"
@@ -199,10 +198,7 @@ type Cloud struct {
 	fs  *tfs.FS
 	bus *msg.Bus
 
-	// mu guards slaves: AddMachine appends to it while Stats, Backup,
-	// MemoryUsage and Close iterate it, possibly from other goroutines.
-	mu     sync.RWMutex
-	slaves []*Slave
+	slaves []*Slave // fixed at New: machines fail and recover, none join
 }
 
 // endpoint returns the (possibly chaos-wrapped) transport endpoint for a
@@ -213,13 +209,6 @@ func (c *Cloud) endpoint(id msg.MachineID) msg.Transport {
 		tr = c.cfg.TransportWrap(tr)
 	}
 	return tr
-}
-
-// slaveList snapshots the slave slice under the lock.
-func (c *Cloud) slaveList() []*Slave {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return append([]*Slave(nil), c.slaves...)
 }
 
 // New boots a memory cloud with cfg.Machines slaves on an in-process bus.
@@ -247,18 +236,10 @@ func New(cfg Config) *Cloud {
 
 // Slave returns the i-th slave; any slave can serve as a client access
 // point.
-func (c *Cloud) Slave(i int) *Slave {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.slaves[i]
-}
+func (c *Cloud) Slave(i int) *Slave { return c.slaves[i] }
 
 // Slaves returns the number of slaves.
-func (c *Cloud) Slaves() int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return len(c.slaves)
-}
+func (c *Cloud) Slaves() int { return len(c.slaves) }
 
 // FS returns the cloud's Trinity File System.
 func (c *Cloud) FS() *tfs.FS { return c.fs }
@@ -268,7 +249,7 @@ func (c *Cloud) Metrics() *obs.Registry { return c.cfg.Metrics }
 
 // Backup dumps every live trunk to TFS. Returns the first error.
 func (c *Cloud) Backup() error {
-	for _, s := range c.slaveList() {
+	for _, s := range c.slaves {
 		if s.alive.Load() {
 			if err := s.BackupTrunks(); err != nil {
 				return err
@@ -278,77 +259,18 @@ func (c *Cloud) Backup() error {
 	return nil
 }
 
-// AddMachine joins a new machine to the running cloud: a fresh slave is
-// wired to the network, existing trunks are backed up, and the leader
-// relocates a share of trunks to the newcomer ("when new machines join
-// the memory cloud, we relocate some memory trunks to those new machines
-// and update the addressing table accordingly", §3). The call returns
-// when the newcomer has taken ownership of its trunks.
-func (c *Cloud) AddMachine() (*Slave, error) {
-	// The id assignment and the append are one critical section: a
-	// concurrent Stats/Backup/Close walking the slice must see either the
-	// old cluster or the new one, and two concurrent joins must not pick
-	// the same id.
-	c.mu.Lock()
-	id := msg.MachineID(len(c.slaves))
-	node := msg.NewNode(c.endpoint(id), c.cfg.Msg)
-	// The joiner bootstraps from the current table (in which it owns
-	// nothing yet).
-	current := c.slaves[0].member.Table()
-	s := newSlave(node, c.fs, current, c.cfg)
-	c.slaves = append(c.slaves, s)
-	incumbents := append([]*Slave(nil), c.slaves[:len(c.slaves)-1]...)
-	c.mu.Unlock()
-	s.member.Start()
-
-	// Persist all trunks so relocated ones can be reloaded by the joiner.
-	if err := c.Backup(); err != nil {
-		return nil, err
-	}
-	var leader *Slave
-	for _, sl := range incumbents {
-		if sl.alive.Load() && sl.member.IsLeader() {
-			leader = sl
-			break
-		}
-	}
-	if leader == nil {
-		return nil, errors.New("memcloud: no leader to admit the new machine")
-	}
-	if err := leader.member.AnnounceJoin(id); err != nil {
-		return nil, err
-	}
-	// Wait for the joiner's replica to include its trunks and for the
-	// recovery hook to install them.
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		trunks := s.member.Table().TrunksOf(id)
-		s.mu.RLock()
-		installed := len(s.trunks)
-		s.mu.RUnlock()
-		if len(trunks) > 0 && installed >= len(trunks) {
-			return s, nil
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	return nil, errors.New("memcloud: join did not complete")
-}
-
 // KillMachine simulates the crash of machine id: its slave stops serving,
 // its endpoint drops off the network. Recovery is driven by the usual
 // failure-report path the next time someone touches its data.
 func (c *Cloud) KillMachine(id msg.MachineID) {
-	c.mu.RLock()
-	s := c.slaves[int(id)]
-	c.mu.RUnlock()
-	if s.stop() {
+	if c.slaves[id].stop() {
 		c.bus.Disconnect(id)
 	}
 }
 
 // Close shuts down the whole cloud.
 func (c *Cloud) Close() {
-	for _, s := range c.slaveList() {
+	for _, s := range c.slaves {
 		s.stop()
 	}
 }
@@ -356,7 +278,7 @@ func (c *Cloud) Close() {
 // Stats sums activity over all slaves.
 func (c *Cloud) Stats() Stats {
 	var total Stats
-	for _, s := range c.slaveList() {
+	for _, s := range c.slaves {
 		total.LocalOps += s.localOps.Load()
 		total.RemoteOps += s.remoteOps.Load()
 		total.Retries += s.retries.Load()
@@ -369,7 +291,7 @@ func (c *Cloud) Stats() Stats {
 // the number reported in the paper's Figure 13 memory comparison.
 func (c *Cloud) MemoryUsage() int64 {
 	var total int64
-	for _, s := range c.slaveList() {
+	for _, s := range c.slaves {
 		if !s.alive.Load() {
 			continue
 		}

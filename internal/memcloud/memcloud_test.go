@@ -221,22 +221,6 @@ func TestViewLocalOnly(t *testing.T) {
 	}
 }
 
-func TestLockGuard(t *testing.T) {
-	c := newCloud(t, 1)
-	s := c.Slave(0)
-	s.Put(context.Background(), 5, val(8, 0))
-	g, err := s.Lock(5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g.Bytes()[0] = 9
-	g.Unlock()
-	got, _ := s.Get(context.Background(), 5)
-	if got[0] != 9 {
-		t.Fatal("guard write lost")
-	}
-}
-
 func TestMachineFailureRecovery(t *testing.T) {
 	c := newCloud(t, 4)
 	s0 := c.Slave(0)
@@ -383,54 +367,6 @@ func TestDefragDaemonRunsInBackground(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	t.Fatal("defragmentation daemon never reclaimed the gaps")
-}
-
-func TestAddMachineJoinsAndServes(t *testing.T) {
-	c := newCloud(t, 3)
-	s0 := c.Slave(0)
-	const n = 200
-	for i := uint64(0); i < n; i++ {
-		if err := s0.Put(context.Background(), i, val(16, byte(i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	joiner, err := c.AddMachine()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The joiner owns a fair share of trunks.
-	owned := joiner.Member().Table().TrunksOf(joiner.ID())
-	if len(owned) == 0 {
-		t.Fatal("joiner owns no trunks")
-	}
-	// All data is still readable — from old machines and from the joiner.
-	for i := uint64(0); i < n; i++ {
-		for _, via := range []*Slave{s0, joiner} {
-			got, err := via.Get(context.Background(), i)
-			if err != nil {
-				t.Fatalf("key %d via machine %d after join: %v", i, via.ID(), err)
-			}
-			if !bytes.Equal(got, val(16, byte(i))) {
-				t.Fatalf("key %d corrupted after join", i)
-			}
-		}
-	}
-	// New writes land on the joiner for its trunks.
-	wrote := 0
-	for i := uint64(n); i < n+200; i++ {
-		if err := s0.Put(context.Background(), i, val(8, byte(i))); err != nil {
-			t.Fatal(err)
-		}
-		if s0.Owner(i) == joiner.ID() {
-			wrote++
-		}
-	}
-	if wrote == 0 {
-		t.Fatal("no new keys map to the joiner")
-	}
-	if len(joiner.LocalKeys()) == 0 {
-		t.Fatal("joiner stores nothing")
-	}
 }
 
 func TestLocalKeysAndForEach(t *testing.T) {

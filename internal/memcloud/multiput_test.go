@@ -95,10 +95,7 @@ func TestLocalMultiPutStatuses(t *testing.T) {
 		{Op: MultiPutOpAdd, Key: local, Val: val(16, 2)}, // just written above: Exists
 		{Op: MultiPutOpPut, Key: remote, Val: val(16, 3)},
 	}
-	statuses, ok := s0.LocalMultiPut(items)
-	if !ok {
-		t.Fatal("slave LocalMultiPut reported ok=false")
-	}
+	statuses := s0.LocalMultiPut(items)
 	if want := []byte{MultiPutOK, MultiPutExists, MultiPutWrongOwner}; !bytes.Equal(statuses, want) {
 		t.Fatalf("statuses = %v, want %v", statuses, want)
 	}
@@ -115,7 +112,7 @@ func TestMultiPutLastWriteWinsWithinBatch(t *testing.T) {
 		{Op: MultiPutOpPut, Key: 3, Val: val(16, 1)},
 		{Op: MultiPutOpPut, Key: 3, Val: val(16, 2)},
 	}
-	statuses, _ := s0.LocalMultiPut(items)
+	statuses := s0.LocalMultiPut(items)
 	if statuses[0] != MultiPutOK || statuses[1] != MultiPutOK {
 		t.Fatalf("statuses = %v", statuses)
 	}
@@ -179,7 +176,7 @@ func TestWALGroupCommitRecovery(t *testing.T) {
 			items = append(items, MultiPutItem{Op: MultiPutOpPut, Key: k, Val: val(20, byte(k))})
 		}
 	}
-	statuses, _ := victim.LocalMultiPut(items)
+	statuses := victim.LocalMultiPut(items)
 	for i, st := range statuses {
 		if st != MultiPutOK {
 			t.Fatalf("item %d status %d", i, st)

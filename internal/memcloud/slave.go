@@ -51,7 +51,6 @@ type Slave struct {
 	recoveries *obs.Counter
 	getNs      *obs.Histogram
 	setNs      *obs.Histogram
-	multiOpNs  *obs.Histogram
 
 	multigetBatches *obs.Counter
 	multigetKeys    *obs.Counter
@@ -83,7 +82,6 @@ func newSlave(node *msg.Node, fs *tfs.FS, initial *cluster.Table, cfg Config) *S
 		recoveries: scope.Counter("recoveries"),
 		getNs:      scope.Histogram("get_ns"),
 		setNs:      scope.Histogram("set_ns"),
-		multiOpNs:  scope.Histogram("multiop_ns"),
 
 		multigetBatches: scope.Counter("multiget_batches"),
 		multigetKeys:    scope.Counter("multiget_keys"),
@@ -183,9 +181,6 @@ func (s *Slave) ID() msg.MachineID { return s.id }
 // Node exposes the slave's messaging runtime so higher layers (the graph
 // engine, BSP, traversal) can register their own TSL protocols.
 func (s *Slave) Node() *msg.Node { return s.node }
-
-// Member exposes the slave's cluster membership.
-func (s *Slave) Member() *cluster.Member { return s.member }
 
 // FS exposes the shared Trinity File System (for checkpoints, snapshots,
 // and other higher-layer persistence).
@@ -315,16 +310,6 @@ func (s *Slave) View(key uint64, fn func(payload []byte) error) error {
 	return mapTrunkErr(t.View(key, fn))
 }
 
-// Lock pins a LOCAL cell and returns its guard.
-func (s *Slave) Lock(key uint64) (*trunk.Guard, error) {
-	t, err := s.serveTrunk(key)
-	if err != nil {
-		return nil, err
-	}
-	g, err := t.Lock(key)
-	return g, mapTrunkErr(err)
-}
-
 // onMultiGet answers N cell reads in one frame. Every key gets its own
 // status byte, so a stale addressing-table entry for one key degrades to a
 // per-key MultiGetWrongOwner instead of failing the whole batch — the
@@ -381,27 +366,23 @@ func (s *Slave) onMultiPut(_ context.Context, _ msg.MachineID, req []byte) ([]by
 	if err != nil {
 		return nil, err
 	}
-	return s.applyMultiPut(items), nil
+	return s.LocalMultiPut(items), nil
 }
 
-// LocalMultiPut applies a multi-put batch directly to this slave's
-// trunks, without touching the network: the store pipeline's local fast
-// path, which keeps the batching wins (amortized trunk locking, one WAL
-// group record per trunk) for writes that never leave the machine. ok is
-// always true for a slave; items whose trunk is not hosted here answer
+// LocalMultiPut applies a multi-put batch to this slave's trunks: the
+// body of onMultiPut, and called directly it is the store pipeline's
+// local fast path, which keeps the batching wins for writes that never
+// leave the machine. Items whose trunk is not hosted here answer
 // MultiPutWrongOwner in the status slice.
-func (s *Slave) LocalMultiPut(items []MultiPutItem) (statuses []byte, ok bool) {
-	return s.applyMultiPut(items), true
-}
-
-// applyMultiPut groups the batch by trunk and applies each group through
+//
+// It groups the batch by trunk and applies each group through
 // Trunk.PutBatch — one trunk-mutex acquisition per group instead of one
 // per cell — then, under buffered logging, commits the whole group as one
 // coalesced WAL record with a single AppendFile under the trunk's wal
 // lock (group commit). Items are applied in batch order within each
 // trunk; two writes to one key always land in the same trunk, so the
 // pipeline's last-write-wins order is preserved end to end.
-func (s *Slave) applyMultiPut(items []MultiPutItem) []byte {
+func (s *Slave) LocalMultiPut(items []MultiPutItem) []byte {
 	defer s.observeSince(s.setNs, time.Now())
 	s.multiputBatches.Add(1)
 	s.multiputKeys.Add(int64(len(items)))

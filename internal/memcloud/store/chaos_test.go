@@ -39,7 +39,7 @@ func waitAllResolve(t *testing.T, keys []uint64, futs []*store.Future, d time.Du
 		case <-deadline:
 			t.Fatalf("future for key %d wedged: unresolved after %v", keys[i], d)
 		}
-		if err := fu.Wait(context.Background()); err != nil {
+		if _, err := fu.Wait(context.Background()); err != nil {
 			errs++
 			continue
 		}
@@ -138,7 +138,7 @@ func TestChaosWriterAckedWritesDurableUnderDrops(t *testing.T) {
 				case <-deadline:
 					t.Fatalf("future for key %d wedged", keys[i])
 				}
-				err := fu.Wait(context.Background())
+				_, err := fu.Wait(context.Background())
 				switch {
 				case err == nil:
 					acked = append(acked, keys[i])

@@ -10,9 +10,9 @@
 // Batching, adaptation, re-routing and the failure contract (every
 // Future resolves, with nil or an error) are internal/memcloud/batch;
 // this package is the write policy on top of it. A Writer fronts a
-// memcloud endpoint (slave or proxy). PutAsync/AddAsync return a Future
-// immediately; writes to the same key order through a per-key successor
-// chain (at most one op per key is queued or in flight at any moment),
+// memcloud slave. PutAsync/AddAsync return a Future immediately; writes
+// to the same key order through a per-key successor chain (at most one
+// op per key is queued or in flight at any moment),
 // and a Put landing on a still-queued Put coalesces last-write-wins onto
 // the same future. Batches travel as ProtoMultiPut frames, except that a
 // batch whose destination is the local slave skips the wire and applies
@@ -45,34 +45,23 @@ var ErrClosed = errors.New("store: writer closed")
 // reason re-routing cannot fix (trunk out of memory, reserved key).
 var ErrRejected = errors.New("store: write rejected by owner")
 
-// Client is the slice of a memcloud endpoint the pipeline needs. Both
-// *memcloud.Slave and *memcloud.Proxy satisfy it.
+// Client is the slice of a *memcloud.Slave the pipeline needs.
 type Client interface {
 	batch.Client
 	Node() *msg.Node
-	// LocalMultiPut applies a batch to local trunks; ok=false means the
-	// endpoint owns no data (a proxy) and the batch must go on the wire.
-	LocalMultiPut(items []memcloud.MultiPutItem) (statuses []byte, ok bool)
+	// LocalMultiPut applies a batch to local trunks, one status per item.
+	LocalMultiPut(items []memcloud.MultiPutItem) []byte
 }
 
 // Options tune the pipeline; metrics land under scope "store.m<id>".
 type Options = batch.Options
 
 // Future is one pending cell write. Wait blocks until the pipeline
-// resolves it: nil means the write was applied on (and acknowledged by)
-// its owner.
-type Future batch.Future
-
-// Wait blocks until the future resolves or ctx fires. A cancelled Wait
-// only unhooks this caller: the write stays in the pipeline and still
-// lands (bounded by the msg call timeout), so a later read observes it.
-func (f *Future) Wait(ctx context.Context) error {
-	_, err := (*batch.Future)(f).Wait(ctx)
-	return err
-}
-
-// Done exposes the completion channel for select-based callers.
-func (f *Future) Done() <-chan struct{} { return (*batch.Future)(f).Done() }
+// resolves it; its value is always nil, and a nil error means the write
+// was applied on (and acknowledged by) its owner. A cancelled Wait only
+// unhooks this caller: the write stays in the pipeline and still lands
+// (bounded by the msg call timeout), so a later read observes it.
+type Future = batch.Future
 
 // Writer is the asynchronous batched cell-write pipeline.
 type Writer struct {
@@ -116,7 +105,7 @@ func (w *Writer) write(op byte, key uint64, val []byte) *Future {
 	w.p.Mu.Lock()
 	defer w.p.Mu.Unlock()
 	if w.p.ClosedLocked() {
-		return (*Future)(batch.Resolved(nil, ErrClosed))
+		return batch.Resolved(nil, ErrClosed)
 	}
 	tail := w.pending[key]
 	// Last-write-wins coalescing: a Put landing on a still-queued Put
@@ -127,7 +116,7 @@ func (w *Writer) write(op byte, key uint64, val []byte) *Future {
 	if tail != nil && op == memcloud.MultiPutOpPut && tail.Op == memcloud.MultiPutOpPut && !tail.Shipped {
 		tail.Val = val
 		w.p.Coalesced()
-		return (*Future)(&tail.Fut)
+		return &tail.Fut
 	}
 	e := w.p.NewEntryLocked(key)
 	e.Op, e.Val = op, val
@@ -137,7 +126,7 @@ func (w *Writer) write(op byte, key uint64, val []byte) *Future {
 	} else {
 		w.p.EnqueueLocked(e)
 	}
-	return (*Future)(&e.Fut)
+	return &e.Fut
 }
 
 // advance moves a key's chain forward once its head resolved: the
@@ -183,12 +172,7 @@ func (w *Writer) exchange(m msg.MachineID, b []*batch.Entry) error {
 	}
 	var statuses []byte
 	if m == w.c.ID() {
-		var ok bool
-		if statuses, ok = w.c.LocalMultiPut(items); !ok {
-			// An endpoint that owns no data (a proxy) routed a key to
-			// itself: a routing failure, re-routed through a refresh.
-			return memcloud.ErrWrongOwner
-		}
+		statuses = w.c.LocalMultiPut(items)
 		w.localBatches.Add(1)
 	} else {
 		req := buf.Get(memcloud.MultiPutReqSize(items))

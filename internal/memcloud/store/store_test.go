@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"fmt"
 	"testing"
 	"time"
 
@@ -100,7 +99,7 @@ func TestFutureResolvesIndividually(t *testing.T) {
 	key := remoteKey(s0, 0)
 	f := w.PutAsync(key, val(16, 3))
 	w.Flush()
-	if err := f.Wait(context.Background()); err != nil {
+	if _, err := f.Wait(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	got, err := s0.Get(context.Background(), key)
@@ -124,7 +123,7 @@ func TestAddAsyncReportsExists(t *testing.T) {
 	defer w.Close()
 	f := w.AddAsync(key, val(8, 2))
 	w.Flush()
-	if err := f.Wait(context.Background()); !errors.Is(err, memcloud.ErrExists) {
+	if _, err := f.Wait(context.Background()); !errors.Is(err, memcloud.ErrExists) {
 		t.Fatalf("Add on existing key: err = %v, want ErrExists", err)
 	}
 	// The original value must be untouched.
@@ -184,10 +183,10 @@ func TestSameKeyOpsOrderThroughChain(t *testing.T) {
 	if err := w.Drain(context.Background()); err == nil {
 		t.Fatal("Drain must surface the chained Add's ErrExists")
 	}
-	if err := fPut.Wait(context.Background()); err != nil {
+	if _, err := fPut.Wait(context.Background()); err != nil {
 		t.Fatalf("Put: %v", err)
 	}
-	if err := fAdd.Wait(context.Background()); !errors.Is(err, memcloud.ErrExists) {
+	if _, err := fAdd.Wait(context.Background()); !errors.Is(err, memcloud.ErrExists) {
 		t.Fatalf("Add after queued Put: err = %v, want ErrExists", err)
 	}
 
@@ -198,10 +197,10 @@ func TestSameKeyOpsOrderThroughChain(t *testing.T) {
 	if err := w.Drain(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if err := fAdd2.Wait(context.Background()); err != nil {
+	if _, err := fAdd2.Wait(context.Background()); err != nil {
 		t.Fatalf("Add: %v", err)
 	}
-	if err := fPut2.Wait(context.Background()); err != nil {
+	if _, err := fPut2.Wait(context.Background()); err != nil {
 		t.Fatalf("Put after Add: %v", err)
 	}
 	got, err := s0.Get(context.Background(), key2)
@@ -243,13 +242,13 @@ func TestCloseResolvesQueuedFutures(t *testing.T) {
 	f1 := w.PutAsync(key, val(8, 1))
 	f2 := w.AddAsync(key, val(8, 2)) // chained successor must cascade too
 	w.Close()
-	if err := f1.Wait(context.Background()); !errors.Is(err, store.ErrClosed) {
+	if _, err := f1.Wait(context.Background()); !errors.Is(err, store.ErrClosed) {
 		t.Fatalf("queued future after Close: %v, want ErrClosed", err)
 	}
-	if err := f2.Wait(context.Background()); !errors.Is(err, store.ErrClosed) {
+	if _, err := f2.Wait(context.Background()); !errors.Is(err, store.ErrClosed) {
 		t.Fatalf("chained future after Close: %v, want ErrClosed", err)
 	}
-	if f := w.PutAsync(key, val(8, 3)); !errors.Is(f.Wait(context.Background()), store.ErrClosed) {
+	if _, err := w.PutAsync(key, val(8, 3)).Wait(context.Background()); !errors.Is(err, store.ErrClosed) {
 		t.Fatal("write after Close must resolve ErrClosed")
 	}
 }
@@ -324,39 +323,6 @@ func TestFailedMachineWritesResolveViaRecovery(t *testing.T) {
 	}
 }
 
-func TestProxyBackedWriter(t *testing.T) {
-	reg := obs.NewRegistry()
-	c := memcloud.New(testConfig(3, reg))
-	defer c.Close()
-	p := c.NewProxy()
-	defer p.Close()
-
-	w := store.New(p, store.Options{Metrics: reg})
-	defer w.Close()
-	const n = 120
-	for k := uint64(0); k < n; k++ {
-		w.PutAsync(k, val(16, byte(k)))
-	}
-	if err := w.Drain(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	s0 := c.Slave(0)
-	for k := uint64(0); k < n; k++ {
-		got, err := s0.Get(context.Background(), k)
-		if err != nil || !bytes.Equal(got, val(16, byte(k))) {
-			t.Fatalf("proxy-written key %d: %v", k, err)
-		}
-	}
-	// A proxy owns no trunks: everything must have gone over the wire.
-	scope := reg.Scope(fmt.Sprintf("store.m%d", p.ID()))
-	if scope.Counter("local_batches").Load() != 0 {
-		t.Fatal("proxy-backed writer claimed local batches")
-	}
-	if scope.Counter("batches").Load() == 0 {
-		t.Fatal("proxy-backed writer shipped no batches")
-	}
-}
-
 func TestWriterBatchesAmortizeWAL(t *testing.T) {
 	reg := obs.NewRegistry()
 	cfg := testConfig(2, reg)
@@ -405,7 +371,7 @@ type gatedSlave struct {
 	gate chan struct{}
 }
 
-func (g gatedSlave) LocalMultiPut(items []memcloud.MultiPutItem) ([]byte, bool) {
+func (g gatedSlave) LocalMultiPut(items []memcloud.MultiPutItem) []byte {
 	<-g.gate
 	return g.Slave.LocalMultiPut(items)
 }

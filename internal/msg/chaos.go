@@ -1,8 +1,6 @@
 package msg
 
 import (
-	"encoding/binary"
-	"fmt"
 	"math/rand"
 	"os"
 	"strconv"
@@ -37,6 +35,8 @@ import (
 //     allowed to do these, so layers above msg (memcloud's Slave.do
 //     retry, cluster failure detection) must recover; the Node itself
 //     promises nothing about messages the transport never delivered.
+//
+//reach:test-seam fault injection: chaos tests in msg, memcloud, fetch, store and compute/* set link policies on it
 type Chaos struct {
 	mu       sync.Mutex
 	rng      *rand.Rand
@@ -120,13 +120,6 @@ func (c *Chaos) Heal(from, to MachineID) {
 func (c *Chaos) Isolate(id MachineID) {
 	c.mu.Lock()
 	c.isolated[id] = true
-	c.mu.Unlock()
-}
-
-// Rejoin undoes Isolate.
-func (c *Chaos) Rejoin(id MachineID) {
-	c.mu.Lock()
-	delete(c.isolated, id)
 	c.mu.Unlock()
 }
 
@@ -271,89 +264,13 @@ func (c *Chaos) countDelivered() {
 	c.mu.Unlock()
 }
 
-// --- ordering invariant checker ---
-
-// OrderChecker asserts the ordering contract Node promises its users:
-// async messages submitted to the same destination are delivered in
-// submission order per sender machine (and per lane, for senders with
-// several submitting goroutines). Senders stamp every message with
-// StampSeq; the receiver installs Handler as the protocol's async
-// handler. Any message whose (lane, seq) is not strictly greater than
-// the last one seen from that (sender, lane) is recorded as a violation.
-//
-// The checker is meaningful only under contract-preserving chaos
-// policies (Jitter, Poison): once the transport itself drops or reorders
-// frames, per-sender ordering is not the Node's to keep.
-type OrderChecker struct {
-	mu         sync.Mutex
-	last       map[orderKey]uint64
-	violations []string
-	received   int64
-}
-
-type orderKey struct {
-	from MachineID
-	lane uint8
-}
-
-// NewOrderChecker creates an empty checker.
-func NewOrderChecker() *OrderChecker {
-	return &OrderChecker{last: make(map[orderKey]uint64)}
-}
-
-// StampSeq prepends a lane byte and a sequence number to payload,
-// producing a message Handler can check. Sequence numbers within a lane
-// start at 1 and must increase by the sender's submission order.
-func StampSeq(lane uint8, seq uint64, payload []byte) []byte {
-	out := make([]byte, 9+len(payload)) //alloc:ok test-harness stamping, not a data-path frame
-	out[0] = lane
-	binary.LittleEndian.PutUint64(out[1:], seq)
-	copy(out[9:], payload)
-	return out
-}
-
-// Handler returns an AsyncHandler that records every stamped message and
-// checks per-(sender, lane) monotonicity.
-func (oc *OrderChecker) Handler() AsyncHandler {
-	return func(from MachineID, msg []byte) {
-		oc.mu.Lock()
-		defer oc.mu.Unlock()
-		oc.received++
-		if len(msg) < 9 {
-			oc.violations = append(oc.violations,
-				fmt.Sprintf("from m%d: short message (%d bytes)", from, len(msg)))
-			return
-		}
-		k := orderKey{from: from, lane: msg[0]}
-		seq := binary.LittleEndian.Uint64(msg[1:])
-		if seq <= oc.last[k] {
-			oc.violations = append(oc.violations,
-				fmt.Sprintf("from m%d lane %d: seq %d delivered after %d", from, k.lane, seq, oc.last[k]))
-			return
-		}
-		oc.last[k] = seq
-	}
-}
-
-// Violations returns every ordering violation observed so far.
-func (oc *OrderChecker) Violations() []string {
-	oc.mu.Lock()
-	defer oc.mu.Unlock()
-	return append([]string(nil), oc.violations...)
-}
-
-// Received returns the number of messages observed.
-func (oc *OrderChecker) Received() int64 {
-	oc.mu.Lock()
-	defer oc.mu.Unlock()
-	return oc.received
-}
-
 // Seeds returns the chaos seeds for this test run: the CHAOS_SEEDS
 // environment variable as a comma-separated list, or the fixed default
 // {1, 2, 3}. CI pins its seeds through the same variable, so a failed CI
 // seed reproduces locally with e.g. CHAOS_SEEDS=42 go test -race -run
 // Chaos ./internal/...
+//
+//reach:test-seam every chaos test ranges over it so CI and a local replay share CHAOS_SEEDS
 func Seeds() []int64 {
 	env := os.Getenv("CHAOS_SEEDS")
 	if env == "" {

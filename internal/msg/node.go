@@ -101,9 +101,8 @@ type codedError struct {
 	err  error
 }
 
-func (e *codedError) Error() string  { return e.err.Error() }
-func (e *codedError) Unwrap() error  { return e.err }
-func (e *codedError) WireCode() byte { return e.code }
+func (e *codedError) Error() string { return e.err.Error() }
+func (e *codedError) Unwrap() error { return e.err }
 
 // WithCode tags err with a one-byte application error code that survives
 // the wire: when a sync handler returns the tagged error, the caller's
@@ -325,6 +324,8 @@ func NewNode(tr Transport, opts Options) *Node {
 func (n *Node) ID() MachineID { return n.tr.Local() }
 
 // Stats returns a snapshot of the node's counters.
+//
+//reach:test-seam giraph's no-packing test and msg's own tests read frame, drop and cancellation counts off one node
 func (n *Node) Stats() Stats {
 	return Stats{
 		MessagesSent:  n.metrics.messagesSent.Load(),

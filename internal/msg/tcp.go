@@ -220,10 +220,6 @@ func (t *TCPTransport) connLocked(to MachineID) (net.Conn, error) {
 	return c, nil
 }
 
-// OversizeFrames returns the count of inbound frames discarded for
-// exceeding MaxFrameSize.
-func (t *TCPTransport) OversizeFrames() int64 { return t.oversize.Load() }
-
 // Close implements Transport.
 func (t *TCPTransport) Close() error {
 	t.mu.Lock()

@@ -47,11 +47,3 @@ func BenchmarkHistogramObserveParallel(b *testing.B) {
 		}
 	})
 }
-
-func BenchmarkSpan(b *testing.B) {
-	scope := NewRegistry().Scope("bench")
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		scope.StartSpan("phase").End()
-	}
-}

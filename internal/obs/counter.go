@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"math"
 	"sync/atomic"
 	"unsafe"
 )
@@ -74,14 +73,3 @@ func (g *Gauge) Add(d int64) { g.v.Add(d) }
 
 // Load returns the current value.
 func (g *Gauge) Load() int64 { return g.v.Load() }
-
-// FloatGauge is an instantaneous float value (load factor, utilization).
-type FloatGauge struct {
-	bits atomic.Uint64
-}
-
-// Set stores v.
-func (g *FloatGauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Load returns the current value.
-func (g *FloatGauge) Load() float64 { return math.Float64frombits(g.bits.Load()) }

@@ -30,7 +30,6 @@ type Registry struct {
 	mu       sync.RWMutex
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
-	floats   map[string]*FloatGauge
 	hists    map[string]*Histogram
 	funcs    map[string]func() float64
 }
@@ -40,7 +39,6 @@ func NewRegistry() *Registry {
 	return &Registry{
 		counters: make(map[string]*Counter),
 		gauges:   make(map[string]*Gauge),
-		floats:   make(map[string]*FloatGauge),
 		hists:    make(map[string]*Histogram),
 		funcs:    make(map[string]func() float64),
 	}
@@ -86,20 +84,6 @@ func (s *Scope) Gauge(name string) *Gauge {
 	if !ok {
 		g = &Gauge{}
 		s.r.gauges[full] = g
-	}
-	return g
-}
-
-// FloatGauge returns the float gauge named prefix.name, creating it on
-// first use.
-func (s *Scope) FloatGauge(name string) *FloatGauge {
-	full := s.full(name)
-	s.r.mu.Lock()
-	defer s.r.mu.Unlock()
-	g, ok := s.r.floats[full]
-	if !ok {
-		g = &FloatGauge{}
-		s.r.floats[full] = g
 	}
 	return g
 }
@@ -160,15 +144,12 @@ type Value struct {
 func (r *Registry) Snapshot() []Value {
 	r.mu.RLock()
 	vals := make([]Value, 0,
-		len(r.counters)+len(r.gauges)+len(r.floats)+len(r.hists)+len(r.funcs))
+		len(r.counters)+len(r.gauges)+len(r.hists)+len(r.funcs))
 	for name, c := range r.counters {
 		vals = append(vals, Value{Name: name, Kind: "counter", Int: c.Load()})
 	}
 	for name, g := range r.gauges {
 		vals = append(vals, Value{Name: name, Kind: "gauge", Int: g.Load()})
-	}
-	for name, g := range r.floats {
-		vals = append(vals, Value{Name: name, Kind: "gauge", Float: g.Load(), IsFloat: true})
 	}
 	for name, h := range r.hists {
 		vals = append(vals, Value{Name: name, Kind: "histogram", Hist: h.Snapshot()})

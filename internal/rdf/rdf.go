@@ -48,9 +48,6 @@ func NewStore(cloud *memcloud.Cloud) *Store {
 	}
 }
 
-// Graph exposes the underlying graph engine.
-func (s *Store) Graph() *graph.Graph { return s.g }
-
 // InternPredicate returns the stable id of a predicate IRI.
 func (s *Store) InternPredicate(iri string) Predicate {
 	if id, ok := s.preds[iri]; ok {
@@ -383,9 +380,4 @@ func (s *Store) scanByLabel(label int64) []uint64 {
 		})
 	}
 	return out
-}
-
-// Name returns the IRI of an entity id.
-func (s *Store) Name(ctx context.Context, id uint64) (string, error) {
-	return s.g.On(0).Name(ctx, id)
 }

@@ -54,7 +54,7 @@ func names(t *testing.T, s *Store, bindings []Binding, v string) map[string]bool
 	t.Helper()
 	out := map[string]bool{}
 	for _, b := range bindings {
-		name, err := s.Name(context.Background(), b[v])
+		name, err := s.g.On(0).Name(context.Background(), b[v])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -221,7 +221,7 @@ func TestLUBMQueriesReturnResults(t *testing.T) {
 					continue
 				}
 				if !s.typeOK(context.Background(), id, v, map[string]string{v: typeIRI}) {
-					name, _ := s.Name(context.Background(), id)
+					name, _ := s.g.On(0).Name(context.Background(), id)
 					t.Fatalf("Q%d: binding %s=%s violates type %s", i, v, name, typeIRI)
 				}
 			}
@@ -251,7 +251,7 @@ func TestResultsConsistentAcrossMachineCounts(t *testing.T) {
 
 func TestEntityNamesRoundTrip(t *testing.T) {
 	s := smallStore(t, 2)
-	name, err := s.Name(context.Background(), EntityID("p1"))
+	name, err := s.g.On(0).Name(context.Background(), EntityID("p1"))
 	if err != nil || !strings.Contains(name, "p1") {
 		t.Fatalf("Name = %q, %v", name, err)
 	}

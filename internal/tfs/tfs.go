@@ -268,6 +268,8 @@ func (fs *FS) AppendFile(name string, data []byte) error {
 }
 
 // Delete removes the named file.
+//
+//reach:test-seam memcloud's WAL-failure test deletes the control-plane files an all-datanode loss corrupted
 func (fs *FS) Delete(name string) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
@@ -278,14 +280,6 @@ func (fs *FS) Delete(name string) error {
 	fs.releaseBlocks(meta.blocks)
 	delete(fs.files, name)
 	return nil
-}
-
-// Exists reports whether the named file exists.
-func (fs *FS) Exists(name string) bool {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	_, ok := fs.files[name]
-	return ok
 }
 
 // List returns the names of all files with the given prefix, sorted.
@@ -356,6 +350,8 @@ func (fs *FS) CompareAndSwap(name string, old, new []byte) error {
 // FailNode simulates the crash of a datanode. Blocks that still have a
 // live replica are re-replicated onto other nodes to restore the
 // replication factor; blocks whose last replica died are lost.
+//
+//reach:test-seam fault injection: memcloud's WAL-failure test fails every datanode
 func (fs *FS) FailNode(id int) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
@@ -412,6 +408,8 @@ func (fs *FS) reReplicateLocked(bid blockID, failed int) {
 
 // RecoverNode brings a failed datanode back online, empty. The rebalancer
 // will use it for future placements.
+//
+//reach:test-seam fault injection: undoes FailNode
 func (fs *FS) RecoverNode(id int) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
@@ -434,15 +432,4 @@ func (fs *FS) Stats() Stats {
 		s.BlocksOnNodes += int64(len(n.blocks))
 	}
 	return s
-}
-
-// Size returns the size of the named file.
-func (fs *FS) Size(name string) (int, error) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	meta, ok := fs.files[name]
-	if !ok {
-		return 0, fmt.Errorf("%w: %s", ErrNotExist, name)
-	}
-	return meta.size, nil
 }

@@ -88,8 +88,9 @@ func DefaultReservation(oldSize, growth int) int {
 	return r
 }
 
-// NoReservation disables reservations; every expansion relocates. Used by
-// the §6.1 ablation benchmark.
+// NoReservation disables reservations; every expansion relocates.
+//
+//reach:test-seam the foil of the §6.1 ablation (BenchmarkTrunkExpansionNoReservation, EXPERIMENTS.md)
 func NoReservation(oldSize, growth int) int { return 0 }
 
 // Options configures a trunk.
@@ -128,14 +129,6 @@ type Stats struct {
 	CellsMoved    int64 // cells copied by defragmentation
 	BytesMoved    int64 // bytes copied by defragmentation
 	DefragSkips   int64 // passes cut short by a pinned cell
-}
-
-// Utilization is the fraction of committed memory holding live data.
-func (s Stats) Utilization() float64 {
-	if s.CommittedBytes == 0 {
-		return 1
-	}
-	return float64(s.LiveBytes) / float64(s.CommittedBytes)
 }
 
 // entry is the trunk hash table's view of one cell. The pointer identity
@@ -224,16 +217,6 @@ func New(opts Options) *Trunk {
 		t.reclaimedBytes = opts.Metrics.Counter("defrag_reclaimed_bytes")
 	}
 	return t
-}
-
-// Capacity returns the trunk's reserved size in bytes.
-func (t *Trunk) Capacity() int64 { return int64(len(t.buf)) }
-
-// Count returns the number of live cells.
-func (t *Trunk) Count() int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return len(t.index)
 }
 
 // Stats returns a snapshot of the trunk's counters.
@@ -614,25 +597,10 @@ func (t *Trunk) Get(key uint64) ([]byte, error) {
 		return nil, ErrNotFound
 	}
 	e.spinLock()
-	out := make([]byte, e.size) //alloc:ok Get is the copying API by contract; hot paths use GetView/ReadInto
+	out := make([]byte, e.size) //alloc:ok Get is the copying API by contract; hot paths use View/ReadInto
 	copy(out, t.buf[e.offset+headerSize:])
 	e.unlock()
 	return out, nil
-}
-
-// GetView returns a zero-copy view of the cell's payload together with
-// the guard pinning it. The slice is valid until the guard is unlocked;
-// while held, the defragmentation daemon cannot move the cell and
-// concurrent writers to it block. Callers that only need the bytes
-// transiently should prefer View; GetView exists for readers that thread
-// the view through code that cannot run under a callback (the CSR
-// builder's arena appends, wire encoders filling a frame).
-func (t *Trunk) GetView(key uint64) ([]byte, *Guard, error) {
-	g, err := t.Lock(key)
-	if err != nil {
-		return nil, nil, err
-	}
-	return g.Bytes(), g, nil
 }
 
 // ReadInto appends the cell's payload to dst and returns the extended

@@ -86,16 +86,6 @@ func (s *Script) Struct(name string) *cell.StructType {
 	return s.structsByName[name]
 }
 
-// Protocol returns the named protocol, or nil.
-func (s *Script) Protocol(name string) *Protocol {
-	for _, p := range s.Protocols {
-		if p.Name == name {
-			return p
-		}
-	}
-	return nil
-}
-
 // CellStructs returns the structs declared `cell struct`, in order.
 func (s *Script) CellStructs() []*cell.StructType {
 	var out []*cell.StructType

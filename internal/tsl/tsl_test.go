@@ -42,6 +42,16 @@ protocol Echo
 }
 `
 
+// protocolNamed returns the script's protocol with the given name, or nil.
+func protocolNamed(s *Script, name string) *Protocol {
+	for _, p := range s.Protocols {
+		if p.Name == name {
+			return p
+		}
+	}
+	return nil
+}
+
 func TestCompilePaperExample(t *testing.T) {
 	s, err := Compile(paperScript)
 	if err != nil {
@@ -70,7 +80,7 @@ func TestCompilePaperExample(t *testing.T) {
 	if len(s.CellStructs()) != 2 {
 		t.Fatalf("cell structs = %d, want 2", len(s.CellStructs()))
 	}
-	echo := s.Protocol("Echo")
+	echo := protocolNamed(s, "Echo")
 	if echo == nil {
 		t.Fatal("Echo protocol missing")
 	}
@@ -132,13 +142,13 @@ protocol Empty { Type: Asyn; }
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Protocol("Notify").Type != Asyn {
+	if protocolNamed(s, "Notify").Type != Asyn {
 		t.Fatal("Notify should be async")
 	}
-	if s.Protocol("Empty").Request != nil {
+	if protocolNamed(s, "Empty").Request != nil {
 		t.Fatal("Empty should have void request")
 	}
-	if s.Protocol("Notify").ID != ProtoUserBase || s.Protocol("Empty").ID != ProtoUserBase+1 {
+	if protocolNamed(s, "Notify").ID != ProtoUserBase || protocolNamed(s, "Empty").ID != ProtoUserBase+1 {
 		t.Fatal("protocol IDs not sequential")
 	}
 }
@@ -151,7 +161,7 @@ protocol Exec { Type: Syn; Request: Cmd; Response: void; }
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Protocol("Exec").Response != nil {
+	if protocolNamed(s, "Exec").Response != nil {
 		t.Fatal("void response should be nil")
 	}
 }
