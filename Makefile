@@ -5,10 +5,12 @@ GO ?= go
 CHAOS_SEEDS ?= 1,2,3
 CHAOS_TIMEOUT ?= 10m
 
-# The graph-stack benchmark set: archived, baselined and gated in CI.
+# The gated benchmark set: the graph stack plus the trunk's own Put, Get,
+# View and §6.1 expansion benchmarks. Archived, baselined and gated in CI.
 BENCH_PKGS = ./internal/graph/ ./internal/graph/view/ \
 	./internal/compute/bsp/ ./internal/compute/traversal/ \
-	./internal/memcloud/fetch/ ./internal/memcloud/store/
+	./internal/memcloud/fetch/ ./internal/memcloud/store/ \
+	./internal/trunk/
 BENCH_TIME ?= 2s
 BENCH_JSON ?= bench_new.json
 
@@ -80,14 +82,14 @@ scored-smoke:
 check: build vet fmt-check lint-ctx test race chaos bench-smoke scored-smoke
 
 # Real benchmark runs: the obs hot paths plus the graph stack — view CSR
-# scans/builds, BSP supersteps and multi-hop traversal. The graph-stack
-# results go to $(BENCH_JSON) (git-ignored scratch) via cmd/benchjson;
+# scans/builds, BSP supersteps and multi-hop traversal — and the trunk.
+# The gated results go to $(BENCH_JSON) (git-ignored scratch) via cmd/benchjson;
 # the one committed archive is the gate baseline, BENCH_baseline.json.
 bench:
 	$(GO) test -run=NONE -bench=. -benchtime=$(BENCH_TIME) ./internal/obs/
 	$(MAKE) bench-json
 
-# Graph-stack benchmarks alone, straight to JSON. -benchmem records
+# The gated benchmarks alone, straight to JSON. -benchmem records
 # B/op and allocs/op: allocs/op is what the compare gate checks (time is
 # the scored benchmark's job). -p 1 keeps the package
 # test binaries sequential: several of these spin up multi-machine

@@ -38,8 +38,6 @@ var reachPending = []pendingRow{
 		"ROADMAP item 4 first slice: its ambiguous-Add de-duplication moves into cellOps, which gives it a caller or deletes it"},
 	{[]string{"internal/compute/bsp.Context.Aggregate", "internal/compute/bsp.Context.Aggregated"},
 		"ROADMAP item 7 'Engines': the dense vertex-state core keeps the aggregator only if a program uses it"},
-	{[]string{"internal/trunk.Trunk.Lock", "internal/trunk.Guard"},
-		"ROADMAP item 2 first slice: the in-place list append pins the cell through it, or deletes it with the defragmenter's pinned-cell skip"},
 }
 
 type pendingRow struct {

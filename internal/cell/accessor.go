@@ -65,8 +65,8 @@ func skipValue(t *Type, buf []byte, off int) (int, error) {
 // use NewAccessor. Accessors are cheap to create (no parsing up front):
 // field offsets are resolved lazily, walking only the fields preceding the
 // requested one. An accessor does not own the blob; when used inside
-// trunk.View or under a trunk.Guard, reads and in-place writes are
-// zero-copy into the memory cloud.
+// trunk.View, reads and in-place writes are zero-copy into the memory
+// cloud, under the cell's lock.
 type Accessor struct {
 	st  *StructType
 	buf []byte

@@ -128,18 +128,16 @@ type Config struct {
 	// clusters; raise it for large resident graphs).
 	TrunkCapacity int64
 	// TrunkPageSize is the trunk commit granularity. Zero means the
-	// trunk default (64 KiB).
+	// trunk default (64 KiB). It is also the least gap that makes a trunk
+	// compact itself: there is no defragmentation daemon to configure,
+	// each trunk runs a pass once its gaps reach its live bytes and one
+	// page (§6.1).
 	TrunkPageSize int64
 	// Reservation is the trunk expansion reservation policy.
 	Reservation trunk.ReservationPolicy
 	// BufferedLogging enables RAMCloud-style durable logging of every
 	// mutation to TFS between backups.
 	BufferedLogging bool
-	// DefragInterval starts a background defragmentation daemon per slave
-	// that sweeps its trunks on this period (§6.1's defragmentation
-	// daemon). Zero disables the daemon; explicit Defragment calls and
-	// the allocate-retry path still compact on demand.
-	DefragInterval time.Duration
 	// Msg configures the per-machine messaging runtime.
 	Msg msg.Options
 	// TransportWrap, if set, decorates every machine's transport endpoint

@@ -72,15 +72,11 @@ func (s *Slave) acquireTrunks(tids []uint32) {
 			}
 		}
 		s.mu.Lock()
-		_, exists := s.trunks[tid]
-		if !exists {
+		if _, exists := s.trunks[tid]; !exists {
 			s.trunks[tid] = t
 			s.recoveries.Add(1)
 		}
 		s.mu.Unlock()
-		if !exists && s.defrag != nil {
-			s.defrag.Watch(t)
-		}
 	}
 }
 

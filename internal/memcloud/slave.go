@@ -30,7 +30,6 @@ type Slave struct {
 	fs     *tfs.FS
 	cfg    Config
 	alive  atomic.Bool
-	defrag *trunk.Daemon
 
 	mu     sync.RWMutex
 	trunks map[uint32]*trunk.Trunk
@@ -108,15 +107,6 @@ func newSlave(node *msg.Node, fs *tfs.FS, initial *cluster.Table, cfg Config) *S
 	}
 	node.HandleSync(ProtoMultiGet, s.onMultiGet)
 	node.HandleSync(ProtoMultiPut, s.onMultiPut)
-	if cfg.DefragInterval > 0 {
-		s.defrag = trunk.NewDaemon(cfg.DefragInterval)
-		s.mu.RLock()
-		for _, t := range s.trunks {
-			s.defrag.Watch(t)
-		}
-		s.mu.RUnlock()
-		s.defrag.Start()
-	}
 	return s
 }
 
@@ -129,15 +119,11 @@ func (s *Slave) newTrunk() *trunk.Trunk {
 	})
 }
 
-// stop takes the slave out of service: background daemon, membership and
-// messaging runtime, in that order. It reports whether this call was the
-// one that stopped it.
+// stop takes the slave out of service: membership, then messaging
+// runtime. It reports whether this call was the one that stopped it.
 func (s *Slave) stop() bool {
 	if !s.alive.Swap(false) {
 		return false
-	}
-	if s.defrag != nil {
-		s.defrag.Stop()
 	}
 	s.member.Stop()
 	s.node.Close()
@@ -145,8 +131,8 @@ func (s *Slave) stop() bool {
 }
 
 // registerTrunkGauges publishes snapshot-time gauges over this slave's
-// trunk set: hash-table load (cells), committed bytes, and the load
-// factor (live/committed) that drives defragmentation decisions. Func
+// trunk set: hash-table load (cells), committed bytes, gap bytes (what
+// makes a trunk compact itself) and the load factor (live/committed). Func
 // gauges cost nothing on the storage hot path — they walk the trunks only
 // when a snapshot is taken.
 func (s *Slave) registerTrunkGauges() {

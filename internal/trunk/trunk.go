@@ -8,6 +8,11 @@
 // tail chase each other around the buffer in an endless circular movement,
 // exactly as Figure 11 of the paper describes.
 //
+// The trunk decides when to compact by itself, in place of the paper's
+// periodic daemon: every exclusive-mode mutation ends with one pass when
+// the gap bytes reach the live bytes and at least one page, and an
+// allocation that finds no contiguous room runs one pass and retries.
+//
 // Storing cells as raw blobs in a single buffer is the load-bearing design
 // decision of Trinity: a trunk is one object from the garbage collector's
 // point of view no matter how many cells it holds, which is what lets the
@@ -18,9 +23,11 @@
 // mechanism ("each machine hosts multiple memory trunks ... parallelism
 // without any overhead of locking"), so structural operations on one trunk
 // are serialized by a single trunk mutex. In addition, every cell carries a
-// spin lock used for concurrency control and physical memory pinning: a
-// pinned cell is never moved by the defragmentation daemon, and accessors
-// hold the pin while exposing a zero-copy view of the blob.
+// spin lock that shared-mode holders of that mutex take around each payload
+// access: View exposes a zero-copy view of the blob that the §4.3 accessors
+// write in place, and the lock keeps concurrent readers from seeing a
+// half-written cell. Paths holding the mutex exclusively (mutations and
+// defragmentation) need no cell lock, since no shared holder can be inside.
 package trunk
 
 import (
@@ -40,8 +47,8 @@ import (
 // Errors returned by trunk operations.
 var (
 	// ErrFull reports that the trunk cannot satisfy an allocation even
-	// after considering the wrap-around region. Callers typically run a
-	// defragmentation pass and retry, or spill to another trunk.
+	// after considering the wrap-around region and running one
+	// defragmentation pass.
 	ErrFull = errors.New("trunk: out of memory")
 	// ErrNotFound reports that no cell with the given key exists.
 	ErrNotFound = errors.New("trunk: cell not found")
@@ -128,7 +135,6 @@ type Stats struct {
 	DefragPasses  int64 // completed defragmentation passes
 	CellsMoved    int64 // cells copied by defragmentation
 	BytesMoved    int64 // bytes copied by defragmentation
-	DefragSkips   int64 // passes cut short by a pinned cell
 }
 
 // entry is the trunk hash table's view of one cell. The pointer identity
@@ -136,19 +142,14 @@ type Stats struct {
 // be manipulated with atomics while the table itself is guarded by the
 // trunk mutex.
 type entry struct {
-	lock     uint32 // spin lock; also pins the cell against defragmentation
-	dead     uint32 // set (under lock) when the cell is removed
+	lock     uint32 // spin lock; taken only under the shared trunk mutex
 	offset   int64
 	size     int32
 	reserved int32
 }
 
-func (e *entry) tryLock() bool {
-	return atomic.CompareAndSwapUint32(&e.lock, 0, 1)
-}
-
 func (e *entry) spinLock() {
-	for !e.tryLock() {
+	for !atomic.CompareAndSwapUint32(&e.lock, 0, 1) {
 		runtime.Gosched()
 	}
 }
@@ -384,14 +385,20 @@ const (
 // Append: apply the mutation under the trunk mutex and, if the circular
 // allocator is out of contiguous room, run one defragmentation pass (it
 // may coalesce enough gaps and expired reservations) and apply once more.
-// It stays a flat function on purpose — no closure, no helper taking a
-// func: owner-side handlers run on fresh goroutines with small stacks,
-// and extra frames above alloc send every write through stack growth.
+// Like every exclusive-mode mutation it ends with the compaction rule: a
+// pass once the trunk holds at least as many gap bytes as live bytes, and
+// at least a page of them. It stays a flat function on purpose — no closure, no helper
+// taking a func: owner-side handlers run on fresh goroutines with small
+// stacks, and extra frames above alloc send every write through stack
+// growth.
 func (t *Trunk) mutate(kind mutKind, key uint64, payload []byte) error {
 	t.mu.Lock()
 	err := t.mutateLocked(kind, key, payload)
 	if errors.Is(err, ErrFull) && t.defragmentLocked() > 0 {
 		err = t.mutateLocked(kind, key, payload)
+	}
+	if t.gapBytes >= t.liveBytes && t.gapBytes >= t.pageSize {
+		t.defragmentLocked()
 	}
 	t.mu.Unlock()
 	return err
@@ -470,7 +477,8 @@ func (it *BatchItem) kind() mutKind {
 // The return value is nil when every item succeeded; otherwise it is a
 // per-item error slice in argument order (nil entries for the items that
 // succeeded). One full item does not fail its neighbours: ErrFull items
-// are retried once after a defragmentation pass, exactly like Put.
+// are retried once after a defragmentation pass, exactly like Put, and the
+// batch ends with mutate's compaction rule.
 func (t *Trunk) PutBatch(items []BatchItem) []error {
 	var errs []error
 	fail := func(i int, err error) {
@@ -490,16 +498,18 @@ func (t *Trunk) PutBatch(items []BatchItem) []error {
 			fail(i, err)
 		}
 	}
-	if len(full) == 0 {
-		return errs
-	}
-	// Tight on space: one defragmentation pass, then just the full items
-	// once more.
-	t.defragmentLocked()
-	for _, i := range full {
-		if err := t.mutateLocked(items[i].kind(), items[i].Key, items[i].Val); err != nil {
-			fail(i, err)
+	if len(full) > 0 {
+		// Tight on space: one defragmentation pass, then just the full
+		// items once more.
+		t.defragmentLocked()
+		for _, i := range full {
+			if err := t.mutateLocked(items[i].kind(), items[i].Key, items[i].Val); err != nil {
+				fail(i, err)
+			}
 		}
+	}
+	if t.gapBytes >= t.liveBytes && t.gapBytes >= t.pageSize {
+		t.defragmentLocked()
 	}
 	return errs
 }
@@ -508,8 +518,6 @@ func (t *Trunk) PutBatch(items []BatchItem) []error {
 // the new payload fits in size+reservation, otherwise relocating.
 // Called with t.mu held.
 func (t *Trunk) rewriteLocked(key uint64, e *entry, payload []byte) error {
-	e.spinLock()
-	defer e.unlock()
 	newSize := int32(len(payload))
 	if newSize <= e.size+e.reserved {
 		// In-place: the slot keeps its total span; the delta moves
@@ -528,8 +536,7 @@ func (t *Trunk) rewriteLocked(key uint64, e *entry, payload []byte) error {
 }
 
 // relocateLocked moves a cell to a freshly allocated slot with the given
-// reservation, abandoning the old slot as a gap. Called with t.mu and the
-// entry lock held.
+// reservation, abandoning the old slot as a gap. Called with t.mu held.
 func (t *Trunk) relocateLocked(key uint64, e *entry, payload []byte, reserved int32) error {
 	need := int64(headerSize) + int64(len(payload)) + int64(reserved)
 	off, err := t.alloc(need)
@@ -568,8 +575,6 @@ func (t *Trunk) Append(key uint64, extra []byte) error {
 
 // appendLocked grows an existing cell by extra. Called with t.mu held.
 func (t *Trunk) appendLocked(key uint64, e *entry, extra []byte) error {
-	e.spinLock()
-	defer e.unlock()
 	growth := int32(len(extra))
 	if growth <= e.reserved {
 		copy(t.buf[e.offset+headerSize+int64(e.size):], extra)
@@ -640,10 +645,11 @@ func (t *Trunk) Contains(key uint64) bool {
 	return ok
 }
 
-// View invokes fn with a zero-copy slice of the cell's payload. The cell's
-// spin lock is held for the duration, pinning it against defragmentation
-// and concurrent mutation; fn may read and write the slice in place but
-// must not retain it. This is the mechanism behind TSL cell accessors.
+// View invokes fn with a zero-copy slice of the cell's payload. The trunk
+// is read-locked and the cell's spin lock held for the duration, so the
+// cell can neither move nor be read half-written; fn may read and write the
+// slice in place but must not retain it. This is the mechanism behind TSL
+// cell accessors.
 func (t *Trunk) View(key uint64, fn func(payload []byte) error) error {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
@@ -656,7 +662,8 @@ func (t *Trunk) View(key uint64, fn func(payload []byte) error) error {
 	return fn(t.buf[e.offset+headerSize : e.offset+headerSize+int64(e.size)])
 }
 
-// Remove deletes a cell, leaving a gap for the defragmentation daemon.
+// Remove deletes a cell, leaving a gap, and ends with mutate's compaction
+// rule.
 func (t *Trunk) Remove(key uint64) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -664,14 +671,13 @@ func (t *Trunk) Remove(key uint64) error {
 	if !ok {
 		return ErrNotFound
 	}
-	e.spinLock()
-	atomic.StoreUint32(&e.dead, 1)
-	span := int64(headerSize) + int64(e.size) + int64(e.reserved)
-	t.gapBytes += span
+	t.gapBytes += int64(headerSize) + int64(e.size) + int64(e.reserved)
 	t.liveBytes -= int64(headerSize) + int64(e.size)
 	t.reservedBytes -= int64(e.reserved)
 	delete(t.index, key)
-	e.unlock()
+	if t.gapBytes >= t.liveBytes && t.gapBytes >= t.pageSize {
+		t.defragmentLocked()
+	}
 	return nil
 }
 
@@ -702,19 +708,14 @@ func (t *Trunk) Keys() []uint64 {
 	return keys
 }
 
-// Defragment performs one pass of the defragmentation daemon: it scans the
+// defragmentLocked performs one defragmentation pass: it scans the
 // committed region from the tail, drops dead records and wrap fillers,
 // re-appends live records at the head (trimming their now-expired
 // reservations), and advances the committed tail so dead pages can be
-// decommitted. The pass stops early if it reaches a cell that is pinned by
-// a concurrent accessor. It returns the number of bytes reclaimed.
-func (t *Trunk) Defragment() int64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.defragmentLocked()
-}
-
-// defragmentLocked is Defragment's pass. Called with t.mu held.
+// decommitted. It stops once no gap or reservation is left, so it moves
+// at most the live bytes. It returns the number of bytes reclaimed.
+// Called with t.mu held exclusively, which is also why it needs no cell
+// lock: every holder of one is a shared holder of t.mu.
 func (t *Trunk) defragmentLocked() int64 {
 	if t.gapBytes == 0 && t.reservedBytes == 0 {
 		return 0
@@ -756,11 +757,7 @@ func (t *Trunk) defragmentLocked() int64 {
 			reclaimed += span
 			continue
 		}
-		// Live record: move it to the head unless it is pinned.
-		if !e.tryLock() {
-			t.stats.DefragSkips++
-			break
-		}
+		// Live record: move it to the head.
 		payload := t.scratchCopy(t.buf[t.tail+headerSize : t.tail+headerSize+int64(size)])
 		t.advanceTail(span)
 		toScan -= span
@@ -774,7 +771,6 @@ func (t *Trunk) defragmentLocked() int64 {
 			// consistent state defensively.
 			t.liveBytes += int64(headerSize) + int64(size)
 			t.reservedBytes += int64(reserved)
-			e.unlock()
 			break
 		}
 		t.writeHeader(off, key, size, 0)
@@ -784,7 +780,6 @@ func (t *Trunk) defragmentLocked() int64 {
 		t.liveBytes += int64(headerSize) + int64(size)
 		t.stats.CellsMoved++
 		t.stats.BytesMoved += int64(size)
-		e.unlock()
 	}
 	t.decommitDead()
 	t.stats.DefragPasses++
@@ -813,54 +808,6 @@ func (t *Trunk) scratchCopy(b []byte) []byte {
 	return s
 }
 
-// Guard is a held cell spin lock. While a guard is held the cell is
-// pinned: the defragmentation daemon will not move it and concurrent
-// writers to the same cell block. A guard is released exactly once with
-// Unlock. Guards are not reentrant: calling any trunk method on the same
-// key while holding its guard deadlocks, so all access while pinned goes
-// through the guard itself.
-type Guard struct {
-	t *Trunk
-	e *entry
-}
-
-// Lock acquires the cell's spin lock, pinning it in memory, and returns a
-// guard. Returns ErrNotFound if the key does not exist.
-func (t *Trunk) Lock(key uint64) (*Guard, error) {
-	for {
-		t.mu.RLock()
-		e, ok := t.index[key]
-		t.mu.RUnlock()
-		if !ok {
-			return nil, ErrNotFound
-		}
-		e.spinLock()
-		if atomic.LoadUint32(&e.dead) == 1 {
-			// Removed between lookup and lock; the key may have been
-			// re-added with a fresh entry, so retry the lookup.
-			e.unlock()
-			continue
-		}
-		return &Guard{t: t, e: e}, nil
-	}
-}
-
-// Bytes returns a zero-copy view of the pinned cell's payload. The slice
-// is valid until Unlock and may be read and written in place. The entry's
-// offset and size cannot change while the guard is held (relocation
-// requires the cell lock), and the trunk buffer itself never reallocates,
-// so no further locking is needed.
-func (g *Guard) Bytes() []byte {
-	off := g.e.offset + headerSize
-	return g.t.buf[off : off+int64(g.e.size)]
-}
-
-// Unlock releases the guard. It must be called exactly once.
-func (g *Guard) Unlock() {
-	g.e.unlock()
-	g.e = nil
-}
-
 // dump format constants.
 const (
 	dumpMagic   = 0x54524e4b // "TRNK"
@@ -869,6 +816,8 @@ const (
 
 // DumpTo serializes all live cells to w in a compact, checksummed format.
 // It is used by the Trinity File System backup path and by checkpointing.
+// Each payload is copied under its cell lock, like ForEach, so a View
+// writing the cell in place cannot leave a half-written copy in the dump.
 func (t *Trunk) DumpTo(w io.Writer) error {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
@@ -888,7 +837,10 @@ func (t *Trunk) DumpTo(w io.Writer) error {
 		if _, err := mw.Write(rec[:]); err != nil {
 			return err
 		}
-		if _, err := mw.Write(t.buf[e.offset+headerSize : e.offset+headerSize+int64(e.size)]); err != nil {
+		e.spinLock()
+		_, err := mw.Write(t.buf[e.offset+headerSize : e.offset+headerSize+int64(e.size)])
+		e.unlock()
+		if err != nil {
 			return err
 		}
 	}
