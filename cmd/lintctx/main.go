@@ -30,13 +30,12 @@
 //  4. Every exported function, method and type under internal/ is
 //     referenced by non-test code under internal/, cmd/, examples/ or
 //     benchmark/ — "the system" is what a binary can reach; code only a
-//     test calls has traffic nobody measured. Two escapes, both greppable
-//     and both carrying a reason: `//reach:test-seam <why>` in the doc
-//     comment of fault-injection and fixture API that tests need, and the
-//     reachPending table in reach.go for API waiting on a named ROADMAP
-//     bullet. Unlike checks 1-3 this one type-checks the tree (reach.go);
-//     it counts references, not call paths, so a function kept alive only
-//     by another unreferenced function surfaces once that one is deleted.
+//     test calls has traffic nobody measured. The one escape is greppable
+//     and carries a reason: `//reach:test-seam <why>` in the doc comment
+//     of fault-injection and fixture API that tests need. Unlike checks
+//     1-3 this one type-checks the tree (reach.go); it counts references,
+//     not call paths, so a function kept alive only by another
+//     unreferenced function surfaces once that one is deleted.
 //
 // Exit status is non-zero if any violation is found, so `make lint-ctx`
 // can gate CI. The tool has no dependencies outside the standard library.
@@ -110,7 +109,7 @@ func main() {
 	files, err := parseTree(fset, root)
 	var violations []violation
 	if err == nil {
-		violations, err = lint(fset, files, reachPending)
+		violations, err = lint(fset, files)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "lintctx:", err)
@@ -153,7 +152,7 @@ func parseTree(fset *token.FileSet, root string) (map[string]*ast.File, error) {
 
 // lint runs checks 1-3 on each file under internal/ and check 4 on the
 // whole set, and returns the violations in position order.
-func lint(fset *token.FileSet, files map[string]*ast.File, pending []pendingRow) ([]violation, error) {
+func lint(fset *token.FileSet, files map[string]*ast.File) ([]violation, error) {
 	var violations []violation
 	for rel, file := range files {
 		if !strings.HasPrefix(rel, "internal/") {
@@ -167,7 +166,7 @@ func lint(fset *token.FileSet, files map[string]*ast.File, pending []pendingRow)
 			violations = append(violations, checkHotPathAllocs(fset, file)...)
 		}
 	}
-	reach, err := checkReach(fset, files, pending)
+	reach, err := checkReach(fset, files)
 	if err != nil {
 		return nil, err
 	}

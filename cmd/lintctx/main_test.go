@@ -10,7 +10,7 @@ import (
 
 // lintFixture parses an in-memory tree (slash-separated path relative to
 // the repo root -> source) and returns the violation messages.
-func lintFixture(t *testing.T, tree map[string]string, pending []pendingRow) []string {
+func lintFixture(t *testing.T, tree map[string]string) []string {
 	t.Helper()
 	fset := token.NewFileSet()
 	files := make(map[string]*ast.File)
@@ -21,7 +21,7 @@ func lintFixture(t *testing.T, tree map[string]string, pending []pendingRow) []s
 		}
 		files[rel] = f
 	}
-	vs, err := lint(fset, files, pending)
+	vs, err := lint(fset, files)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,10 +44,9 @@ func mainUsing(imports string, refs ...string) string {
 
 func TestLint(t *testing.T) {
 	cases := []struct {
-		name    string
-		tree    map[string]string
-		pending []pendingRow
-		want    []string // one substring per expected violation, in position order
+		name string
+		tree map[string]string
+		want []string // one substring per expected violation, in position order
 	}{
 		{
 			name: "check 1: time.After in a select is flagged",
@@ -186,26 +185,10 @@ func Use(g Getter) int { return g.Get() }`,
 			},
 			want: []string{"internal/cell.Ref.SetNever has no reference", "internal/cell.Store.Put has no reference"},
 		},
-		{
-			name: "check 4: a pending row covers what is under it, and may not outlive it",
-			tree: map[string]string{
-				"internal/a/a.go": `package a
-type Engine struct{}
-func New() *Engine { return nil }
-func (*Engine) Run() {}
-func Called() {}`,
-				"cmd/x/main.go": mainUsing(`"trinity/internal/a"`, "a.Called"),
-			},
-			pending: []pendingRow{
-				{syms: []string{"internal/a.New", "internal/a.Engine"}, until: "some bullet"},
-				{syms: []string{"internal/a.Called"}, until: "landed already"},
-			},
-			want: []string{"reachPending: internal/a.Called covers nothing unreferenced"},
-		},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			got := lintFixture(t, c.tree, c.pending)
+			got := lintFixture(t, c.tree)
 			if len(got) != len(c.want) {
 				t.Fatalf("violations = %q, want %d matching %q", got, len(c.want), c.want)
 			}

@@ -23,28 +23,6 @@ const modulePath = "trinity"
 // Like //alloc:ok it must carry a reason.
 const seamTag = "//reach:test-seam"
 
-// reachPending lists exported API under internal/ whose first non-test
-// caller is a ROADMAP bullet that has not landed yet; each row names the
-// bullet that removes it. A symbol covers itself and everything under it
-// (a package's declarations, a type's methods). A symbol that no longer
-// covers anything unreferenced is itself a violation, so the table cannot
-// outlive its reasons.
-var reachPending = []pendingRow{
-	{[]string{"internal/compute/async"},
-		"ROADMAP item 5 first slice: offline_job runs async.NewBFS against the sequential BFS and restores its queues after a kill; until then the whole engine runs only under go test"},
-	{[]string{"internal/compute/bsp.Engine.Restore"},
-		"ROADMAP item 5 first slice: offline_job kills a machine mid-PageRank and restores from the checkpoint"},
-	{[]string{"internal/memcloud/store.Writer.AddAsync"},
-		"ROADMAP item 4 first slice: its ambiguous-Add de-duplication moves into cellOps, which gives it a caller or deletes it"},
-	{[]string{"internal/compute/bsp.Context.Aggregate", "internal/compute/bsp.Context.Aggregated"},
-		"ROADMAP item 7 'Engines': the dense vertex-state core keeps the aggregator only if a program uses it"},
-}
-
-type pendingRow struct {
-	syms  []string
-	until string
-}
-
 // errorsMethods are the optional methods package errors looks up through
 // unexported interfaces, so no interface in any scope names them.
 var errorsMethods = map[string]bool{"Unwrap": true, "Is": true, "As": true}
@@ -183,12 +161,12 @@ func interfaceMethods(ext []*types.Package, reached map[types.Object]bool) map[s
 // checkReach is check 4: every exported function, method and type under
 // internal/ must be referenced by non-test code somewhere under the
 // reach roots (files holds exactly that code, keyed by slash-separated
-// path relative to the repo root), be marked a test seam, or be covered
-// by a pending row. A reference from a declaration's own body does not
-// count. A method also counts as referenced when its type implements an
-// interface through which non-test code calls that method name, or one
-// declared outside the module (sort.Interface, error, ...).
-func checkReach(fset *token.FileSet, files map[string]*ast.File, pendingRows []pendingRow) ([]violation, error) {
+// path relative to the repo root), or be marked a test seam. A reference
+// from a declaration's own body does not count. A method also counts as
+// referenced when its type implements an interface through which
+// non-test code calls that method name, or one declared outside the
+// module (sort.Interface, error, ...).
+func checkReach(fset *token.FileSet, files map[string]*ast.File) ([]violation, error) {
 	rels := make([]string, 0, len(files))
 	for rel := range files {
 		rels = append(rels, rel)
@@ -231,18 +209,6 @@ func checkReach(fset *token.FileSet, files map[string]*ast.File, pendingRows []p
 		}
 		return false
 	}
-	pendingUsed := make(map[string]bool)
-	pending := func(key string) bool {
-		for _, row := range pendingRows {
-			for _, sym := range row.syms {
-				if key == sym || strings.HasPrefix(key, sym+".") {
-					pendingUsed[sym] = true
-					return true
-				}
-			}
-		}
-		return false
-	}
 	seamTypes := make(map[types.Object]bool)
 	// judge applies the rule to one exported declaration; own is the
 	// declaration's own annotation.
@@ -260,7 +226,7 @@ func checkReach(fset *token.FileSet, files map[string]*ast.File, pendingRows []p
 		switch _, isType := obj.(*types.TypeName); {
 		case live && own && !isType:
 			report(id.Pos(), "%s has a non-test caller: drop its %s", key, seamTag)
-		case !live && !own && !seamTypes[recvType] && !pending(key):
+		case !live && !own && !seamTypes[recvType]:
 			report(id.Pos(), "exported %s has no reference from non-test code under cmd/, examples/, benchmark/ or internal/: delete it, or mark it %s <why>", key, seamTag)
 		}
 	}
@@ -303,13 +269,6 @@ func checkReach(fset *token.FileSet, files map[string]*ast.File, pendingRows []p
 				recvType = t.(*types.Named).Obj()
 			}
 			judge(rel, fn.Name, recvType, seam(fn.Doc))
-		}
-	}
-	for _, row := range pendingRows {
-		for _, sym := range row.syms {
-			if !pendingUsed[sym] {
-				out = append(out, violation{msg: fmt.Sprintf("reachPending: %s covers nothing unreferenced any more: drop it (it was waiting for %q)", sym, row.until)})
-			}
 		}
 	}
 	return out, nil

@@ -87,12 +87,6 @@ type Options struct {
 	// at least this many local targets is subscribed via an action
 	// script. Zero disables the optimization.
 	HubThreshold int
-	// CheckpointEvery writes vertex values to TFS every k supersteps
-	// ("for BSP based synchronous computation, we make check points every
-	// a few supersteps", §6.2). Zero disables checkpointing.
-	CheckpointEvery int
-	// CheckpointName names the checkpoint files on TFS.
-	CheckpointName string
 	// OnSuperstep, if non-nil, observes (superstep, active, sent) after
 	// every barrier.
 	OnSuperstep func(step int, active, sent int64)
@@ -105,7 +99,6 @@ type Context struct {
 	self    uint64
 	selfIdx int // dense local index of self in the partition view
 	step    int
-	agg     map[string]float64
 }
 
 // Superstep returns the current superstep number (0-based).
@@ -128,18 +121,6 @@ func (c *Context) OutDegree() int {
 	return c.w.pv.OutDegree(c.selfIdx)
 }
 
-// Aggregate adds v into the named global aggregator; the reduced sum is
-// visible to all vertices at the next superstep via ctx.Aggregated.
-func (c *Context) Aggregate(name string, v float64) {
-	c.agg[name] += v
-}
-
-// Aggregated returns the global sum of the named aggregator from the
-// previous superstep.
-func (c *Context) Aggregated(name string) float64 {
-	return c.w.e.aggGlobal[name]
-}
-
 // Engine runs vertex programs over a distributed graph. One worker is
 // attached to every machine; Run drives them through synchronized
 // supersteps with machine 0 acting as coordinator.
@@ -150,7 +131,6 @@ type Engine struct {
 	prepErr error // partition-view acquisition failure, surfaced by Run
 
 	totalVertices int
-	aggGlobal     map[string]float64
 
 	metrics engineMetrics
 }
@@ -198,8 +178,6 @@ type worker struct {
 	hubSubscribers map[uint64][]msg.MachineID // local hub -> subscribed machines
 	hubSubSet      map[uint64]map[msg.MachineID]bool
 
-	aggLocal map[string]float64
-
 	sentWire  atomic.Int64 // messages that crossed the wire (cumulative)
 	sentTotal atomic.Int64 // logical messages this step
 	combined  atomic.Int64 // combiner merges (cumulative)
@@ -220,7 +198,7 @@ func New(g *graph.Graph, opts Options) *Engine {
 	if opts.MaxSupersteps <= 0 {
 		opts.MaxSupersteps = 1 << 30
 	}
-	e := &Engine{g: g, opts: opts, aggGlobal: map[string]float64{}}
+	e := &Engine{g: g, opts: opts}
 	scope := g.On(0).Slave().Metrics().Scope("bsp")
 	e.metrics = engineMetrics{
 		supersteps:    scope.Counter("supersteps"),
@@ -253,7 +231,6 @@ func New(g *graph.Graph, opts Options) *Engine {
 			active:   make([]bool, n),
 			inbox:    make([][]float64, n),
 			next:     make([][]float64, n),
-			aggLocal: map[string]float64{},
 			doneFrom: make(map[msg.MachineID]bool),
 		}
 		w.doneCond = sync.NewCond(&w.doneMu)
@@ -274,10 +251,9 @@ func New(g *graph.Graph, opts Options) *Engine {
 //
 // Cancellation is observed at superstep granularity plus compute-phase
 // poll points: when ctx fires, workers stop computing within ~1024
-// vertices, the marker barrier unblocks, and Run returns ctx.Err()
-// without checkpointing the half-finished step — on-disk checkpoints
-// only ever hold complete supersteps. The engine is not reusable after
-// a cancelled run (matching every other error return).
+// vertices, the marker barrier unblocks, and Run returns ctx.Err(). The
+// engine is not reusable after a cancelled run (matching every other
+// error return).
 func (e *Engine) Run(ctx context.Context, p Program) (int, error) {
 	if e.prepErr != nil {
 		return 0, e.prepErr
@@ -318,23 +294,11 @@ func (e *Engine) Run(ctx context.Context, p Program) (int, error) {
 		if e.opts.OnSuperstep != nil {
 			e.opts.OnSuperstep(step, active, sent)
 		}
-		if e.opts.CheckpointEvery > 0 && (step+1)%e.opts.CheckpointEvery == 0 {
-			if err := e.Checkpoint(fmt.Sprintf("%s/step-%d", e.checkpointName(), step)); err != nil {
-				return step, err
-			}
-		}
 		if active == 0 && sent == 0 {
 			return step + 1, nil
 		}
 	}
 	return step, nil
-}
-
-func (e *Engine) checkpointName() string {
-	if e.opts.CheckpointName != "" {
-		return "bsp/" + e.opts.CheckpointName
-	}
-	return "bsp/checkpoint"
 }
 
 // initVertices runs Program.Init on every vertex in parallel. Degrees
@@ -424,14 +388,9 @@ func (e *Engine) superstep(ctx context.Context, p Program, step int) (int64, int
 	if err != nil {
 		return 0, 0, err
 	}
-	// Phase 4: reduce aggregators and counters on the coordinator.
-	agg := map[string]float64{}
+	// Phase 4: reduce counters on the coordinator.
 	var active, sent int64
 	for _, w := range e.workers {
-		for k, v := range w.aggLocal {
-			agg[k] += v
-		}
-		w.aggLocal = map[string]float64{}
 		for idx := range w.active {
 			if w.active[idx] || len(w.next[idx]) > 0 {
 				active++
@@ -446,7 +405,6 @@ func (e *Engine) superstep(ctx context.Context, p Program, step int) (int64, int
 	e.metrics.supersteps.Inc()
 	e.metrics.msgsSent.Add(sent)
 	e.metrics.activeVerts.Set(active)
-	e.aggGlobal = agg
 	return active, sent, nil
 }
 
@@ -465,7 +423,6 @@ func (w *worker) computePhase(ctx context.Context, p Program, step int) error {
 		workers = 1
 	}
 	var wg sync.WaitGroup
-	var aggMu sync.Mutex
 	ids := w.pv.IDs()
 	shard := (n + workers - 1) / workers
 	for s := 0; s < n; s += shard {
@@ -476,7 +433,7 @@ func (w *worker) computePhase(ctx context.Context, p Program, step int) error {
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()
-			vctx := &Context{w: w, step: step, agg: map[string]float64{}}
+			vctx := &Context{w: w, step: step}
 			for idx := lo; idx < hi; idx++ {
 				if idx&1023 == 0 && ctx.Err() != nil {
 					break
@@ -491,11 +448,6 @@ func (w *worker) computePhase(ctx context.Context, p Program, step int) error {
 				w.values[idx] = newVal
 				w.active[idx] = !halt
 			}
-			aggMu.Lock()
-			for k, v := range vctx.agg {
-				w.aggLocal[k] += v
-			}
-			aggMu.Unlock()
 		}(s, endIdx)
 	}
 	wg.Wait()

@@ -214,30 +214,6 @@ func (neverHalt) Compute(ctx *Context, id uint64, v float64, _ []float64) (float
 	return v, false
 }
 
-func TestAggregator(t *testing.T) {
-	cloud := newCloud(t, 2)
-	g := ringGraph(t, cloud, 20)
-	e := New(g, Options{MaxSupersteps: 2})
-	if _, err := e.Run(context.Background(), &aggProg{t: t}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-type aggProg struct{ t *testing.T }
-
-func (a *aggProg) Init(uint64, int) (float64, bool) { return 0, true }
-func (a *aggProg) Compute(ctx *Context, id uint64, v float64, _ []float64) (float64, bool) {
-	if ctx.Superstep() == 0 {
-		ctx.Aggregate("count", 1)
-		return v, false
-	}
-	// Superstep 1 sees the global reduction from superstep 0.
-	if got := ctx.Aggregated("count"); got != 20 {
-		a.t.Errorf("aggregated count = %f, want 20", got)
-	}
-	return v, true
-}
-
 func TestHubOptimizationEquivalence(t *testing.T) {
 	// PageRank results must be identical with and without hub buffering,
 	// but wire messages must drop on a hub-heavy graph.
@@ -276,29 +252,6 @@ func TestHubOptimizationEquivalence(t *testing.T) {
 	}
 	t.Logf("wire messages: %d plain, %d hub-optimized (%.1f%% saved)",
 		baseWire, optWire, 100*float64(baseWire-optWire)/float64(baseWire))
-}
-
-func TestCheckpointRestore(t *testing.T) {
-	cloud := newCloud(t, 2)
-	g := ringGraph(t, cloud, 30)
-	e := New(g, Options{MaxSupersteps: 10, CheckpointEvery: 5, CheckpointName: "pr"})
-	if _, err := e.Run(context.Background(), &pagerank{iters: 9}); err != nil {
-		t.Fatal(err)
-	}
-	want := e.Values()
-	// Corrupt in-memory state, then restore from the checkpoint taken at
-	// step 9 (the run's last, since (9+1)%5==0).
-	e2 := New(g, Options{})
-	e2.initVertices(&pagerank{iters: 0})
-	if err := e2.Restore("bsp/pr/step-9"); err != nil {
-		t.Fatal(err)
-	}
-	got := e2.Values()
-	for id, v := range want {
-		if math.Abs(got[id]-v) > 1e-12 {
-			t.Fatalf("restored value(%d) = %f, want %f", id, got[id], v)
-		}
-	}
 }
 
 func TestEmptyGraph(t *testing.T) {

@@ -155,9 +155,7 @@ func flushOwner(ctx context.Context, s *memcloud.Slave, nodes []*Node) error {
 		chunk := nodes[start:min(start+flushBatch, len(nodes))]
 		items = items[:0]
 		for _, n := range chunk {
-			items = append(items, memcloud.MultiPutItem{
-				Op: memcloud.MultiPutOpPut, Key: n.ID, Val: EncodeNode(n),
-			})
+			items = append(items, memcloud.MultiPutItem{Key: n.ID, Val: EncodeNode(n)})
 		}
 		for i, st := range s.LocalMultiPut(items) {
 			if st == memcloud.MultiPutOK {

@@ -17,9 +17,9 @@ import (
 // ErrNoNode reports that a node cell does not exist.
 var ErrNoNode = errors.New("graph: no such node")
 
-// codeNoNode is the wire code the edge protocols tag ErrNoNode with, so
-// the caller recognises it by code, not by message text. It sits outside
-// memcloud's codes, whose errors an edge handler may pass through.
+// codeNoNode is the wire code the edge and degree protocols tag ErrNoNode
+// with, so the caller recognises it by code, not by message text. It sits
+// outside memcloud's codes, whose errors a handler may pass through.
 const codeNoNode byte = 0x20
 
 // Graph protocol IDs (engine-internal, below tsl.ProtoUserBase). 0x0203
@@ -85,8 +85,8 @@ func (m *Machine) Slave() *memcloud.Slave { return m.s }
 
 // Fetcher returns the machine's batched cell-read pipeline, creating it
 // on first use. All remote cell reads issued through this graph engine —
-// GetNode, Outlinks, Label, GetNodes — flow through it, so concurrent
-// readers on one machine share frames and coalesce duplicate keys.
+// GetNode, Outlinks, Label — flow through it, so concurrent readers on
+// one machine share frames and coalesce duplicate keys.
 func (m *Machine) Fetcher() *fetch.Fetcher {
 	m.fetchOnce.Do(func() {
 		m.fetcher = fetch.New(m.s, fetch.Options{Metrics: m.s.Metrics()})
@@ -203,24 +203,6 @@ func (m *Machine) GetNode(ctx context.Context, id uint64) (*Node, error) {
 		return nil, err
 	}
 	return DecodeNode(id, blob)
-}
-
-// GetNodes fetches and decodes many nodes in one scatter-gather sweep:
-// keys are grouped per owner machine and each group rides multi-get
-// frames instead of one round trip per node. fn is invoked once per id in
-// argument order; a missing node reports ErrNoNode.
-func (m *Machine) GetNodes(ctx context.Context, ids []uint64, fn func(i int, n *Node, err error)) {
-	m.Fetcher().GetBatch(ctx, ids, func(i int, id uint64, blob []byte, err error) {
-		if err != nil {
-			if errors.Is(err, memcloud.ErrNotFound) {
-				err = fmt.Errorf("%w: %d", ErrNoNode, id)
-			}
-			fn(i, nil, err)
-			return
-		}
-		n, derr := DecodeNode(id, blob)
-		fn(i, n, derr)
-	})
 }
 
 // HasNode reports whether the node exists.
@@ -383,6 +365,9 @@ func (m *Machine) localDegrees(id uint64) (out, in int, err error) {
 		}
 		return err
 	})
+	if errors.Is(err, memcloud.ErrNotFound) {
+		err = fmt.Errorf("%w: %d", ErrNoNode, id)
+	}
 	return out, in, err
 }
 
@@ -394,6 +379,9 @@ func (m *Machine) onDegrees(_ context.Context, _ msg.MachineID, req []byte) ([]b
 		return nil, errors.New("graph: bad Degrees request")
 	}
 	out, in, err := m.localDegrees(binary.LittleEndian.Uint64(req))
+	if errors.Is(err, ErrNoNode) {
+		err = msg.WithCode(codeNoNode, err)
+	}
 	var resp [8]byte
 	binary.LittleEndian.PutUint32(resp[0:], uint32(out))
 	binary.LittleEndian.PutUint32(resp[4:], uint32(in))
@@ -409,6 +397,9 @@ func (m *Machine) degrees(ctx context.Context, id uint64) (int, int, error) {
 	var req [8]byte
 	binary.LittleEndian.PutUint64(req[:], id)
 	resp, err := m.s.Node().Call(ctx, owner, protoDegrees, req[:])
+	if msg.ErrorCode(err) == codeNoNode {
+		return 0, 0, fmt.Errorf("%w: %d", ErrNoNode, id)
+	}
 	if err != nil || len(resp) != 8 {
 		if err == nil {
 			err = errors.New("graph: short Degrees response")

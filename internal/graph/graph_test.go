@@ -202,6 +202,31 @@ func TestGetNodeMissing(t *testing.T) {
 	}
 }
 
+func TestDegreesOfMissingNode(t *testing.T) {
+	cloud := newCloud(t, 2)
+	m := New(cloud, true).On(0)
+	self := m.Slave().ID()
+	var local, remote uint64
+	for i := uint64(100); local == 0 || remote == 0; i++ {
+		if m.Slave().Owner(i) == self {
+			local = i
+		} else {
+			remote = i
+		}
+	}
+	for _, c := range []struct {
+		name string
+		id   uint64
+	}{{"local", local}, {"remote", remote}} {
+		if _, err := m.OutDegree(context.Background(), c.id); !errors.Is(err, ErrNoNode) {
+			t.Errorf("OutDegree of missing %s node = %v, want ErrNoNode", c.name, err)
+		}
+		if _, err := m.InDegree(context.Background(), c.id); !errors.Is(err, ErrNoNode) {
+			t.Errorf("InDegree of missing %s node = %v, want ErrNoNode", c.name, err)
+		}
+	}
+}
+
 func TestOperationsFromEveryMachine(t *testing.T) {
 	cloud := newCloud(t, 4)
 	g := New(cloud, true)

@@ -189,24 +189,20 @@ func Resolved(val []byte, err error) *Future {
 // fraction of an allocation, where the naive shape (entry, Future, done
 // channel) cost three per key.
 //
-// Op, Val, Ambiguous and Next belong to the policy: the pipeline never
-// reads them. An entry in a batch handed to Exchange is owned by that
-// call until it returns. The one-byte fields sit together so an entry is
-// 120 bytes and a slab fills a 32 KiB allocation class.
+// Val and Next belong to the policy: the pipeline never reads them. An
+// entry in a batch handed to Exchange is owned by that call until it
+// returns. The one-byte fields sit together so an entry is 120 bytes and
+// a slab fills a 32 KiB allocation class.
 type Entry struct {
 	Key  uint64
 	Val  []byte // payload to send
 	Next *Entry // policy's link to a successor waiting on this entry
-	Op   byte   // policy's op code
 	// Shipped is set under the lock when the entry leaves its queue for an
 	// exchange, and stays set through re-routes: from then on its payload
 	// may be on the wire and the policy must not mutate it.
-	Shipped bool
-	// Ambiguous is for the policy to mark that a failed exchange may have
-	// been applied anyway.
-	Ambiguous bool
-	attempts  uint8 // re-routes consumed, capped at memcloud.MaxRetries
-	Fut       Future
+	Shipped  bool
+	attempts uint8 // re-routes consumed, capped at memcloud.MaxRetries
+	Fut      Future
 }
 
 // Settle records the entry's outcome from inside Exchange; the pipeline

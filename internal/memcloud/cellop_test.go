@@ -175,8 +175,8 @@ func TestWALAppendFailureIsNotAcknowledged(t *testing.T) {
 	keys := keysOwnedBy(t, c, victim, 4)
 	kLocal, kRemote := keys[0], keys[1]
 	batch := []MultiPutItem{
-		{Op: MultiPutOpPut, Key: keys[2], Val: val(16, 3)},
-		{Op: MultiPutOpAdd, Key: keys[3], Val: val(16, 4)},
+		{Key: keys[2], Val: val(16, 3)},
+		{Key: keys[3], Val: val(16, 4)},
 	}
 	ctx := context.Background()
 	fs := c.FS()
@@ -231,10 +231,8 @@ func TestWALAppendFailureIsNotAcknowledged(t *testing.T) {
 	if err := remote.Put(ctx, kRemote, val(8, 7)); err != nil {
 		t.Fatalf("remote Put after datanodes recovered: %v", err)
 	}
-	// keys[3] exists in memory from the unacknowledged Add, so this Add
-	// reports it; the Put in the same group is applied and logged.
-	statuses = owner.LocalMultiPut(batch)
-	if !bytes.Equal(statuses, []byte{MultiPutOK, MultiPutExists}) {
+	statuses = owner.LocalMultiPut(batch[:1])
+	if !bytes.Equal(statuses, []byte{MultiPutOK}) {
 		t.Fatalf("multi-put statuses after datanodes recovered = %v", statuses)
 	}
 
@@ -247,8 +245,9 @@ func TestWALAppendFailureIsNotAcknowledged(t *testing.T) {
 			t.Fatalf("key %d after WAL recovery: got (%q, %v), want %q", w.key, got, err, w.want)
 		}
 	}
-	// The Add was never acknowledged and never logged: it died with its owner.
+	// keys[3]'s write was never acknowledged and never logged: it died
+	// with its owner.
 	if _, err := getSettled(t, remote, keys[3]); err != ErrNotFound {
-		t.Fatalf("unacknowledged Add survived its owner: err %v", err)
+		t.Fatalf("unacknowledged multi-put write survived its owner: err %v", err)
 	}
 }

@@ -82,24 +82,23 @@ func DecodeMultiGetResp(b []byte, want int) ([]MultiGetResult, error) {
 func MultiPutReqSize(items []MultiPutItem) int {
 	n := 4
 	for i := range items {
-		n += 13 + len(items[i].Val)
+		n += 12 + len(items[i].Val)
 	}
 	return n
 }
 
 // AppendMultiPutReq encodes a ProtoMultiPut request into dst and returns
-// the extended slice: u32 count, then count × [op(1) key(8) len(4) val].
+// the extended slice: u32 count, then count × [key(8) len(4) val].
 // Combined with MultiPutReqSize the caller brings an exactly-sized buffer
 // (a pooled lease), so encoding allocates nothing.
 func AppendMultiPutReq(dst []byte, items []MultiPutItem) []byte {
 	var u32 [4]byte
 	binary.LittleEndian.PutUint32(u32[:], uint32(len(items)))
 	dst = append(dst, u32[:]...)
-	var hdr [13]byte
+	var hdr [12]byte
 	for i := range items {
-		hdr[0] = items[i].Op
-		binary.LittleEndian.PutUint64(hdr[1:], items[i].Key)
-		binary.LittleEndian.PutUint32(hdr[9:], uint32(len(items[i].Val)))
+		binary.LittleEndian.PutUint64(hdr[0:], items[i].Key)
+		binary.LittleEndian.PutUint32(hdr[8:], uint32(len(items[i].Val)))
 		dst = append(dst, hdr[:]...)
 		dst = append(dst, items[i].Val...)
 	}
@@ -114,25 +113,21 @@ func decodeMultiPutReq(b []byte) ([]MultiPutItem, error) {
 	}
 	n := int(binary.LittleEndian.Uint32(b))
 	b = b[4:]
-	if n < 0 || n > len(b) { // each item needs ≥ 13 bytes; cheap upper bound first
+	if n < 0 || n > len(b) { // each item needs ≥ 12 bytes; cheap upper bound first
 		return nil, errors.New("memcloud: truncated multi-put request")
 	}
 	items := make([]MultiPutItem, 0, n)
 	for i := 0; i < n; i++ {
-		if len(b) < 13 {
+		if len(b) < 12 {
 			return nil, errors.New("memcloud: truncated multi-put item header")
 		}
-		op := b[0]
-		if op != MultiPutOpPut && op != MultiPutOpAdd {
-			return nil, fmt.Errorf("memcloud: unknown multi-put op %d", op)
-		}
-		key := binary.LittleEndian.Uint64(b[1:])
-		vn := int(binary.LittleEndian.Uint32(b[9:]))
-		b = b[13:]
+		key := binary.LittleEndian.Uint64(b)
+		vn := int(binary.LittleEndian.Uint32(b[8:]))
+		b = b[12:]
 		if vn < 0 || vn > len(b) {
 			return nil, errors.New("memcloud: truncated multi-put value")
 		}
-		items = append(items, MultiPutItem{Op: op, Key: key, Val: b[:vn:vn]})
+		items = append(items, MultiPutItem{Key: key, Val: b[:vn:vn]})
 		b = b[vn:]
 	}
 	if len(b) != 0 {

@@ -22,7 +22,12 @@ func TestChaosCancelMidMultiget(t *testing.T) {
 	for _, seed := range msg.Seeds() {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			reg := obs.NewRegistry()
-			c, ch := memcloud.NewChaosCloud(chaosConfig(3, reg), seed)
+			// A short call timeout detects dropped frames in milliseconds;
+			// the long failure timeout leaves recovery to failure reports.
+			cfg := testConfig(3, reg)
+			cfg.Msg.CallTimeout = 200 * time.Millisecond
+			cfg.Cluster.FailureTimeout = time.Minute
+			c, ch := memcloud.NewChaosCloud(cfg, seed)
 			defer c.Close()
 			s0 := c.Slave(0)
 
@@ -67,7 +72,14 @@ func TestChaosCancelMidMultiget(t *testing.T) {
 
 			// The futures themselves were not cancelled — each must still
 			// resolve with its batch, value or error, within bounded time.
-			waitAllResolve(t, keys, futs, 30*time.Second)
+			deadline := time.After(30 * time.Second)
+			for i, fu := range futs {
+				select {
+				case <-fu.Done():
+				case <-deadline:
+					t.Fatalf("future for key %d wedged after a cancelled Wait", keys[i])
+				}
+			}
 
 			// And the fetcher is still healthy: with the faults lifted, a
 			// fresh batch fetch with a live context returns every value.

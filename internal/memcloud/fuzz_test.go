@@ -9,15 +9,15 @@ import (
 )
 
 // FuzzDecodeMultiPutReq drives the ProtoMultiPut request decoder with
-// attacker-controlled bytes: counts and value lengths may lie, op codes
-// may be junk, items may be truncated mid-header or mid-value. The
-// decoder must reject cleanly (error, never panic, never slice out of
-// bounds), and everything it accepts must re-encode to the same bytes —
-// acceptance means the frame really was a well-formed request.
+// attacker-controlled bytes: counts and value lengths may lie, items may
+// be truncated mid-header or mid-value. The decoder must reject cleanly
+// (error, never panic, never slice out of bounds), and everything it
+// accepts must re-encode to the same bytes — acceptance means the frame
+// really was a well-formed request.
 func FuzzDecodeMultiPutReq(f *testing.F) {
 	good := AppendMultiPutReq(nil, []MultiPutItem{
-		{Op: MultiPutOpPut, Key: 1, Val: []byte("hello")},
-		{Op: MultiPutOpAdd, Key: 1 << 60, Val: nil},
+		{Key: 1, Val: []byte("hello")},
+		{Key: 1 << 60, Val: nil},
 	})
 	f.Add(good)
 	f.Add(good[:3])           // short count header
@@ -47,7 +47,7 @@ func FuzzDecodeMultiPutReq(f *testing.F) {
 // the expected length and only known status codes — a malformed reply
 // must error so the batch fails closed instead of mis-resolving futures.
 func FuzzDecodeMultiPutReply(f *testing.F) {
-	f.Add([]byte{MultiPutOK, MultiPutExists, MultiPutWrongOwner, MultiPutErr}, 4)
+	f.Add([]byte{MultiPutOK, MultiPutWrongOwner, MultiPutErr}, 3)
 	f.Add([]byte{MultiPutOK}, 2) // short answer
 	f.Add([]byte{0xEE}, 1)       // unknown status
 	f.Add([]byte(nil), 0)

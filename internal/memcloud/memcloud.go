@@ -72,32 +72,22 @@ const (
 )
 
 // ProtoMultiPut is the batched cell-write protocol, the mirror image of
-// ProtoMultiGet for the bulk-load direction: one request carries N write
-// ops and one response answers all of them with per-key status codes, so
-// a stale table entry or a duplicate insert for one key cannot fail the
-// whole frame. On the serving side the batch is applied trunk by trunk
-// through Trunk.PutBatch (one trunk-mutex acquisition per group) and
-// logged as one coalesced WAL group record per trunk (one AppendFile
-// instead of N). The store pipeline (internal/memcloud/store) is its
-// intended client; the protocol is exported so that package can speak it
-// without an import cycle.
+// ProtoMultiGet for the bulk-load direction: one request carries N upserts
+// and one response answers all of them with per-key status codes, so a
+// stale table entry for one key cannot fail the whole frame. On the
+// serving side the batch is applied trunk by trunk through
+// Trunk.PutBatch (one trunk-mutex acquisition per group) and logged as
+// one coalesced WAL group record per trunk (one AppendFile instead of
+// N). The store pipeline (internal/memcloud/store) is its intended
+// client; the protocol is exported so that package can speak it without
+// an import cycle.
 const ProtoMultiPut msg.ProtocolID = 0x0111
-
-// Op codes inside a ProtoMultiPut request.
-const (
-	// MultiPutOpPut upserts the cell (last write wins).
-	MultiPutOpPut byte = iota
-	// MultiPutOpAdd inserts the cell, answering MultiPutExists if present.
-	MultiPutOpAdd
-)
 
 // Per-key status codes in a ProtoMultiPut response.
 const (
 	// MultiPutOK reports the write was applied (and logged, under
 	// buffered logging) on the owner.
 	MultiPutOK byte = iota
-	// MultiPutExists answers an MultiPutOpAdd whose key already existed.
-	MultiPutExists
 	// MultiPutWrongOwner reports the serving machine does not host the
 	// key's trunk; the caller should refresh its table and retry.
 	MultiPutWrongOwner
@@ -106,10 +96,9 @@ const (
 	MultiPutErr
 )
 
-// MultiPutItem is one write op inside a multi-put batch. Val is aliased,
+// MultiPutItem is one upsert inside a multi-put batch. Val is aliased,
 // not copied: it must stay immutable until the batch is applied.
 type MultiPutItem struct {
-	Op  byte
 	Key uint64
 	Val []byte
 }

@@ -11,9 +11,9 @@ import (
 
 func TestMultiPutCodecRoundTrip(t *testing.T) {
 	items := []MultiPutItem{
-		{Op: MultiPutOpPut, Key: 1, Val: val(40, 1)},
-		{Op: MultiPutOpAdd, Key: 1 << 60, Val: nil},
-		{Op: MultiPutOpPut, Key: 42, Val: val(1, 9)},
+		{Key: 1, Val: val(40, 1)},
+		{Key: 1 << 60, Val: nil},
+		{Key: 42, Val: val(1, 9)},
 	}
 	req := AppendMultiPutReq(make([]byte, 0, MultiPutReqSize(items)), items)
 	if len(req) != MultiPutReqSize(items) {
@@ -27,25 +27,20 @@ func TestMultiPutCodecRoundTrip(t *testing.T) {
 		t.Fatalf("decoded %d items, want %d", len(got), len(items))
 	}
 	for i := range items {
-		if got[i].Op != items[i].Op || got[i].Key != items[i].Key || !bytes.Equal(got[i].Val, items[i].Val) {
+		if got[i].Key != items[i].Key || !bytes.Equal(got[i].Val, items[i].Val) {
 			t.Fatalf("item %d did not round-trip: %+v vs %+v", i, got[i], items[i])
 		}
 	}
 }
 
 func TestDecodeMultiPutReqRejectsMalformed(t *testing.T) {
-	good := AppendMultiPutReq(nil, []MultiPutItem{{Op: MultiPutOpPut, Key: 7, Val: val(16, 3)}})
+	good := AppendMultiPutReq(nil, []MultiPutItem{{Key: 7, Val: val(16, 3)}})
 	cases := map[string][]byte{
 		"empty":           {},
 		"short header":    good[:3],
 		"truncated item":  good[:10],
 		"truncated value": good[:len(good)-4],
 		"trailing bytes":  append(append([]byte{}, good...), 0xFF),
-		"bad op": func() []byte {
-			b := append([]byte{}, good...)
-			b[4] = 0x7F
-			return b
-		}(),
 		"count overshoot": func() []byte {
 			b := append([]byte{}, good...)
 			binary.LittleEndian.PutUint32(b, 1<<30)
@@ -60,11 +55,11 @@ func TestDecodeMultiPutReqRejectsMalformed(t *testing.T) {
 }
 
 func TestDecodeMultiPutRespValidates(t *testing.T) {
-	ok := []byte{MultiPutOK, MultiPutExists, MultiPutWrongOwner, MultiPutErr}
-	if _, err := DecodeMultiPutResp(ok, 4); err != nil {
+	ok := []byte{MultiPutOK, MultiPutWrongOwner, MultiPutErr}
+	if _, err := DecodeMultiPutResp(ok, 3); err != nil {
 		t.Fatalf("valid response rejected: %v", err)
 	}
-	if _, err := DecodeMultiPutResp(ok, 3); err == nil {
+	if _, err := DecodeMultiPutResp(ok, 2); err == nil {
 		t.Fatal("length mismatch accepted")
 	}
 	if _, err := DecodeMultiPutResp([]byte{9}, 1); err == nil {
@@ -91,17 +86,16 @@ func TestLocalMultiPutStatuses(t *testing.T) {
 	}
 
 	items := []MultiPutItem{
-		{Op: MultiPutOpPut, Key: local, Val: val(16, 1)},
-		{Op: MultiPutOpAdd, Key: local, Val: val(16, 2)}, // just written above: Exists
-		{Op: MultiPutOpPut, Key: remote, Val: val(16, 3)},
+		{Key: local, Val: val(16, 1)},
+		{Key: remote, Val: val(16, 3)},
 	}
 	statuses := s0.LocalMultiPut(items)
-	if want := []byte{MultiPutOK, MultiPutExists, MultiPutWrongOwner}; !bytes.Equal(statuses, want) {
+	if want := []byte{MultiPutOK, MultiPutWrongOwner}; !bytes.Equal(statuses, want) {
 		t.Fatalf("statuses = %v, want %v", statuses, want)
 	}
 	got, err := s0.Get(context.Background(), local)
 	if err != nil || !bytes.Equal(got, val(16, 1)) {
-		t.Fatalf("local key after batch: %v (Add must not clobber)", err)
+		t.Fatalf("local key after batch: %v", err)
 	}
 }
 
@@ -109,8 +103,8 @@ func TestMultiPutLastWriteWinsWithinBatch(t *testing.T) {
 	c := newCloud(t, 1)
 	s0 := c.Slave(0)
 	items := []MultiPutItem{
-		{Op: MultiPutOpPut, Key: 3, Val: val(16, 1)},
-		{Op: MultiPutOpPut, Key: 3, Val: val(16, 2)},
+		{Key: 3, Val: val(16, 1)},
+		{Key: 3, Val: val(16, 2)},
 	}
 	statuses := s0.LocalMultiPut(items)
 	if statuses[0] != MultiPutOK || statuses[1] != MultiPutOK {
@@ -135,7 +129,7 @@ func TestMultiPutOverWire(t *testing.T) {
 	}
 	items := make([]MultiPutItem, len(keys))
 	for i, k := range keys {
-		items[i] = MultiPutItem{Op: MultiPutOpPut, Key: k, Val: val(24, byte(k))}
+		items[i] = MultiPutItem{Key: k, Val: val(24, byte(k))}
 	}
 	req := AppendMultiPutReq(nil, items)
 	resp, err := s0.Node().Call(context.Background(), 1, ProtoMultiPut, req)
@@ -173,7 +167,7 @@ func TestWALGroupCommitRecovery(t *testing.T) {
 	var items []MultiPutItem
 	for k := uint64(0); len(items) < 80; k++ {
 		if s0.Owner(k) == victim.ID() {
-			items = append(items, MultiPutItem{Op: MultiPutOpPut, Key: k, Val: val(20, byte(k))})
+			items = append(items, MultiPutItem{Key: k, Val: val(20, byte(k))})
 		}
 	}
 	statuses := victim.LocalMultiPut(items)

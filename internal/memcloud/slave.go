@@ -6,7 +6,6 @@ package memcloud
 import (
 	"context"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -168,12 +167,8 @@ func (s *Slave) ID() msg.MachineID { return s.id }
 // engine, BSP, traversal) can register their own TSL protocols.
 func (s *Slave) Node() *msg.Node { return s.node }
 
-// FS exposes the shared Trinity File System (for checkpoints, snapshots,
-// and other higher-layer persistence).
-func (s *Slave) FS() *tfs.FS { return s.fs }
-
 // Metrics exposes the cloud's observability registry so higher layers
-// (BSP, async, traversal) register their own scopes alongside the storage
+// (BSP, traversal) register their own scopes alongside the storage
 // counters.
 func (s *Slave) Metrics() *obs.Registry { return s.metrics }
 
@@ -344,9 +339,9 @@ func (s *Slave) onMultiGet(_ context.Context, _ msg.MachineID, req []byte) ([]by
 }
 
 // onMultiPut applies N cell writes from one frame. Every item gets its
-// own status byte, so one stale-table key or duplicate insert degrades to
-// a per-key status instead of failing the whole batch — the store
-// pipeline retries just the wrong-owner keys after a table refresh.
+// own status byte, so one stale-table key degrades to a per-key status
+// instead of failing the whole batch — the store pipeline retries just
+// the wrong-owner keys after a table refresh.
 func (s *Slave) onMultiPut(_ context.Context, _ msg.MachineID, req []byte) ([]byte, error) {
 	items, err := decodeMultiPutReq(req)
 	if err != nil {
@@ -393,11 +388,7 @@ func (s *Slave) LocalMultiPut(items []MultiPutItem) []byte {
 		s.localOps.Add(int64(len(idxs)))
 		bitems := make([]trunk.BatchItem, len(idxs))
 		for j, i := range idxs {
-			bitems[j] = trunk.BatchItem{
-				Key: items[i].Key,
-				Val: items[i].Val,
-				Add: items[i].Op == MultiPutOpAdd,
-			}
+			bitems[j] = trunk.BatchItem{Key: items[i].Key, Val: items[i].Val}
 		}
 		var errs []error
 		var walErr error
@@ -420,8 +411,6 @@ func (s *Slave) LocalMultiPut(items []MultiPutItem) []byte {
 		}
 		for j, i := range idxs {
 			switch {
-			case errs != nil && errors.Is(errs[j], trunk.ErrExists):
-				statuses[i] = MultiPutExists
 			case errs != nil && errs[j] != nil, walErr != nil:
 				// An applied write whose group record did not land is
 				// visible in memory but not durable: not acknowledged.

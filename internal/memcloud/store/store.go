@@ -10,20 +10,16 @@
 // Batching, adaptation, re-routing and the failure contract (every
 // Future resolves, with nil or an error) are internal/memcloud/batch;
 // this package is the write policy on top of it. A Writer fronts a
-// memcloud slave. PutAsync/AddAsync return a Future immediately; writes
-// to the same key order through a per-key successor chain (at most one
-// op per key is queued or in flight at any moment),
-// and a Put landing on a still-queued Put coalesces last-write-wins onto
-// the same future. Batches travel as ProtoMultiPut frames, except that a
-// batch whose destination is the local slave skips the wire and applies
+// memcloud slave. PutAsync returns a Future immediately; writes to the
+// same key order through a per-key successor chain (at most one write per
+// key is queued or in flight at any moment), and a Put landing on a
+// still-queued Put coalesces last-write-wins onto the same future.
+// Batches travel as ProtoMultiPut frames, except that a batch whose
+// destination is the local slave skips the wire and applies
 // through LocalMultiPut — keeping the batching wins (one trunk-mutex
-// acquisition and one WAL group record per trunk per batch).
-//
-// A transport failure leaves application ambiguous (the frame may have
-// been applied before the ack was lost), so retried ops are marked: a
-// re-sent Put is idempotent, and a re-sent Add answered MultiPutExists
-// after an ambiguous failure resolves nil — the cell exists because our
-// own first attempt created it.
+// acquisition and one WAL group record per trunk per batch). A transport
+// failure may leave a frame applied with its ack lost; the retry re-sends
+// the same upserts, which is harmless because Put is idempotent.
 package store
 
 import (
@@ -92,16 +88,6 @@ func New(c Client, opt Options) *Writer {
 // PutAsync schedules an upsert and returns its future immediately. val is
 // aliased, not copied: it must stay immutable until the future resolves.
 func (w *Writer) PutAsync(key uint64, val []byte) *Future {
-	return w.write(memcloud.MultiPutOpPut, key, val)
-}
-
-// AddAsync schedules an insert that resolves memcloud.ErrExists if the
-// cell is already present. val is aliased; see PutAsync.
-func (w *Writer) AddAsync(key uint64, val []byte) *Future {
-	return w.write(memcloud.MultiPutOpAdd, key, val)
-}
-
-func (w *Writer) write(op byte, key uint64, val []byte) *Future {
 	w.p.Mu.Lock()
 	defer w.p.Mu.Unlock()
 	if w.p.ClosedLocked() {
@@ -110,16 +96,15 @@ func (w *Writer) write(op byte, key uint64, val []byte) *Future {
 	tail := w.pending[key]
 	// Last-write-wins coalescing: a Put landing on a still-queued Put
 	// replaces its payload in place and rides its future — one wire slot,
-	// one resolution, final value wins. Anything involving an Add (or an
-	// op already shipped) chains instead: Add's outcome depends on what
-	// the predecessor did, so it must observe it.
-	if tail != nil && op == memcloud.MultiPutOpPut && tail.Op == memcloud.MultiPutOpPut && !tail.Shipped {
+	// one resolution, final value wins. A Put behind one already shipped
+	// chains instead: its payload may be on the wire.
+	if tail != nil && !tail.Shipped {
 		tail.Val = val
 		w.p.Coalesced()
 		return &tail.Fut
 	}
 	e := w.p.NewEntryLocked(key)
-	e.Op, e.Val = op, val
+	e.Val = val
 	w.pending[key] = e
 	if tail != nil {
 		tail.Next = e
@@ -168,7 +153,7 @@ func (w *Writer) Close() { w.p.Close() }
 func (w *Writer) exchange(m msg.MachineID, b []*batch.Entry) error {
 	items := make([]memcloud.MultiPutItem, len(b))
 	for i, e := range b {
-		items[i] = memcloud.MultiPutItem{Op: e.Op, Key: e.Key, Val: e.Val}
+		items[i] = memcloud.MultiPutItem{Key: e.Key, Val: e.Val}
 	}
 	var statuses []byte
 	if m == w.c.ID() {
@@ -182,11 +167,6 @@ func (w *Writer) exchange(m msg.MachineID, b []*batch.Entry) error {
 			memcloud.AppendMultiPutReq(req.Bytes()[:0], items))
 		req.Release()
 		if err != nil {
-			// The frame may have been applied before the ack was lost:
-			// mark the retry ambiguous so Add dedups against itself.
-			for _, e := range b {
-				e.Ambiguous = true
-			}
 			return err
 		}
 		defer lease.Release()
@@ -198,14 +178,6 @@ func (w *Writer) exchange(m msg.MachineID, b []*batch.Entry) error {
 		switch statuses[i] {
 		case memcloud.MultiPutOK:
 			e.Settle(nil, nil)
-		case memcloud.MultiPutExists:
-			if e.Ambiguous {
-				// Our own earlier attempt applied before its ack was
-				// lost; the insert happened exactly once.
-				e.Settle(nil, nil)
-			} else {
-				e.Settle(nil, memcloud.ErrExists)
-			}
 		case memcloud.MultiPutErr:
 			e.Settle(nil, ErrRejected)
 		default:

@@ -41,6 +41,15 @@ func remoteKey(s *memcloud.Slave, from uint64) uint64 {
 	}
 }
 
+// localKey finds a key s owns.
+func localKey(s *memcloud.Slave, from uint64) uint64 {
+	for k := from; ; k++ {
+		if s.Owner(k) == s.ID() {
+			return k
+		}
+	}
+}
+
 func TestPutAsyncWritesEveryKey(t *testing.T) {
 	reg := obs.NewRegistry()
 	c := memcloud.New(testConfig(4, reg))
@@ -108,31 +117,6 @@ func TestFutureResolvesIndividually(t *testing.T) {
 	}
 }
 
-func TestAddAsyncReportsExists(t *testing.T) {
-	reg := obs.NewRegistry()
-	c := memcloud.New(testConfig(2, reg))
-	defer c.Close()
-	s0 := c.Slave(0)
-
-	key := remoteKey(s0, 0)
-	if err := s0.Put(context.Background(), key, val(8, 1)); err != nil {
-		t.Fatal(err)
-	}
-
-	w := store.New(s0, store.Options{Metrics: reg})
-	defer w.Close()
-	f := w.AddAsync(key, val(8, 2))
-	w.Flush()
-	if _, err := f.Wait(context.Background()); !errors.Is(err, memcloud.ErrExists) {
-		t.Fatalf("Add on existing key: err = %v, want ErrExists", err)
-	}
-	// The original value must be untouched.
-	got, err := s0.Get(context.Background(), key)
-	if err != nil || !bytes.Equal(got, val(8, 1)) {
-		t.Fatalf("Add clobbered existing cell: %v", err)
-	}
-}
-
 func TestPutOverPutCoalescesLastWriteWins(t *testing.T) {
 	reg := obs.NewRegistry()
 	c := memcloud.New(testConfig(2, reg))
@@ -170,41 +154,35 @@ func TestSameKeyOpsOrderThroughChain(t *testing.T) {
 	reg := obs.NewRegistry()
 	c := memcloud.New(testConfig(2, reg))
 	defer c.Close()
-	s0 := c.Slave(0)
+	s0 := gatedSlave{Slave: c.Slave(0), gate: make(chan struct{})}
 
 	w := store.New(s0, store.Options{MinBatch: 1024, MaxDelay: time.Minute, Metrics: reg})
 	defer w.Close()
+	batches := reg.Scope("store.m0").Counter("batches")
 
-	// Put then Add on one key, issued before anything ships: the Add must
-	// observe the Put (chained behind it, not coalesced or reordered).
-	key := remoteKey(s0, 0)
-	fPut := w.PutAsync(key, val(8, 1))
-	fAdd := w.AddAsync(key, val(8, 2))
-	if err := w.Drain(context.Background()); err == nil {
-		t.Fatal("Drain must surface the chained Add's ErrExists")
+	// The first Put ships and parks at the gate; a second Put to the key
+	// must chain behind it, not coalesce into a payload already on its way
+	// and not race it in a second frame.
+	key := localKey(s0.Slave, 0)
+	f1 := w.PutAsync(key, val(8, 1))
+	w.Flush()
+	f2 := w.PutAsync(key, val(8, 2))
+	if f1 == f2 {
+		t.Fatal("Put coalesced into a shipped Put")
 	}
-	if _, err := fPut.Wait(context.Background()); err != nil {
-		t.Fatalf("Put: %v", err)
+	w.Flush()
+	if got := batches.Load(); got != 1 {
+		t.Fatalf("chained Put shipped while its predecessor was in flight: %d batches", got)
 	}
-	if _, err := fAdd.Wait(context.Background()); !errors.Is(err, memcloud.ErrExists) {
-		t.Fatalf("Add after queued Put: err = %v, want ErrExists", err)
-	}
-
-	// Add then Put: both succeed and the Put's value is final.
-	key2 := remoteKey(s0, key+1)
-	fAdd2 := w.AddAsync(key2, val(8, 3))
-	fPut2 := w.PutAsync(key2, val(8, 4))
+	close(s0.gate)
 	if err := w.Drain(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := fAdd2.Wait(context.Background()); err != nil {
-		t.Fatalf("Add: %v", err)
+	if got := batches.Load(); got != 2 {
+		t.Fatalf("batches = %d, want 2 (the chained Put ships once its predecessor resolves)", got)
 	}
-	if _, err := fPut2.Wait(context.Background()); err != nil {
-		t.Fatalf("Put after Add: %v", err)
-	}
-	got, err := s0.Get(context.Background(), key2)
-	if err != nil || !bytes.Equal(got, val(8, 4)) {
+	got, err := s0.Get(context.Background(), key)
+	if err != nil || !bytes.Equal(got, val(8, 2)) {
 		t.Fatalf("chained Put did not land last: %v", err)
 	}
 }
@@ -215,15 +193,12 @@ func TestDrainReturnsFirstError(t *testing.T) {
 	defer c.Close()
 	s0 := c.Slave(0)
 
-	key := remoteKey(s0, 0)
-	if err := s0.Put(context.Background(), key, val(8, 1)); err != nil {
-		t.Fatal(err)
-	}
 	w := store.New(s0, store.Options{Metrics: reg})
 	defer w.Close()
-	w.AddAsync(key, val(8, 2))
-	if err := w.Drain(context.Background()); !errors.Is(err, memcloud.ErrExists) {
-		t.Fatalf("Drain = %v, want ErrExists", err)
+	// A cell larger than a trunk: its owner refuses it.
+	w.PutAsync(remoteKey(s0, 0), make([]byte, 8<<20))
+	if err := w.Drain(context.Background()); !errors.Is(err, store.ErrRejected) {
+		t.Fatalf("Drain = %v, want ErrRejected", err)
 	}
 	// The error is consumed: a fresh Drain over a clean pipeline is nil.
 	if err := w.Drain(context.Background()); err != nil {
@@ -235,20 +210,27 @@ func TestCloseResolvesQueuedFutures(t *testing.T) {
 	reg := obs.NewRegistry()
 	c := memcloud.New(testConfig(2, reg))
 	defer c.Close()
-	s0 := c.Slave(0)
+	s0 := gatedSlave{Slave: c.Slave(0), gate: make(chan struct{})}
 
 	w := store.New(s0, store.Options{MinBatch: 1024, MaxDelay: time.Minute, Metrics: reg})
-	key := remoteKey(s0, 0)
-	f1 := w.PutAsync(key, val(8, 1))
-	f2 := w.AddAsync(key, val(8, 2)) // chained successor must cascade too
+	key := localKey(s0.Slave, 0)
+	shipped := w.PutAsync(key, val(8, 1))
+	w.Flush() // parks at the gate
+	chained := w.PutAsync(key, val(8, 2))
+	queued := w.PutAsync(remoteKey(s0.Slave, 0), val(8, 3))
 	w.Close()
-	if _, err := f1.Wait(context.Background()); !errors.Is(err, store.ErrClosed) {
+	if _, err := queued.Wait(context.Background()); !errors.Is(err, store.ErrClosed) {
 		t.Fatalf("queued future after Close: %v, want ErrClosed", err)
 	}
-	if _, err := f2.Wait(context.Background()); !errors.Is(err, store.ErrClosed) {
+	close(s0.gate)
+	if _, err := shipped.Wait(context.Background()); err != nil {
+		t.Fatalf("future already shipped at Close: %v, want nil", err)
+	}
+	// The chained successor must cascade once its predecessor resolves.
+	if _, err := chained.Wait(context.Background()); !errors.Is(err, store.ErrClosed) {
 		t.Fatalf("chained future after Close: %v, want ErrClosed", err)
 	}
-	if _, err := w.PutAsync(key, val(8, 3)).Wait(context.Background()); !errors.Is(err, store.ErrClosed) {
+	if _, err := w.PutAsync(key, val(8, 4)).Wait(context.Background()); !errors.Is(err, store.ErrClosed) {
 		t.Fatal("write after Close must resolve ErrClosed")
 	}
 }
@@ -391,11 +373,7 @@ func TestCancelledDrainRestoresBatching(t *testing.T) {
 
 	// One local write, held in flight by the gate, keeps the pipeline
 	// busy; the Drain that flushed it times out waiting.
-	var local uint64
-	for s0.Owner(local) != s0.ID() {
-		local++
-	}
-	w.PutAsync(local, val(8, 1))
+	w.PutAsync(localKey(s0.Slave, 0), val(8, 1))
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
 	if err := w.Drain(ctx); !errors.Is(err, context.DeadlineExceeded) {

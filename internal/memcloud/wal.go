@@ -29,8 +29,7 @@ const (
 // the batch that succeeded (errs nil, or nil at that index). Failed
 // writes mutated nothing, so they must not replay. Returns nil when no
 // write succeeded. Sub-records use the plain single-record layout with
-// opPut: Add and Put replay identically (replay's Put is idempotent and
-// the Add already won its race when the record was written).
+// opPut.
 func encodeGroupRecord(items []trunk.BatchItem, errs []error) []byte {
 	body := 0
 	for i := range items {

@@ -34,7 +34,7 @@ type SyncHandler func(ctx context.Context, from MachineID, request []byte) ([]by
 // retained after the handler returns. Async handlers run inline on the
 // transport's delivery goroutine: they must not block indefinitely and
 // must not perform blocking sends themselves (enqueue work for another
-// goroutine instead, as the BSP and async engines do) — otherwise two
+// goroutine instead, as the BSP engine does) — otherwise two
 // machines flooding each other could deadlock on full delivery queues.
 type AsyncHandler func(from MachineID, msg []byte)
 

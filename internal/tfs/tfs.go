@@ -1,9 +1,9 @@
 // Package tfs implements the Trinity File System: a shared, fault-tolerant
 // distributed file system in the spirit of HDFS (paper §3, §6.2). Memory
 // trunks are backed up to TFS for persistence; the cluster leader keeps the
-// primary addressing table replica on TFS; BSP checkpoints and
-// asynchronous-mode snapshots are written to TFS; and leader election uses
-// an atomic flag file on TFS to prevent split-brain.
+// primary addressing table replica on TFS; buffered-logging WAL records
+// are appended to TFS; and leader election uses an atomic flag file on TFS
+// to prevent split-brain.
 //
 // The implementation simulates a cluster of datanodes inside one process:
 // files are split into fixed-size blocks, each block is replicated on R

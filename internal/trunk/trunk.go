@@ -452,19 +452,10 @@ func (t *Trunk) Put(key uint64, payload []byte) error {
 	return t.mutate(mutPut, key, payload)
 }
 
-// BatchItem is one write inside a PutBatch: an upsert by default, or an
-// insert-only Add that fails with ErrExists when the key is present.
+// BatchItem is one upsert inside a PutBatch.
 type BatchItem struct {
 	Key uint64
 	Val []byte
-	Add bool
-}
-
-func (it *BatchItem) kind() mutKind {
-	if it.Add {
-		return mutAdd
-	}
-	return mutPut
 }
 
 // PutBatch applies every item under a single acquisition of the trunk
@@ -491,7 +482,7 @@ func (t *Trunk) PutBatch(items []BatchItem) []error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	for i := range items {
-		err := t.mutateLocked(items[i].kind(), items[i].Key, items[i].Val)
+		err := t.mutateLocked(mutPut, items[i].Key, items[i].Val)
 		if errors.Is(err, ErrFull) {
 			full = append(full, i)
 		} else if err != nil {
@@ -503,7 +494,7 @@ func (t *Trunk) PutBatch(items []BatchItem) []error {
 		// items once more.
 		t.defragmentLocked()
 		for _, i := range full {
-			if err := t.mutateLocked(items[i].kind(), items[i].Key, items[i].Val); err != nil {
+			if err := t.mutateLocked(mutPut, items[i].Key, items[i].Val); err != nil {
 				fail(i, err)
 			}
 		}

@@ -924,20 +924,20 @@ func TestPutBatchAppliesInOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	items := []BatchItem{
-		{Key: 1, Val: payload(30, 1)},            // fresh insert
-		{Key: 2, Val: payload(30, 2), Add: true}, // fresh Add
-		{Key: 5, Val: payload(40, 3)},            // overwrite existing
-		{Key: 1, Val: payload(30, 4)},            // same-batch overwrite: later wins
-		{Key: 2, Val: payload(30, 5), Add: true}, // Add on key created earlier in batch
+		{Key: 1, Val: payload(30, 1)},      // fresh insert
+		{Key: 2, Val: payload(30, 2)},      // fresh insert
+		{Key: 5, Val: payload(40, 3)},      // overwrite existing
+		{Key: 1, Val: payload(30, 4)},      // same-batch overwrite: later wins
+		{Key: 3, Val: make([]byte, 1<<20)}, // too large for the trunk
 	}
 	errs := tr.PutBatch(items)
 	if errs == nil {
-		t.Fatal("expected per-item errors (the duplicate Add must fail)")
+		t.Fatal("expected per-item errors (the oversized item must fail)")
 	}
 	for i, err := range errs {
 		if i == 4 {
-			if !errors.Is(err, ErrExists) {
-				t.Fatalf("item 4 = %v, want ErrExists", err)
+			if !errors.Is(err, ErrFull) {
+				t.Fatalf("item 4 = %v, want ErrFull", err)
 			}
 			continue
 		}
@@ -1014,7 +1014,7 @@ func TestPutBatchDefragsOnFull(t *testing.T) {
 
 func TestPutBatchMatchesSequentialPuts(t *testing.T) {
 	// Property: a batch leaves the trunk in exactly the state sequential
-	// Puts/Adds would.
+	// Puts would.
 	rng := hash.NewRNG(7)
 	batch := New(Options{Capacity: 1 << 16, PageSize: 1 << 10})
 	seq := New(Options{Capacity: 1 << 16, PageSize: 1 << 10})
@@ -1023,17 +1023,11 @@ func TestPutBatchMatchesSequentialPuts(t *testing.T) {
 		items[i] = BatchItem{
 			Key: uint64(rng.Intn(50)),
 			Val: payload(rng.Intn(60)+1, byte(i)),
-			Add: rng.Intn(3) == 0,
 		}
 	}
 	berrs := batch.PutBatch(items)
 	for i, it := range items {
-		var err error
-		if it.Add {
-			err = seq.Add(it.Key, it.Val)
-		} else {
-			err = seq.Put(it.Key, it.Val)
-		}
+		err := seq.Put(it.Key, it.Val)
 		var berr error
 		if berrs != nil {
 			berr = berrs[i]
