@@ -14,7 +14,7 @@ BENCH_PKGS = ./internal/graph/ ./internal/graph/view/ \
 BENCH_TIME ?= 2s
 BENCH_JSON ?= bench_new.json
 
-.PHONY: all build vet fmt-check lint-ctx test race chaos chaos-failover \
+.PHONY: all build vet fmt-check lint-ctx test movies race chaos chaos-failover \
 	bench-smoke scored-smoke check bench bench-json bench-baseline bench-compare loc
 
 all: build
@@ -45,6 +45,11 @@ lint-ctx:
 
 test:
 	$(GO) test ./...
+
+# The one program that writes a cell in place end to end: TSL's generated
+# UseMovie accessor through Slave.Update. Fails unless the write is seen.
+movies:
+	$(GO) run ./examples/movies | grep 'after accessor write: The Matrix year = 2000$$'
 
 race:
 	$(GO) test -race ./internal/...
@@ -79,7 +84,7 @@ scored-smoke:
 	$(GO) test -C benchmark ./...
 	$(GO) run -C benchmark trinity/benchmark -smoke
 
-check: build vet fmt-check lint-ctx test race chaos bench-smoke scored-smoke
+check: build vet fmt-check lint-ctx test movies race chaos bench-smoke scored-smoke
 
 # Real benchmark runs: the obs hot paths plus the graph stack — view CSR
 # scans/builds, BSP supersteps and multi-hop traversal — and the trunk.

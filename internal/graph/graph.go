@@ -44,7 +44,7 @@ type Machine struct {
 	g *Graph
 	s *memcloud.Slave
 	// stripes serialize read-modify-write mutations of local node cells;
-	// plain reads stay lock-free (trunk spin locks suffice).
+	// plain reads need only the trunk's shared mutex.
 	stripes [128]sync.Mutex
 	// epoch counts mutations of this machine's local partition. The
 	// partition-view layer (internal/graph/view) compares it against a

@@ -63,7 +63,7 @@ func BenchmarkScanCSR(b *testing.B) {
 
 // BenchmarkScanTrunkDecode is the pre-view per-access path the compute
 // engines used to run every superstep: enumerate local ids, then hit cell
-// storage (trunk probe + spin lock + header walk) per vertex.
+// storage (trunk probe under the trunk mutex + header walk) per vertex.
 func BenchmarkScanTrunkDecode(b *testing.B) {
 	g := benchGraph(b)
 	m := g.On(0)

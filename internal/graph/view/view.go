@@ -2,7 +2,8 @@
 // Trinity's compute engines — the realization of the paper's §5.4 "local
 // view": each machine materializes its partition of the graph once, in a
 // compact immutable form, so jobs never re-touch cell storage (a trunk
-// hash probe, a spin lock and a blob header decode) per vertex access.
+// hash probe under the trunk mutex and a blob header decode) per vertex
+// access.
 //
 // A View is a CSR snapshot of one machine's local vertices: dense
 // local-index ↔ vertex-ID maps, out/in adjacency packed into shared

@@ -206,19 +206,25 @@ func TestViewLocalOnly(t *testing.T) {
 	}
 	s.Put(context.Background(), localKey, val(8, 1))
 	s.Put(context.Background(), remoteKey, val(8, 2))
-	err := s.View(localKey, func(p []byte) error {
+	err := s.Update(localKey, func(p []byte) error {
 		p[0] = 0xAA
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _ := s.Get(context.Background(), localKey)
-	if got[0] != 0xAA {
-		t.Fatal("local view write lost")
+	var seen byte
+	if err := s.View(localKey, func(p []byte) error { seen = p[0]; return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if seen != 0xAA {
+		t.Fatal("local update lost")
 	}
 	if err := s.View(remoteKey, func([]byte) error { return nil }); !errors.Is(err, ErrWrongOwner) {
 		t.Fatalf("remote View = %v, want ErrWrongOwner", err)
+	}
+	if err := s.Update(remoteKey, func([]byte) error { return nil }); !errors.Is(err, ErrWrongOwner) {
+		t.Fatalf("remote Update = %v, want ErrWrongOwner", err)
 	}
 }
 

@@ -279,9 +279,10 @@ func (s *Slave) ForEachLocal(fn func(key uint64, payload []byte) bool) {
 	}
 }
 
-// View runs fn over a zero-copy, spin-locked view of a LOCAL cell. It
-// fails with ErrWrongOwner for cells on other machines: zero-copy access
-// cannot cross machine boundaries (use Get instead).
+// View runs fn over a read-only, zero-copy view of a LOCAL cell, under
+// its trunk's shared mutex. It fails with ErrWrongOwner for cells on other
+// machines: zero-copy access cannot cross machine boundaries (use Get
+// instead).
 func (s *Slave) View(key uint64, fn func(payload []byte) error) error {
 	t, err := s.serveTrunk(key)
 	if err != nil {
@@ -289,6 +290,18 @@ func (s *Slave) View(key uint64, fn func(payload []byte) error) error {
 	}
 	s.localOps.Add(1)
 	return mapTrunkErr(t.View(key, fn))
+}
+
+// Update is View's writer: fn may write the LOCAL cell's payload in place
+// (its size is fixed), under its trunk's exclusive mutex. fn must not call
+// back into the slave for a cell of the same trunk, which would deadlock.
+func (s *Slave) Update(key uint64, fn func(payload []byte) error) error {
+	t, err := s.serveTrunk(key)
+	if err != nil {
+		return err
+	}
+	s.localOps.Add(1)
+	return mapTrunkErr(t.Update(key, fn))
 }
 
 // onMultiGet answers N cell reads in one frame. Every key gets its own

@@ -19,15 +19,16 @@
 // engine keep billions of cells resident without per-object overhead
 // (contrast with the runtime-object baselines in internal/baseline).
 //
+// The index maps a key to its record by value: neither key nor entry holds
+// a pointer, so the garbage collector never scans it either.
+//
 // Concurrency follows the paper: trunk-level parallelism is the primary
 // mechanism ("each machine hosts multiple memory trunks ... parallelism
-// without any overhead of locking"), so structural operations on one trunk
-// are serialized by a single trunk mutex. In addition, every cell carries a
-// spin lock that shared-mode holders of that mutex take around each payload
-// access: View exposes a zero-copy view of the blob that the §4.3 accessors
-// write in place, and the lock keeps concurrent readers from seeing a
-// half-written cell. Paths holding the mutex exclusively (mutations and
-// defragmentation) need no cell lock, since no shared holder can be inside.
+// without any overhead of locking"), so one trunk mutex is the only lock.
+// Readers (Get, ReadInto, View, ForEach, DumpTo) share it; every writer
+// holds it exclusively, including Update, the zero-copy in-place writer
+// behind the §4.3 accessors. No reader can therefore see a half-written
+// cell, and no cell carries a lock of its own.
 package trunk
 
 import (
@@ -36,9 +37,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"trinity/internal/obs"
@@ -137,25 +136,12 @@ type Stats struct {
 	BytesMoved    int64 // bytes copied by defragmentation
 }
 
-// entry is the trunk hash table's view of one cell. The pointer identity
-// of an entry is stable for the cell's lifetime, so the spin-lock word can
-// be manipulated with atomics while the table itself is guarded by the
-// trunk mutex.
+// entry is the index's record of one cell, held in the map by value. A
+// mutator that changes it writes the copy back with t.index[key] = e.
 type entry struct {
-	lock     uint32 // spin lock; taken only under the shared trunk mutex
 	offset   int64
 	size     int32
 	reserved int32
-}
-
-func (e *entry) spinLock() {
-	for !atomic.CompareAndSwapUint32(&e.lock, 0, 1) {
-		runtime.Gosched()
-	}
-}
-
-func (e *entry) unlock() {
-	atomic.StoreUint32(&e.lock, 0)
 }
 
 // Trunk is a single memory trunk. All methods are safe for concurrent use.
@@ -163,7 +149,7 @@ type Trunk struct {
 	mu  sync.RWMutex
 	buf []byte
 
-	index map[uint64]*entry
+	index map[uint64]entry
 
 	// Circular region state. The live region runs from tail to head
 	// (wrapping at capacity). used disambiguates the full and empty
@@ -207,7 +193,7 @@ func New(opts Options) *Trunk {
 	pages := (opts.Capacity + opts.PageSize - 1) / opts.PageSize
 	t := &Trunk{
 		buf:       make([]byte, opts.Capacity), //alloc:ok one-time trunk arena at construction
-		index:     make(map[uint64]*entry),
+		index:     make(map[uint64]entry),
 		pageSize:  opts.PageSize,
 		committed: make([]bool, pages),
 		reserve:   opts.Reservation,
@@ -441,7 +427,7 @@ func (t *Trunk) addLocked(key uint64, payload []byte) error {
 	}
 	t.writeHeader(off, key, int32(len(payload)), 0)
 	copy(t.buf[off+headerSize:], payload)
-	t.index[key] = &entry{offset: off, size: int32(len(payload))}
+	t.index[key] = entry{offset: off, size: int32(len(payload))}
 	t.liveBytes += need
 	t.stats.Allocs++
 	return nil
@@ -459,11 +445,10 @@ type BatchItem struct {
 }
 
 // PutBatch applies every item under a single acquisition of the trunk
-// mutex, amortizing the lock (and the per-cell spin-lock handshakes)
-// across the whole batch instead of paying them once per cell — the
-// storage half of the bulk-write pipeline. Items are applied in order, so
-// a batch carrying two writes to one key leaves the later value (the
-// pipeline's last-write-wins contract).
+// mutex, amortizing the lock across the whole batch instead of paying it
+// once per cell — the storage half of the bulk-write pipeline. Items are
+// applied in order, so a batch carrying two writes to one key leaves the
+// later value (the pipeline's last-write-wins contract).
 //
 // The return value is nil when every item succeeded; otherwise it is a
 // per-item error slice in argument order (nil entries for the items that
@@ -508,7 +493,7 @@ func (t *Trunk) PutBatch(items []BatchItem) []error {
 // rewriteLocked replaces an existing cell's payload, reusing its slot when
 // the new payload fits in size+reservation, otherwise relocating.
 // Called with t.mu held.
-func (t *Trunk) rewriteLocked(key uint64, e *entry, payload []byte) error {
+func (t *Trunk) rewriteLocked(key uint64, e entry, payload []byte) error {
 	newSize := int32(len(payload))
 	if newSize <= e.size+e.reserved {
 		// In-place: the slot keeps its total span; the delta moves
@@ -521,6 +506,7 @@ func (t *Trunk) rewriteLocked(key uint64, e *entry, payload []byte) error {
 		e.size = newSize
 		e.reserved = span - newSize
 		t.writeHeader(e.offset, key, e.size, e.reserved)
+		t.index[key] = e
 		return nil
 	}
 	return t.relocateLocked(key, e, payload, int32(t.reserve(int(e.size), int(newSize-e.size))))
@@ -528,7 +514,7 @@ func (t *Trunk) rewriteLocked(key uint64, e *entry, payload []byte) error {
 
 // relocateLocked moves a cell to a freshly allocated slot with the given
 // reservation, abandoning the old slot as a gap. Called with t.mu held.
-func (t *Trunk) relocateLocked(key uint64, e *entry, payload []byte, reserved int32) error {
+func (t *Trunk) relocateLocked(key uint64, e entry, payload []byte, reserved int32) error {
 	need := int64(headerSize) + int64(len(payload)) + int64(reserved)
 	off, err := t.alloc(need)
 	if err != nil && reserved > 0 {
@@ -547,9 +533,7 @@ func (t *Trunk) relocateLocked(key uint64, e *entry, payload []byte, reserved in
 
 	t.writeHeader(off, key, int32(len(payload)), reserved)
 	copy(t.buf[off+headerSize:], payload)
-	e.offset = off
-	e.size = int32(len(payload))
-	e.reserved = reserved
+	t.index[key] = entry{offset: off, size: int32(len(payload)), reserved: reserved}
 	t.liveBytes += int64(headerSize) + int64(len(payload))
 	t.reservedBytes += int64(reserved)
 	t.stats.Allocs++
@@ -565,13 +549,14 @@ func (t *Trunk) Append(key uint64, extra []byte) error {
 }
 
 // appendLocked grows an existing cell by extra. Called with t.mu held.
-func (t *Trunk) appendLocked(key uint64, e *entry, extra []byte) error {
+func (t *Trunk) appendLocked(key uint64, e entry, extra []byte) error {
 	growth := int32(len(extra))
 	if growth <= e.reserved {
 		copy(t.buf[e.offset+headerSize+int64(e.size):], extra)
 		e.size += growth
 		e.reserved -= growth
 		t.writeHeader(e.offset, key, e.size, e.reserved)
+		t.index[key] = e
 		t.liveBytes += int64(growth)
 		t.reservedBytes -= int64(growth)
 		t.stats.InPlaceGrowth++
@@ -584,26 +569,16 @@ func (t *Trunk) appendLocked(key uint64, e *entry, extra []byte) error {
 	return t.relocateLocked(key, e, payload, int32(t.reserve(int(e.size), len(extra))))
 }
 
-// Get copies the cell's payload into a fresh slice.
+// Get copies the cell's payload into a fresh slice (nil for an empty
+// payload).
 func (t *Trunk) Get(key uint64) ([]byte, error) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	e, ok := t.index[key]
-	if !ok {
-		return nil, ErrNotFound
-	}
-	e.spinLock()
-	out := make([]byte, e.size) //alloc:ok Get is the copying API by contract; hot paths use View/ReadInto
-	copy(out, t.buf[e.offset+headerSize:])
-	e.unlock()
-	return out, nil
+	return t.ReadInto(key, nil)
 }
 
 // ReadInto appends the cell's payload to dst and returns the extended
 // slice, like append: the caller brings the buffer, so a hot loop reading
 // many cells (the multi-get handler) performs zero per-cell allocations.
-// dst is returned unchanged on ErrNotFound. The cell's spin lock is held
-// only for the copy.
+// dst is returned unchanged on ErrNotFound.
 func (t *Trunk) ReadInto(key uint64, dst []byte) ([]byte, error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
@@ -611,10 +586,7 @@ func (t *Trunk) ReadInto(key uint64, dst []byte) ([]byte, error) {
 	if !ok {
 		return dst, ErrNotFound
 	}
-	e.spinLock()
-	dst = append(dst, t.buf[e.offset+headerSize:e.offset+headerSize+int64(e.size)]...)
-	e.unlock()
-	return dst, nil
+	return append(dst, t.buf[e.offset+headerSize:e.offset+headerSize+int64(e.size)]...), nil
 }
 
 // Size returns the payload size of a cell without copying it.
@@ -636,11 +608,9 @@ func (t *Trunk) Contains(key uint64) bool {
 	return ok
 }
 
-// View invokes fn with a zero-copy slice of the cell's payload. The trunk
-// is read-locked and the cell's spin lock held for the duration, so the
-// cell can neither move nor be read half-written; fn may read and write the
-// slice in place but must not retain it. This is the mechanism behind TSL
-// cell accessors.
+// View invokes fn with a read-only, zero-copy slice of the cell's payload.
+// The trunk is read-locked for the duration, so the cell can neither move
+// nor change; fn must not write the slice or retain it.
 func (t *Trunk) View(key uint64, fn func(payload []byte) error) error {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
@@ -648,8 +618,21 @@ func (t *Trunk) View(key uint64, fn func(payload []byte) error) error {
 	if !ok {
 		return ErrNotFound
 	}
-	e.spinLock()
-	defer e.unlock()
+	return fn(t.buf[e.offset+headerSize : e.offset+headerSize+int64(e.size)])
+}
+
+// Update invokes fn with a writable, zero-copy slice of the cell's payload
+// under the exclusive trunk mutex: fn may write the slice in place (the
+// size is fixed) but must not retain it, and must not call back into this
+// trunk, which would deadlock. This is the mechanism behind TSL cell
+// accessors.
+func (t *Trunk) Update(key uint64, fn func(payload []byte) error) error {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	e, ok := t.index[key]
+	if !ok {
+		return ErrNotFound
+	}
 	return fn(t.buf[e.offset+headerSize : e.offset+headerSize+int64(e.size)])
 }
 
@@ -679,10 +662,7 @@ func (t *Trunk) ForEach(fn func(key uint64, payload []byte) bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	for key, e := range t.index {
-		e.spinLock()
-		ok := fn(key, t.buf[e.offset+headerSize:e.offset+headerSize+int64(e.size)])
-		e.unlock()
-		if !ok {
+		if !fn(key, t.buf[e.offset+headerSize:e.offset+headerSize+int64(e.size)]) {
 			return
 		}
 	}
@@ -705,8 +685,7 @@ func (t *Trunk) Keys() []uint64 {
 // reservations), and advances the committed tail so dead pages can be
 // decommitted. It stops once no gap or reservation is left, so it moves
 // at most the live bytes. It returns the number of bytes reclaimed.
-// Called with t.mu held exclusively, which is also why it needs no cell
-// lock: every holder of one is a shared holder of t.mu.
+// Called with t.mu held exclusively.
 func (t *Trunk) defragmentLocked() int64 {
 	if t.gapBytes == 0 && t.reservedBytes == 0 {
 		return 0
@@ -766,8 +745,7 @@ func (t *Trunk) defragmentLocked() int64 {
 		}
 		t.writeHeader(off, key, size, 0)
 		copy(t.buf[off+headerSize:], payload)
-		e.offset = off
-		e.reserved = 0
+		t.index[key] = entry{offset: off, size: size}
 		t.liveBytes += int64(headerSize) + int64(size)
 		t.stats.CellsMoved++
 		t.stats.BytesMoved += int64(size)
@@ -807,8 +785,8 @@ const (
 
 // DumpTo serializes all live cells to w in a compact, checksummed format.
 // It is used by the Trinity File System backup path and by checkpointing.
-// Each payload is copied under its cell lock, like ForEach, so a View
-// writing the cell in place cannot leave a half-written copy in the dump.
+// The trunk is read-locked for the whole dump, so an Update writing a cell
+// in place cannot leave a half-written copy in it.
 func (t *Trunk) DumpTo(w io.Writer) error {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
@@ -828,10 +806,7 @@ func (t *Trunk) DumpTo(w io.Writer) error {
 		if _, err := mw.Write(rec[:]); err != nil {
 			return err
 		}
-		e.spinLock()
-		_, err := mw.Write(t.buf[e.offset+headerSize : e.offset+headerSize+int64(e.size)])
-		e.unlock()
-		if err != nil {
+		if _, err := mw.Write(t.buf[e.offset+headerSize : e.offset+headerSize+int64(e.size)]); err != nil {
 			return err
 		}
 	}
@@ -860,7 +835,7 @@ func (t *Trunk) LoadFrom(r io.Reader) error {
 	count := binary.LittleEndian.Uint64(hdr[8:])
 
 	t.mu.Lock()
-	t.index = make(map[uint64]*entry, count)
+	t.index = make(map[uint64]entry, count)
 	t.head, t.tail, t.used = 0, 0, 0
 	t.liveBytes, t.gapBytes, t.reservedBytes = 0, 0, 0
 	t.mu.Unlock()

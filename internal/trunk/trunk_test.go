@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -248,16 +249,19 @@ func TestViewZeroCopyWrite(t *testing.T) {
 	if err := tr.Add(1, payload(8, 0)); err != nil {
 		t.Fatal(err)
 	}
-	err := tr.View(1, func(p []byte) error {
+	err := tr.Update(1, func(p []byte) error {
 		p[0] = 0xFF
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _ := tr.Get(1)
-	if got[0] != 0xFF {
-		t.Fatal("in-place write via View not visible")
+	var seen byte
+	if err := tr.View(1, func(p []byte) error { seen = p[0]; return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if seen != 0xFF {
+		t.Fatal("in-place write via Update not visible to View")
 	}
 }
 
@@ -270,6 +274,12 @@ func TestViewErrorPropagates(t *testing.T) {
 	}
 	if err := tr.View(2, func([]byte) error { return nil }); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("View missing = %v, want ErrNotFound", err)
+	}
+	if err := tr.Update(1, func([]byte) error { return sentinel }); !errors.Is(err, sentinel) {
+		t.Fatalf("Update error = %v, want sentinel", err)
+	}
+	if err := tr.Update(2, func([]byte) error { return nil }); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("Update missing = %v, want ErrNotFound", err)
 	}
 }
 
@@ -528,51 +538,76 @@ func TestDumpLoadRoundTrip(t *testing.T) {
 	}
 }
 
-func TestDumpToConcurrentWithViewWrite(t *testing.T) {
-	// A View callback fills the cell in place with one byte value after
-	// another; every concurrent dump must hold one whole fill, never the
-	// halves of two (a torn backup).
+func TestReadersNeverSeeTornUpdate(t *testing.T) {
+	// An Update callback fills the cell in place with one byte value after
+	// another; every concurrent read, through each reader, must hold one
+	// whole fill, never the halves of two.
 	const size = 32 << 10
-	tr := New(Options{Capacity: 1 << 17})
-	if err := tr.Add(1, make([]byte, size)); err != nil {
-		t.Fatal(err)
-	}
-	stop := make(chan struct{})
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for v := byte(1); ; v++ {
-			select {
-			case <-stop:
-				return
-			default:
+	for _, tc := range []struct {
+		name string
+		read func(tr *Trunk) ([]byte, error)
+	}{
+		{"Get", func(tr *Trunk) ([]byte, error) { return tr.Get(1) }},
+		{"ReadInto", func(tr *Trunk) ([]byte, error) { return tr.ReadInto(1, nil) }},
+		{"View", func(tr *Trunk) ([]byte, error) {
+			var got []byte
+			err := tr.View(1, func(p []byte) error { got = append(got, p...); return nil })
+			return got, err
+		}},
+		{"ForEach", func(tr *Trunk) ([]byte, error) {
+			var got []byte
+			tr.ForEach(func(_ uint64, p []byte) bool { got = append(got, p...); return true })
+			return got, nil
+		}},
+		{"DumpTo+LoadFrom", func(tr *Trunk) ([]byte, error) {
+			var buf bytes.Buffer
+			if err := tr.DumpTo(&buf); err != nil {
+				return nil, err
 			}
-			tr.View(1, func(p []byte) error {
-				for i := range p {
-					p[i] = v
+			restored := New(Options{Capacity: 1 << 17})
+			if err := restored.LoadFrom(&buf); err != nil {
+				return nil, err
+			}
+			return restored.Get(1)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tr := New(Options{Capacity: 1 << 17})
+			if err := tr.Add(1, make([]byte, size)); err != nil {
+				t.Fatal(err)
+			}
+			stop := make(chan struct{})
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				for v := byte(1); ; v++ {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					tr.Update(1, func(p []byte) error {
+						for i := range p {
+							p[i] = v
+						}
+						return nil
+					})
 				}
-				return nil
-			})
-		}
-	}()
-	defer func() { close(stop); <-done }()
-	var buf bytes.Buffer
-	for i := 0; i < 200; i++ {
-		buf.Reset()
-		if err := tr.DumpTo(&buf); err != nil {
-			t.Fatal(err)
-		}
-		restored := New(Options{Capacity: 1 << 17})
-		if err := restored.LoadFrom(&buf); err != nil {
-			t.Fatal(err)
-		}
-		got, err := restored.Get(1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n := bytes.Count(got, got[:1]); n != size {
-			t.Fatalf("dump %d is torn: %d of %d bytes hold %#x", i, n, size, got[0])
-		}
+			}()
+			defer func() { close(stop); <-done }()
+			for i := 0; i < 200; i++ {
+				got, err := tc.read(tr)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(got) != size {
+					t.Fatalf("read %d returned %d bytes, want %d", i, len(got), size)
+				}
+				if n := bytes.Count(got, got[:1]); n != size {
+					t.Fatalf("read %d is torn: %d of %d bytes hold %#x", i, n, size, got[0])
+				}
+			}
+		})
 	}
 }
 
@@ -808,6 +843,29 @@ func TestManySmallCells(t *testing.T) {
 		if err != nil || !bytes.Equal(got, payload(16, byte(i))) {
 			t.Fatalf("cell %d wrong: %v", i, err)
 		}
+	}
+}
+
+func TestIndexAddsNoHeapObjectPerCell(t *testing.T) {
+	// A trunk is one object to the garbage collector (§6.1): its index
+	// holds entries by value, so 100k cells add a few hundred map groups,
+	// not one heap object per cell.
+	const n = 100_000
+	tr := New(Options{Capacity: 1 << 25})
+	p := payload(128, 1)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := uint64(0); i < n; i++ {
+		if err := tr.Add(i, p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(tr)
+	if grew := int64(after.HeapObjects) - int64(before.HeapObjects); grew >= 1000 {
+		t.Fatalf("%d cells added %d heap objects, want < 1000", n, grew)
 	}
 }
 

@@ -280,6 +280,33 @@ func TestGenerateStructure(t *testing.T) {
 	}
 }
 
+// TestMoviesExampleIsGenerated pins examples/movies/schema_gen.go to what
+// tslc emits for its schema today, so a codegen change cannot leave the
+// one generated program (and its UseMovie in-place writer) stale.
+func TestMoviesExampleIsGenerated(t *testing.T) {
+	dir := filepath.Join("..", "..", "examples", "movies")
+	src, err := os.ReadFile(filepath.Join(dir, "schema.tsl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(filepath.Join(dir, "schema_gen.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	script, err := Compile(string(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Generate("main", string(src), script)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != string(want) {
+		t.Fatal("examples/movies/schema_gen.go is stale; regenerate with " +
+			"go run ./cmd/tslc -o examples/movies/schema_gen.go examples/movies/schema.tsl")
+	}
+}
+
 func TestGenerateAsyncStubs(t *testing.T) {
 	src := `
 struct Ping { long Seq; }
