@@ -52,7 +52,7 @@ movies:
 	$(GO) run ./examples/movies | grep 'after accessor write: The Matrix year = 2000$$'
 
 race:
-	$(GO) test -race ./internal/...
+	$(GO) test -race ./internal/... ./cmd/...
 
 # Fault-injecting transport tests on the CI seed set; override the env
 # var to replay one failing seed (CHAOS_SEEDS=7 make chaos). The nightly

@@ -21,6 +21,12 @@
 //
 // Keys are decimal cell IDs; values are raw bytes to end of line.
 //
+// A request enters the cloud where the paper's Figure 1 sends it: SET,
+// APPEND, GET and DEL run on the machine the addressing table names for
+// the key's trunk, so they apply to a local trunk with no hop between
+// machines; the graph verbs (ADDNODE, ADDEDGE, KHOP, PAGERANK) enter at
+// machine 0 and reach other machines through the graph layer.
+//
 // The same registry snapshot is served over HTTP (expvar-style) at
 // http://<metrics-listen>/debug/metrics, so dashboards and curl can poll
 // the daemon without speaking the line protocol.
@@ -28,6 +34,7 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"errors"
 	"flag"
@@ -38,7 +45,6 @@ import (
 	"os"
 	"os/signal"
 	"strconv"
-	"strings"
 	"sync"
 	"syscall"
 	"time"
@@ -155,28 +161,24 @@ const (
 	replyShuttingDown = "ERR shutting down\r\n"
 )
 
-// serve is the connection loop: one line in, exec, one write and one flush
-// out.
+// serve is the connection loop: one line in, exec, one flush out. A blank
+// line writes nothing, and flushing an empty buffer is no write.
 func (sv *server) serve(ctx context.Context, conn net.Conn) {
 	defer conn.Close()
 	sc := bufio.NewScanner(conn)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	w := bufio.NewWriter(conn)
 	for sc.Scan() {
-		out := sv.exec(ctx, sc.Text())
-		if out == "" {
-			continue
-		}
-		w.WriteString(out)
-		if w.Flush() != nil || out == replyBye || out == replyShuttingDown {
+		done := sv.exec(ctx, sc.Bytes(), w)
+		if w.Flush() != nil || done {
 			return
 		}
 	}
 }
 
-// reply formats one reply line.
-func reply(format string, args ...any) string {
-	return fmt.Sprintf(format+"\r\n", args...)
+// replyf writes one formatted reply line.
+func replyf(w *bufio.Writer, format string, args ...any) {
+	fmt.Fprintf(w, format+"\r\n", args...)
 }
 
 // cmdCtx derives one command's context: the daemon root (so shutdown
@@ -189,94 +191,144 @@ func (sv *server) cmdCtx(ctx context.Context) (context.Context, context.CancelFu
 	return context.WithCancel(ctx)
 }
 
-// exec runs one command line and returns the exact bytes to send back
-// (terminator included; empty for a blank line).
-func (sv *server) exec(ctx context.Context, line string) string {
+// owner returns the slave a key-value request on key enters at: the one
+// the addressing table names for the key's trunk (the paper's Figure 1),
+// so Slave.do applies the op to a local trunk with no msg.Call. Should
+// the tables disagree during a failover, do still re-routes through
+// Reroute. trinityd has no verb that stops a single machine, so the owner
+// picked here is always live; a future kill verb must revisit this, since
+// a killed machine's slave still holds its old table and trunks.
+func (sv *server) owner(key uint64) *memcloud.Slave {
+	return sv.cloud.Slave(int(sv.cloud.Slave(0).Owner(key)))
+}
+
+// parseKey parses a decimal cell ID.
+func parseKey(b []byte) (uint64, error) {
+	return strconv.ParseUint(string(b), 10, 64)
+}
+
+// exec runs one command line and writes its exact reply bytes to w
+// (terminator included; nothing for a blank line). It reports whether the
+// connection closes after the reply. line is only valid during the call:
+// SET and APPEND hand their value to Put and Append, which copy it before
+// returning (into the owner's trunk, into the request frame on a
+// re-route, into the log record under buffered logging). SET, APPEND, GET
+// and DEL enter at the key's owner; the graph verbs enter at machine 0.
+func (sv *server) exec(ctx context.Context, line []byte, w *bufio.Writer) (done bool) {
 	if ctx.Err() != nil {
-		return replyShuttingDown
+		w.WriteString(replyShuttingDown)
+		return true
 	}
-	s := sv.cloud.Slave(0)
-	cmd, rest, _ := strings.Cut(line, " ")
-	switch strings.ToUpper(cmd) {
-	case "SET", "APPEND":
-		keyStr, val, ok := strings.Cut(rest, " ")
-		key, err := strconv.ParseUint(keyStr, 10, 64)
-		if !ok || err != nil {
-			return reply("ERR usage: %s <key> <value>", strings.ToUpper(cmd))
+	cmd, rest, _ := bytes.Cut(line, []byte(" "))
+	// Upper-case the verb without allocating. PAGERANK, the longest verb,
+	// fits; a longer word is no verb and stays as it is.
+	verb := cmd
+	var up [8]byte
+	if len(cmd) <= len(up) {
+		verb = up[:len(cmd)]
+		for i, c := range cmd {
+			if 'a' <= c && c <= 'z' {
+				c -= 'a' - 'A'
+			}
+			verb[i] = c
 		}
+	}
+	switch string(verb) {
+	case "SET", "APPEND":
+		keyStr, val, ok := bytes.Cut(rest, []byte(" "))
+		key, err := parseKey(keyStr)
+		if !ok || err != nil {
+			replyf(w, "ERR usage: %s <key> <value>", string(verb))
+			return false
+		}
+		s := sv.owner(key)
 		cctx, cancel := sv.cmdCtx(ctx)
-		if strings.EqualFold(cmd, "SET") {
-			err = s.Put(cctx, key, []byte(val))
+		if string(verb) == "SET" {
+			err = s.Put(cctx, key, val)
 		} else {
-			err = s.Append(cctx, key, []byte(val))
+			err = s.Append(cctx, key, val)
 		}
 		cancel()
 		if err != nil {
-			return reply("ERR %v", err)
+			replyf(w, "ERR %v", err)
+			return false
 		}
-		return replyOK
+		w.WriteString(replyOK)
 	case "GET":
-		key, err := strconv.ParseUint(strings.TrimSpace(rest), 10, 64)
+		key, err := parseKey(bytes.TrimSpace(rest))
 		if err != nil {
-			return reply("ERR usage: GET <key>")
+			replyf(w, "ERR usage: GET <key>")
+			return false
 		}
 		cctx, cancel := sv.cmdCtx(ctx)
-		val, err := s.Get(cctx, key)
+		val, err := sv.owner(key).Get(cctx, key)
 		cancel()
 		if errors.Is(err, memcloud.ErrNotFound) {
-			return reply("NOT_FOUND")
+			replyf(w, "NOT_FOUND")
+			return false
 		}
 		if err != nil {
-			return reply("ERR %v", err)
+			replyf(w, "ERR %v", err)
+			return false
 		}
-		return "VALUE " + string(val) + "\r\n"
+		w.WriteString("VALUE ")
+		w.Write(val)
+		w.WriteString("\r\n")
 	case "DEL":
-		key, err := strconv.ParseUint(strings.TrimSpace(rest), 10, 64)
+		key, err := parseKey(bytes.TrimSpace(rest))
 		if err != nil {
-			return reply("ERR usage: DEL <key>")
+			replyf(w, "ERR usage: DEL <key>")
+			return false
 		}
 		cctx, cancel := sv.cmdCtx(ctx)
-		err = s.Remove(cctx, key)
+		err = sv.owner(key).Remove(cctx, key)
 		cancel()
 		if err != nil {
-			return reply("ERR %v", err)
+			replyf(w, "ERR %v", err)
+			return false
 		}
-		return replyOK
+		w.WriteString(replyOK)
 	case "ADDNODE":
-		key, err := strconv.ParseUint(strings.TrimSpace(rest), 10, 64)
+		key, err := parseKey(bytes.TrimSpace(rest))
 		if err != nil {
-			return reply("ERR usage: ADDNODE <id>")
+			replyf(w, "ERR usage: ADDNODE <id>")
+			return false
 		}
 		cctx, cancel := sv.cmdCtx(ctx)
 		err = sv.g.On(0).PutNode(cctx, &graph.Node{ID: key})
 		cancel()
 		if err != nil {
-			return reply("ERR %v", err)
+			replyf(w, "ERR %v", err)
+			return false
 		}
-		return replyOK
+		w.WriteString(replyOK)
 	case "ADDEDGE":
-		parts := strings.Fields(rest)
+		parts := bytes.Fields(rest)
 		if len(parts) != 2 {
-			return reply("ERR usage: ADDEDGE <src> <dst>")
+			replyf(w, "ERR usage: ADDEDGE <src> <dst>")
+			return false
 		}
-		src, err1 := strconv.ParseUint(parts[0], 10, 64)
-		dst, err2 := strconv.ParseUint(parts[1], 10, 64)
+		src, err1 := parseKey(parts[0])
+		dst, err2 := parseKey(parts[1])
 		if err1 != nil || err2 != nil {
-			return reply("ERR usage: ADDEDGE <src> <dst>")
+			replyf(w, "ERR usage: ADDEDGE <src> <dst>")
+			return false
 		}
 		cctx, cancel := sv.cmdCtx(ctx)
 		err := sv.g.On(0).AddEdge(cctx, src, dst)
 		cancel()
 		if err != nil {
-			return reply("ERR %v", err)
+			replyf(w, "ERR %v", err)
+			return false
 		}
-		return replyOK
+		w.WriteString(replyOK)
 	case "PAGERANK":
 		iters := 5
-		if rest = strings.TrimSpace(rest); rest != "" {
-			n, err := strconv.Atoi(rest)
+		if rest = bytes.TrimSpace(rest); len(rest) != 0 {
+			n, err := strconv.Atoi(string(rest))
 			if err != nil || n < 1 {
-				return reply("ERR usage: PAGERANK [iters]")
+				replyf(w, "ERR usage: PAGERANK [iters]")
+				return false
 			}
 			iters = n
 		}
@@ -284,44 +336,48 @@ func (sv *server) exec(ctx context.Context, line string) string {
 		res, err := algo.PageRank(cctx, sv.g, iters, 0)
 		cancel()
 		if err != nil {
-			return reply("ERR %v", err)
+			replyf(w, "ERR %v", err)
+			return false
 		}
-		return reply("OK supersteps=%d ranked=%d", res.Supersteps, len(res.Ranks))
+		replyf(w, "OK supersteps=%d ranked=%d", res.Supersteps, len(res.Ranks))
 	case "KHOP":
-		parts := strings.Fields(rest)
+		parts := bytes.Fields(rest)
 		if len(parts) != 2 {
-			return reply("ERR usage: KHOP <node> <hops>")
+			replyf(w, "ERR usage: KHOP <node> <hops>")
+			return false
 		}
-		node, err1 := strconv.ParseUint(parts[0], 10, 64)
-		hops, err2 := strconv.Atoi(parts[1])
+		node, err1 := parseKey(parts[0])
+		hops, err2 := strconv.Atoi(string(parts[1]))
 		if err1 != nil || err2 != nil {
-			return reply("ERR usage: KHOP <node> <hops>")
+			replyf(w, "ERR usage: KHOP <node> <hops>")
+			return false
 		}
 		cctx, cancel := sv.cmdCtx(ctx)
 		n, err := sv.trav.KHopNeighborhoodSize(cctx, 0, node, hops)
 		cancel()
 		if err != nil {
-			return reply("ERR %v", err)
+			replyf(w, "ERR %v", err)
+			return false
 		}
-		return reply("VISITED %d", n)
+		replyf(w, "VISITED %d", n)
 	case "STATS":
 		st := sv.cloud.Stats()
-		return reply("STATS local=%d remote=%d retries=%d recoveries=%d mem=%dB",
+		replyf(w, "STATS local=%d remote=%d retries=%d recoveries=%d mem=%dB",
 			st.LocalOps, st.RemoteOps, st.Retries, st.Recoveries, sv.cloud.MemoryUsage())
 	case "METRICS":
-		var b strings.Builder
-		sv.cloud.Metrics().WriteJSON(&b)
-		return b.String()
+		sv.cloud.Metrics().WriteJSON(w)
 	case "BACKUP":
 		if err := sv.cloud.Backup(); err != nil {
-			return reply("ERR %v", err)
+			replyf(w, "ERR %v", err)
+			return false
 		}
-		return replyOK
+		w.WriteString(replyOK)
 	case "QUIT":
-		return replyBye
+		w.WriteString(replyBye)
+		return true
 	case "":
-		return ""
 	default:
-		return reply("ERR unknown command %q", cmd)
+		replyf(w, "ERR unknown command %q", cmd)
 	}
+	return false
 }

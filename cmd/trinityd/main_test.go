@@ -2,10 +2,14 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
+	"io"
 	"net"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -13,14 +17,24 @@ import (
 	"trinity/internal/compute/traversal"
 	"trinity/internal/graph"
 	"trinity/internal/memcloud"
+	"trinity/internal/msg"
 )
 
-func newTestServer(t *testing.T) *server {
+func newTestServer(t *testing.T, machines int) *server {
 	t.Helper()
-	cloud := memcloud.New(memcloud.Config{Machines: 2, TrunkCapacity: 1 << 20})
+	cloud := memcloud.New(memcloud.Config{Machines: machines, TrunkCapacity: 1 << 20})
 	t.Cleanup(cloud.Close)
 	g := graph.New(cloud, true)
 	return &server{cloud: cloud, g: g, trav: traversal.New(g), cmdTimeout: 10 * time.Second}
+}
+
+// run executes one line and returns the bytes exec wrote.
+func run(ctx context.Context, sv *server, line string) string {
+	var b bytes.Buffer
+	w := bufio.NewWriter(&b)
+	sv.exec(ctx, []byte(line), w)
+	w.Flush()
+	return b.String()
 }
 
 // TestExecProtocol pins every reply of the line protocol: the scored
@@ -29,7 +43,7 @@ func newTestServer(t *testing.T) *server {
 // script runs in order against one server — graph verbs first, because
 // PAGERANK decodes every cell as a node and a raw SET cell is not one.
 func TestExecProtocol(t *testing.T) {
-	sv := newTestServer(t)
+	sv := newTestServer(t, 2)
 	ctx := context.Background()
 	script := []struct{ line, want string }{
 		{"", ""},
@@ -76,7 +90,7 @@ func TestExecProtocol(t *testing.T) {
 		{"QUIT", replyBye},
 	}
 	for _, st := range script {
-		got := sv.exec(ctx, st.line)
+		got := run(ctx, sv, st.line)
 		if pattern, ok := strings.CutPrefix(st.want, "~"); ok {
 			if !regexp.MustCompile(pattern).MatchString(got) {
 				t.Errorf("%q -> %q, want match of %s", st.line, got, pattern)
@@ -86,7 +100,7 @@ func TestExecProtocol(t *testing.T) {
 		}
 	}
 
-	metrics := sv.exec(ctx, "METRICS")
+	metrics := run(ctx, sv, "METRICS")
 	if !json.Valid([]byte(metrics)) || !strings.HasSuffix(metrics, "\n}\n") ||
 		!strings.Contains(metrics, `"memcloud.m0.local_ops"`) {
 		t.Errorf("METRICS is not the registry's JSON object: %.80q…", metrics)
@@ -95,7 +109,7 @@ func TestExecProtocol(t *testing.T) {
 	down, cancel := context.WithCancel(ctx)
 	cancel()
 	for _, line := range []string{"GET 1", "QUIT", ""} {
-		if got := sv.exec(down, line); got != replyShuttingDown {
+		if got := run(down, sv, line); got != replyShuttingDown {
 			t.Errorf("%q while shutting down -> %q, want %q", line, got, replyShuttingDown)
 		}
 	}
@@ -105,7 +119,7 @@ func TestExecProtocol(t *testing.T) {
 // order, nothing for a blank line, and the connection closes after BYE and
 // after the shutting-down reply.
 func TestServeConnection(t *testing.T) {
-	sv := newTestServer(t)
+	sv := newTestServer(t, 2)
 	dial := func(ctx context.Context) (net.Conn, *bufio.Reader) {
 		client, srv := net.Pipe()
 		go sv.serve(ctx, srv)
@@ -140,4 +154,59 @@ func TestServeConnection(t *testing.T) {
 	}
 	expect(r, replyShuttingDown)
 	expect(r, "")
+}
+
+// TestKVVerbsEnterAtOwner checks that SET, GET, APPEND and DEL run on the
+// key's owner: across a 4-machine cloud not one op crosses the bus.
+func TestKVVerbsEnterAtOwner(t *testing.T) {
+	sv := newTestServer(t, 4)
+	ctx := context.Background()
+	const keys = 1000
+	owners := map[msg.MachineID]bool{}
+	for k := uint64(1); k <= keys; k++ {
+		owners[sv.cloud.Slave(0).Owner(k)] = true
+		v := strconv.FormatUint(k*7, 10)
+		for _, st := range []struct{ line, want string }{
+			{fmt.Sprintf("SET %d v%s", k, v), "OK\r\n"},
+			{fmt.Sprintf("GET %d", k), "VALUE v" + v + "\r\n"},
+			{fmt.Sprintf("APPEND %d ,%d", k, k), "OK\r\n"},
+			{fmt.Sprintf("GET %d", k), fmt.Sprintf("VALUE v%s,%d\r\n", v, k)},
+			{fmt.Sprintf("DEL %d", k), "OK\r\n"},
+		} {
+			if got := run(ctx, sv, st.line); got != st.want {
+				t.Fatalf("%q -> %q, want %q", st.line, got, st.want)
+			}
+		}
+	}
+	if !owners[0] || !owners[3] {
+		t.Fatalf("keys 1..%d cover owners %v; want machines 0 and 3 among them", keys, owners)
+	}
+	st := sv.cloud.Stats()
+	if st.RemoteOps != 0 || st.LocalOps != 5*keys {
+		t.Errorf("local=%d remote=%d, want local=%d remote=0", st.LocalOps, st.RemoteOps, 5*keys)
+	}
+}
+
+// TestExecAllocs pins the per-line cost of the key-value verbs: the line
+// is parsed in place, a value goes to Put as it is, and a GET reply is
+// written straight into the connection's buffer. What is left is the
+// per-command context.WithTimeout (4 allocations) and, for GET, the value
+// read from the trunk.
+func TestExecAllocs(t *testing.T) {
+	sv := newTestServer(t, 2)
+	ctx := context.Background()
+	w := bufio.NewWriter(io.Discard)
+	set := []byte("SET 42 " + strings.Repeat("v", 128))
+	get := []byte("GET 42")
+	for _, c := range []struct {
+		line []byte
+		max  float64
+	}{{set, 4}, {get, 5}} {
+		if got := testing.AllocsPerRun(200, func() { sv.exec(ctx, c.line, w) }); got > c.max {
+			t.Errorf("%.3s: %.1f allocations per line, want at most %.0f", c.line, got, c.max)
+		}
+	}
+	if got := run(ctx, sv, "GET 42"); got != "VALUE "+strings.Repeat("v", 128)+"\r\n" {
+		t.Errorf("GET 42 -> %.20q…", got)
+	}
 }
