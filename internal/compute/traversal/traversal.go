@@ -10,6 +10,18 @@
 // expansion walks the CSR arena — and returns matches plus the next
 // frontier fragment. No index is used — the performance comes from fast
 // random access and parallelism, exactly the paper's argument.
+//
+// No map is on the query path. On the wire, request ids and reply
+// neighbors are strictly ascending. An owner expands its fragment in the
+// view's slot arena (View.OutSlots): one bit per out-edge slot in a pooled
+// bitset, which drops duplicate and shared neighbors, read back in slot
+// order as two ascending runs (local targets, then remote ones) and merged
+// into the reply. The coordinator keeps its visited set as an ascending
+// slice: each level's next frontier is the merge of the owners' replies
+// minus visited, and folds into visited, in linear passes over reused
+// buffers. Owners keep no state between requests: no query id, no
+// registry, no view pinned across levels, since slots never leave the
+// owner that numbered them.
 package traversal
 
 import (
@@ -17,9 +29,14 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
+	"math/bits"
+	"slices"
 	"strings"
+	"sync"
 	"time"
 
+	"trinity/internal/buf"
 	"trinity/internal/graph"
 	"trinity/internal/graph/view"
 	"trinity/internal/memcloud"
@@ -56,8 +73,9 @@ const (
 
 // Result is the outcome of an exploration query.
 type Result struct {
-	// Matches are the nodes satisfying the predicate, in discovery order
-	// (level by level). The start node is tested too.
+	// Matches are the nodes satisfying the predicate, each once, level by
+	// level; within a level, by owner machine, ascending within each. The
+	// start node is tested too.
 	Matches []uint64
 	// Visited is the total number of distinct nodes reached (including
 	// the start).
@@ -76,6 +94,9 @@ type Engine struct {
 	expansions *obs.Counter
 	visited    *obs.Counter
 	exploreNs  *obs.Histogram
+
+	coordPool sync.Pool // *coordScratch
+	ownerPool sync.Pool // *ownerScratch
 }
 
 // New builds a traversal engine and installs handlers on all machines.
@@ -88,11 +109,13 @@ func New(g *graph.Graph) *Engine {
 		visited:    scope.Counter("visited"),
 		exploreNs:  scope.Histogram("explore_ns"),
 	}
+	e.coordPool.New = func() any { return newCoordScratch(g.Machines()) }
+	e.ownerPool.New = func() any { return new(ownerScratch) }
 	for i := 0; i < g.Machines(); i++ {
 		m := g.On(i)
 		mm := m
 		m.Slave().Node().HandleSync(protoExpand, func(ctx context.Context, from msg.MachineID, req []byte) ([]byte, error) {
-			return e.expandLocal(ctx, mm, req)
+			return e.serve(ctx, mm, req, nil)
 		})
 	}
 	return e
@@ -114,10 +137,22 @@ func (e *Engine) Explore(ctx context.Context, via int, start uint64, hops int, p
 		}
 		return nil, fmt.Errorf("traversal: start node %d does not exist", start)
 	}
-	res := &Result{Visited: 1}
-	visited := map[uint64]bool{start: true}
+	q := e.coordPool.Get().(*coordScratch)
+	defer e.coordPool.Put(q)
+	res, err := e.explore(ctx, q, coord, start, hops, pred)
+	if err != nil {
+		return nil, err
+	}
+	e.visited.Add(int64(res.Visited))
+	return res, nil
+}
 
-	frontier := []uint64{start}
+// explore is Explore's level loop over the coordinator's sorted sets.
+func (e *Engine) explore(ctx context.Context, q *coordScratch, coord *graph.Machine, start uint64, hops int, pred Predicate) (*Result, error) {
+	res := &Result{Visited: 1}
+	q.visited = append(q.visited[:0], start)
+	frontier := append(q.next[:0], start)
+	self := coord.Slave().ID()
 	for hop := 0; hop <= hops && len(frontier) > 0; hop++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -131,50 +166,167 @@ func (e *Engine) Explore(ctx context.Context, via int, start uint64, hops int, p
 			// round of round trips for an empty reply.
 			break
 		}
-		// Group the frontier by owner machine.
-		perOwner := make(map[msg.MachineID][]uint64)
+		// Group the ascending frontier by owner machine: each group stays
+		// ascending, as the wire requires.
+		for o := range q.groups {
+			q.groups[o] = q.groups[o][:0]
+		}
 		for _, id := range frontier {
-			owner := coord.Slave().Owner(id)
-			perOwner[owner] = append(perOwner[owner], id)
+			o := coord.Slave().Owner(id)
+			q.groups[o] = append(q.groups[o], id)
 		}
 		// One parallel request per machine: each machine tests the
-		// predicate on its own vertices (zero-copy) and, unless this is
-		// the last hop, returns their out-neighbors.
-		type reply struct {
-			matches   []uint64
-			neighbors []uint64
-			err       error
+		// predicate on its own vertices and, unless this is the last hop,
+		// returns their out-neighbors as one ascending run. The
+		// coordinator's own group is served inline.
+		pending := 0
+		for o, ids := range q.groups {
+			q.replies[o] = reply{}
+			if len(ids) == 0 || msg.MachineID(o) == self {
+				continue
+			}
+			pending++
+			go func(o int, ids []uint64) {
+				r := &q.replies[o]
+				r.matches, r.neighbors, r.err = e.expand(ctx, q, coord, msg.MachineID(o), ids, pred, expandMore)
+				q.done <- struct{}{}
+			}(o, ids)
 		}
-		replies := make(chan reply, len(perOwner))
-		for owner, ids := range perOwner {
-			go func(owner msg.MachineID, ids []uint64) {
-				m, n, err := e.expand(ctx, coord, owner, ids, pred, expandMore)
-				replies <- reply{m, n, err}
-			}(owner, ids)
+		if ids := q.groups[self]; len(ids) > 0 {
+			r := &q.replies[self]
+			r.matches, r.neighbors, r.err = e.expand(ctx, q, coord, self, ids, pred, expandMore)
 		}
-		var next []uint64
-		for range perOwner {
-			r := <-replies
+		for ; pending > 0; pending-- {
+			<-q.done
+		}
+		q.runs = q.runs[:0]
+		for o := range q.replies {
+			r := &q.replies[o]
 			if r.err != nil {
 				return nil, r.err
 			}
-			for _, id := range r.neighbors {
-				if !visited[id] {
-					visited[id] = true
-					next = append(next, id)
-				}
-			}
 			res.Matches = append(res.Matches, r.matches...)
+			if len(r.neighbors) > 0 {
+				q.runs = append(q.runs, r.neighbors)
+			}
 		}
-		if expandMore {
-			res.Levels = append(res.Levels, len(next))
-			res.Visited += len(next)
+		if !expandMore {
+			break
 		}
+		// next = (union of the owners' runs) minus visited; then fold
+		// next into visited through the spare buffer.
+		next := subtract(frontier[:0], mergeRuns(q.runs, &q.tmp), q.visited)
+		q.spare = mergeUnion(q.spare[:0], q.visited, next)
+		q.visited, q.spare = q.spare, q.visited
+		res.Levels = append(res.Levels, len(next))
+		res.Visited += len(next)
 		frontier = next
 	}
-	res.Matches = dedup(res.Matches)
-	e.visited.Add(int64(res.Visited))
+	q.next = frontier[:0]
 	return res, nil
+}
+
+// reply is one owner's answer to one expansion request.
+type reply struct {
+	matches, neighbors []uint64
+	err                error
+}
+
+// coordScratch is one Explore call's reusable state, pooled across
+// queries. Slices indexed by owner have one entry per machine.
+type coordScratch struct {
+	groups  [][]uint64 // frontier ids by owner
+	reqs    [][]byte   // encoded request by owner
+	replies []reply    // decoded reply by owner; its slices alias bufs
+	bufs    [][]uint64 // decode buffer by owner
+	local   []byte     // the coordinator's own reply
+	done    chan struct{}
+
+	runs           [][]uint64  // the level's non-empty neighbor runs
+	tmp            [2][]uint64 // mergeRuns' buffers
+	visited, spare []uint64    // ascending visited set, double-buffered
+	next           []uint64    // frontier / next-level buffer
+}
+
+func newCoordScratch(machines int) *coordScratch {
+	return &coordScratch{
+		groups:  make([][]uint64, machines),
+		reqs:    make([][]byte, machines),
+		replies: make([]reply, machines),
+		bufs:    make([][]uint64, machines),
+		done:    make(chan struct{}, machines),
+	}
+}
+
+// mergeRuns returns the union of ascending runs as one ascending run
+// without duplicates: pairwise merges, log2(len(runs)) rounds, alternating
+// between the two buffers of tmp. It reorders runs.
+func mergeRuns(runs [][]uint64, tmp *[2][]uint64) []uint64 {
+	if len(runs) == 0 {
+		return nil
+	}
+	total := 0
+	for _, r := range runs {
+		total += len(r)
+	}
+	for round := 0; len(runs) > 1; round++ {
+		b := slices.Grow(tmp[round&1][:0], total)
+		merged := runs[:0]
+		for i := 0; i < len(runs); i += 2 {
+			from := len(b)
+			if i+1 < len(runs) {
+				b = mergeUnion(b, runs[i], runs[i+1])
+			} else {
+				b = append(b, runs[i]...) // the next round reuses the buffer runs[i] may be in
+			}
+			merged = append(merged, b[from:len(b):len(b)])
+		}
+		tmp[round&1], runs = b, merged
+	}
+	return runs[0]
+}
+
+// mergeUnion appends to dst the union of two ascending runs, an id both
+// hold once. The loop body is branch-free: which side advances is data
+// the CPU cannot predict.
+func mergeUnion(dst, a, b []uint64) []uint64 {
+	k := len(dst)
+	dst = slices.Grow(dst, len(a)+len(b))[:k+len(a)+len(b)]
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		x, y := a[i], b[j]
+		dst[k] = min(x, y)
+		k++
+		i += b2i(x <= y)
+		j += b2i(y <= x)
+	}
+	k += copy(dst[k:], a[i:])
+	k += copy(dst[k:], b[j:])
+	return dst[:k]
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// subtract appends to dst the ids of ascending run a that are not in
+// ascending run b, branch-free like mergeUnion.
+func subtract(dst, a, b []uint64) []uint64 {
+	k := len(dst)
+	dst = slices.Grow(dst, len(a))[:k+len(a)]
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		x, y := a[i], b[j]
+		dst[k] = x
+		k += b2i(x < y)
+		i += b2i(x <= y)
+		j += b2i(y <= x)
+	}
+	k += copy(dst[k:], a[i:])
+	return dst[:k]
 }
 
 // ExploreCells runs the same breadth-first exploration as Explore, but
@@ -298,172 +450,202 @@ func (e *Engine) PeopleSearch(ctx context.Context, via int, start uint64, firstN
 	return res.Matches, nil
 }
 
-// expand sends one frontier fragment to its owner (or runs locally).
-func (e *Engine) expand(ctx context.Context, coord *graph.Machine, owner msg.MachineID, ids []uint64, pred Predicate, expandMore bool) (matches, neighbors []uint64, err error) {
+// expand sends one frontier fragment to its owner (or serves it locally)
+// and decodes the reply into the owner's buffer of q.
+func (e *Engine) expand(ctx context.Context, q *coordScratch, coord *graph.Machine, owner msg.MachineID, ids []uint64, pred Predicate, expandMore bool) (matches, neighbors []uint64, err error) {
 	e.expansions.Inc()
-	req := encodeExpand(ids, pred, expandMore)
+	req := encodeExpand(q.reqs[owner][:0], ids, pred, expandMore)
+	q.reqs[owner] = req
 	var resp []byte
 	if owner == coord.Slave().ID() {
-		resp, err = e.expandLocal(ctx, coord, req)
+		resp, err = e.serve(ctx, coord, req, q.local[:0])
+		q.local = resp
 	} else {
-		resp, err = coord.Slave().Node().Call(ctx, owner, protoExpand, req)
+		var lease *buf.Lease
+		lease, resp, err = coord.Slave().Node().CallLease(ctx, owner, protoExpand, req)
+		if err == nil {
+			defer lease.Release()
+		}
 	}
 	if err != nil {
 		return nil, nil, err
 	}
-	return decodeExpandResp(resp)
+	out, mc, err := decodeExpandResp(resp, q.bufs[owner][:0])
+	if err != nil {
+		return nil, nil, err
+	}
+	q.bufs[owner] = out
+	return out[:mc], out[mc:], nil
 }
 
-// expandLocal serves a frontier fragment on the owner machine through its
-// partition view: the predicate test is a dense array read (labels) or a
-// zero-copy name read, and edge expansion walks the CSR arena. Frontier
-// ids absent from the view — dangling edge targets that were never
-// created — are tolerated and skipped, matching the old per-cell path's
-// ErrNoNode tolerance; a corrupt cell instead fails view acquisition.
-func (e *Engine) expandLocal(ctx context.Context, m *graph.Machine, req []byte) ([]byte, error) {
-	ids, pred, expandMore, err := decodeExpand(req)
+// ownerScratch is one expansion's reusable state on the owner, pooled
+// across requests. set is all zero between uses.
+type ownerScratch struct {
+	ids, matches []uint64
+	set          []uint64 // one bit per view slot
+	runs, merged []uint64 // neighbor IDs in slot order, then in ID order
+}
+
+// serve answers one expansion request on the owner machine through its
+// partition view, appending the reply to dst. The predicate test is a
+// dense array read (labels) or a zero-copy name read. Expansion sets one
+// bit per out-edge slot of each frontier vertex, so duplicate and shared
+// neighbors collapse, then reads the bits back in slot order as two
+// ascending ID runs (local, remote) and merges them into the reply.
+// Frontier ids absent from the view — dangling edge targets that were
+// never created — are tolerated and skipped; a corrupt cell instead fails
+// view acquisition.
+func (e *Engine) serve(ctx context.Context, m *graph.Machine, req, dst []byte) ([]byte, error) {
+	sc := e.ownerPool.Get().(*ownerScratch)
+	defer e.ownerPool.Put(sc)
+	ids, pred, expandMore, err := decodeExpand(req, sc.ids[:0])
 	if err != nil {
 		return nil, err
 	}
+	sc.ids = ids
 	pv, err := view.Acquire(m)
 	if err != nil {
 		return nil, err
 	}
-	var matches []uint64
-	if pred.Mode != MatchNone {
-		for _, id := range ids {
-			switch pred.Mode {
-			case MatchLabel:
-				// People search interns the name into the label, so the
-				// whole predicate is one array read.
-				if idx, ok := pv.IndexOf(id); ok && pv.Label(idx) == pred.Label {
-					matches = append(matches, id)
-				}
-			case MatchNamePrefix:
-				if name, err := m.Name(ctx, id); err == nil && strings.HasPrefix(name, pred.Prefix) {
-					matches = append(matches, id)
-				}
-			}
-		}
+	if words := (pv.NumSlots() + 63) / 64; len(sc.set) < words {
+		sc.set = make([]uint64, words)
 	}
-	var neighbors []uint64
-	if expandMore {
-		seen := make(map[uint64]bool, len(ids)*8)
-		for _, id := range ids {
-			idx, ok := pv.IndexOf(id)
-			if !ok {
-				continue // dangling edge target
-			}
-			for _, dst := range pv.Out(idx) {
-				if !seen[dst] {
-					seen[dst] = true
-					neighbors = append(neighbors, dst)
-				}
-			}
-		}
-	}
-	return encodeExpandResp(matches, neighbors), nil
-}
-
-func dedup(ids []uint64) []uint64 {
-	if len(ids) < 2 {
-		return ids
-	}
-	seen := make(map[uint64]bool, len(ids))
-	out := ids[:0]
+	set := sc.set
+	matches := sc.matches[:0]
+	lo, hi := uint32(math.MaxUint32), uint32(0)
 	for _, id := range ids {
-		if !seen[id] {
-			seen[id] = true
-			out = append(out, id)
+		idx, ok := pv.IndexOf(id)
+		switch pred.Mode {
+		case MatchLabel:
+			// People search interns the name into the label, so the
+			// whole predicate is one array read.
+			if ok && pv.Label(idx) == pred.Label {
+				matches = append(matches, id)
+			}
+		case MatchNamePrefix:
+			if name, err := m.Name(ctx, id); err == nil && strings.HasPrefix(name, pred.Prefix) {
+				matches = append(matches, id)
+			}
+		}
+		if !ok || !expandMore {
+			continue
+		}
+		for _, s := range pv.OutSlots(idx) {
+			set[s>>6] |= 1 << (s & 63)
+			lo, hi = min(lo, s), max(hi, s)
 		}
 	}
-	return out
+	sc.matches = matches
+	// Read the touched words back in slot order, clearing them: local
+	// slots come first, so runs[:local] and runs[local:] are each
+	// ascending by ID.
+	runs, local := sc.runs[:0], 0
+	for w := int(lo >> 6); w <= int(hi>>6); w++ {
+		for b := set[w]; b != 0; b &= b - 1 {
+			s := uint32(w)<<6 | uint32(bits.TrailingZeros64(b))
+			if int(s) < pv.NumVertices() {
+				local++
+			}
+			runs = append(runs, pv.SlotID(s))
+		}
+		set[w] = 0
+	}
+	sc.runs = runs
+	sc.merged = mergeUnion(sc.merged[:0], runs[:local], runs[local:])
+	dst = slices.Grow(dst, 8+8*(len(matches)+len(runs)))
+	return appendIDs(appendIDs(dst, matches), sc.merged), nil
 }
 
 // --- wire encoding ---
+//
+// Request: [expandMore u8: 0|1][mode u8][label u64][prefix len u32]
+// [prefix][count u32][count × id u64]. Reply: [count u32][matches u64…]
+// [count u32][neighbors u64…]. Every id list is strictly ascending and a
+// frame has no trailing bytes; decoders reject anything else.
 
-func encodeExpand(ids []uint64, pred Predicate, expandMore bool) []byte {
-	out := make([]byte, 0, 14+len(pred.Prefix)+4+8*len(ids))
+func encodeExpand(dst []byte, ids []uint64, pred Predicate, expandMore bool) []byte {
+	dst = slices.Grow(dst, 18+len(pred.Prefix)+8*len(ids))
 	if expandMore {
-		out = append(out, 1)
+		dst = append(dst, 1)
 	} else {
-		out = append(out, 0)
+		dst = append(dst, 0)
 	}
-	out = append(out, byte(pred.Mode))
-	out = binary.LittleEndian.AppendUint64(out, uint64(pred.Label))
-	out = binary.LittleEndian.AppendUint32(out, uint32(len(pred.Prefix)))
-	out = append(out, pred.Prefix...)
-	out = binary.LittleEndian.AppendUint32(out, uint32(len(ids)))
-	for _, id := range ids {
-		out = binary.LittleEndian.AppendUint64(out, id)
-	}
-	return out
+	dst = append(dst, byte(pred.Mode))
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(pred.Label))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(pred.Prefix)))
+	dst = append(dst, pred.Prefix...)
+	return appendIDs(dst, ids)
 }
 
-func decodeExpand(b []byte) ([]uint64, Predicate, bool, error) {
+// decodeExpand decodes a request, appending its ids to dst.
+func decodeExpand(b []byte, dst []uint64) ([]uint64, Predicate, bool, error) {
 	var pred Predicate
-	if len(b) < 14 {
-		return nil, pred, false, errors.New("traversal: short expand request")
+	if len(b) < 14 || b[0] > 1 {
+		return nil, pred, false, errors.New("traversal: bad expand request header")
 	}
 	expandMore := b[0] == 1
 	pred.Mode = PredicateMode(b[1])
 	pred.Label = int64(binary.LittleEndian.Uint64(b[2:]))
-	plen := int(binary.LittleEndian.Uint32(b[10:]))
-	if 14+plen > len(b) {
+	plen := uint64(binary.LittleEndian.Uint32(b[10:]))
+	if 14+plen > uint64(len(b)) {
 		return nil, pred, false, errors.New("traversal: bad prefix length")
 	}
 	pred.Prefix = string(b[14 : 14+plen])
-	off := 14 + plen
-	if off+4 > len(b) {
-		return nil, pred, false, errors.New("traversal: short expand request")
+	ids, rest, err := decodeIDs(b[14+plen:], dst)
+	if err == nil && len(rest) != 0 {
+		err = errors.New("traversal: trailing bytes in expand request")
 	}
-	count := int(binary.LittleEndian.Uint32(b[off:]))
-	off += 4
-	if off+8*count > len(b) {
-		return nil, pred, false, errors.New("traversal: truncated id list")
-	}
-	ids := make([]uint64, count)
-	for i := range ids {
-		ids[i] = binary.LittleEndian.Uint64(b[off+8*i:])
+	if err != nil {
+		return nil, pred, false, err
 	}
 	return ids, pred, expandMore, nil
 }
 
-func encodeExpandResp(matches, neighbors []uint64) []byte {
-	out := make([]byte, 0, 8+8*(len(matches)+len(neighbors)))
-	out = binary.LittleEndian.AppendUint32(out, uint32(len(matches)))
-	for _, id := range matches {
-		out = binary.LittleEndian.AppendUint64(out, id)
+// decodeExpandResp decodes a reply, appending its matches and then its
+// neighbors to dst; the first mc ids appended are the matches.
+func decodeExpandResp(b []byte, dst []uint64) (out []uint64, mc int, err error) {
+	base := len(dst)
+	out, rest, err := decodeIDs(b, dst)
+	if err != nil {
+		return nil, 0, err
 	}
-	out = binary.LittleEndian.AppendUint32(out, uint32(len(neighbors)))
-	for _, id := range neighbors {
-		out = binary.LittleEndian.AppendUint64(out, id)
+	mc = len(out) - base
+	out, rest, err = decodeIDs(rest, out)
+	if err == nil && len(rest) != 0 {
+		err = errors.New("traversal: trailing bytes in expand reply")
 	}
-	return out
+	if err != nil {
+		return nil, 0, err
+	}
+	return out[base:], mc, nil
 }
 
-func decodeExpandResp(b []byte) (matches, neighbors []uint64, err error) {
-	if len(b) < 8 {
-		return nil, nil, errors.New("traversal: short expand response")
+// appendIDs appends a counted id list.
+func appendIDs(dst []byte, ids []uint64) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(ids)))
+	for _, id := range ids {
+		dst = binary.LittleEndian.AppendUint64(dst, id)
 	}
-	mc := int(binary.LittleEndian.Uint32(b))
-	off := 4
-	if off+8*mc+4 > len(b) {
-		return nil, nil, errors.New("traversal: truncated matches")
+	return dst
+}
+
+// decodeIDs decodes a counted, strictly ascending id list from the front
+// of b, appending the ids to dst, and returns what follows it.
+func decodeIDs(b []byte, dst []uint64) ([]uint64, []byte, error) {
+	if len(b) < 4 {
+		return nil, nil, errors.New("traversal: short id list")
 	}
-	matches = make([]uint64, mc)
-	for i := range matches {
-		matches[i] = binary.LittleEndian.Uint64(b[off+8*i:])
+	count := uint64(binary.LittleEndian.Uint32(b))
+	b = b[4:]
+	if 8*count > uint64(len(b)) {
+		return nil, nil, errors.New("traversal: truncated id list")
 	}
-	off += 8 * mc
-	nc := int(binary.LittleEndian.Uint32(b[off:]))
-	off += 4
-	if off+8*nc > len(b) {
-		return nil, nil, errors.New("traversal: truncated neighbors")
+	for i := 0; i < int(count); i++ {
+		id := binary.LittleEndian.Uint64(b[8*i:])
+		if i > 0 && id <= dst[len(dst)-1] {
+			return nil, nil, errors.New("traversal: id list not strictly ascending")
+		}
+		dst = append(dst, id)
 	}
-	neighbors = make([]uint64, nc)
-	for i := range neighbors {
-		neighbors[i] = binary.LittleEndian.Uint64(b[off+8*i:])
-	}
-	return matches, neighbors, nil
+	return dst, b[8*count:], nil
 }

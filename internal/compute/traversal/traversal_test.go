@@ -4,8 +4,11 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"runtime"
+	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -73,49 +76,247 @@ func TestExploreMissingStart(t *testing.T) {
 	}
 }
 
+// refGraph is a sequential model of a loaded graph: out-lists in
+// insertion order and the labels of the nodes that exist. An out-neighbor
+// with no label is a dangling target: reached, but never a match and
+// never expanded.
+type refGraph struct {
+	out    map[uint64][]uint64
+	labels map[uint64]int64
+}
+
+// explore is the sequential model of Explore: a level-synchronous BFS
+// that records each expanded level's size and tests the label predicate
+// on every node reached, the start included. matches is ascending.
+func (r *refGraph) explore(start uint64, hops int, pred Predicate) (visited int, levels []int, matches []uint64) {
+	seen := map[uint64]bool{start: true}
+	test := func(id uint64) {
+		if l, ok := r.labels[id]; ok && pred.Mode == MatchLabel && l == pred.Label {
+			matches = append(matches, id)
+		}
+	}
+	test(start)
+	frontier := []uint64{start}
+	for h := 0; h < hops && len(frontier) > 0; h++ {
+		var next []uint64
+		for _, u := range frontier {
+			for _, v := range r.out[u] {
+				if !seen[v] {
+					seen[v] = true
+					next = append(next, v)
+					test(v)
+				}
+			}
+		}
+		levels = append(levels, len(next))
+		frontier = next
+	}
+	slices.Sort(matches)
+	return len(seen), levels, matches
+}
+
+// loadRef loads nodes 0..n-1 (label id%3) and edges into a directed
+// graph, then appends each dangling edge's target — an id with no cell —
+// to its source's out-list in place. It returns the graph and its model.
+func loadRef(t *testing.T, cloud *memcloud.Cloud, n int, edges, dangling [][2]uint64) (*graph.Graph, *refGraph) {
+	t.Helper()
+	ctx := context.Background()
+	r := &refGraph{out: map[uint64][]uint64{}, labels: map[uint64]int64{}}
+	b := graph.NewBuilder(true)
+	for i := uint64(0); i < uint64(n); i++ {
+		b.AddNode(i, int64(i%3), "")
+		r.labels[i] = int64(i % 3)
+	}
+	for _, e := range edges {
+		b.AddEdge(e[0], e[1])
+		r.out[e[0]] = append(r.out[e[0]], e[1])
+	}
+	g, err := b.Load(ctx, cloud)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range dangling {
+		node, err := g.On(0).GetNode(ctx, e[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		node.Outlinks = append(node.Outlinks, e[1])
+		if err := g.On(0).PutNode(ctx, node); err != nil {
+			t.Fatal(err)
+		}
+		r.out[e[0]] = append(r.out[e[0]], e[1])
+	}
+	return g, r
+}
+
+func sortedCopy(ids []uint64) []uint64 {
+	out := slices.Clone(ids)
+	slices.Sort(out)
+	return out
+}
+
 func TestExploreMatchesAgainstReferenceBFS(t *testing.T) {
-	// Distributed exploration must agree with a sequential BFS on a
-	// random graph, for every hop count.
+	// Distributed exploration must agree with a sequential BFS hop by hop
+	// — Visited, Levels and the Matches set — from every coordinator and
+	// for every hop count.
+	const machines = 4
+	var uniform [][2]uint64
+	gen.Uniform(gen.UniformConfig{Nodes: 400, AvgDegree: 5, Seed: 9}, func(u, v uint64) {
+		uniform = append(uniform, [2]uint64{u, v})
+	})
+	// Power law with hubs, plus self-loops, duplicate edges and edges to
+	// ids that have no cell.
+	const plNodes = 600
+	var powerLaw, dangling [][2]uint64
+	gen.PowerLaw(gen.PowerLawConfig{Nodes: plNodes, AvgDegree: 6, Seed: 5}, func(u, v uint64) {
+		powerLaw = append(powerLaw, [2]uint64{u, v})
+		if u%7 == 0 {
+			powerLaw = append(powerLaw, [2]uint64{u, v})
+		}
+	})
+	for i := uint64(0); i < plNodes; i += 40 {
+		powerLaw = append(powerLaw, [2]uint64{i, i})
+		dangling = append(dangling, [2]uint64{i / 2, plNodes + 1000 + i})
+	}
+	cases := []struct {
+		name     string
+		nodes    int
+		edges    [][2]uint64
+		dangling [][2]uint64
+		starts   []uint64
+	}{
+		{"uniform", 400, uniform, nil, []uint64{0, 17, 399}},
+		{"powerlaw", plNodes, powerLaw, dangling, []uint64{0, 20, 333, plNodes - 1}},
+	}
+	preds := []Predicate{{}, {Mode: MatchLabel, Label: 1}}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			g, ref := loadRef(t, newCloud(t, machines), tc.nodes, tc.edges, tc.dangling)
+			e := New(g)
+			for _, start := range tc.starts {
+				for hops := 0; hops <= 4; hops++ {
+					for _, pred := range preds {
+						visited, levels, matches := ref.explore(start, hops, pred)
+						for via := 0; via < machines; via++ {
+							res, err := e.Explore(context.Background(), via, start, hops, pred)
+							if err != nil {
+								t.Fatal(err)
+							}
+							got := sortedCopy(res.Matches)
+							if res.Visited != visited || !slices.Equal(res.Levels, levels) || !slices.Equal(got, matches) {
+								t.Fatalf("start=%d hops=%d pred=%+v via=%d: visited %d levels %v matches %v; reference %d %v %v",
+									start, hops, pred, via, res.Visited, res.Levels, got, visited, levels, matches)
+							}
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
+func TestConcurrentExploresAgree(t *testing.T) {
+	// Queries share the engine's pooled coordinator and owner scratch, and
+	// owners rebuild their views under them (every partition is
+	// invalidated in a loop, which renumbers nothing but forces rebuilds):
+	// concurrent answers must equal the sequential ones.
+	const machines = 4
+	var edges [][2]uint64
+	gen.PowerLaw(gen.PowerLawConfig{Nodes: 800, AvgDegree: 6, Seed: 11}, func(u, v uint64) {
+		edges = append(edges, [2]uint64{u, v})
+	})
+	g, _ := loadRef(t, newCloud(t, machines), 800, edges, nil)
+	e := New(g)
+	type query struct {
+		via   int
+		start uint64
+		hops  int
+		pred  Predicate
+	}
+	var queries []query
+	var want []*Result
+	for i := 0; i < 24; i++ {
+		q := query{i % machines, uint64(i * 31 % 800), 1 + i%4, Predicate{Mode: MatchLabel, Label: int64(i % 3)}}
+		res, err := e.Explore(context.Background(), q.via, q.start, q.hops, q.pred)
+		if err != nil {
+			t.Fatal(err)
+		}
+		queries, want = append(queries, q), append(want, res)
+	}
+	stop := make(chan struct{})
+	invalidated := make(chan struct{})
+	go func() {
+		defer close(invalidated)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			for i := 0; i < machines; i++ {
+				g.On(i).InvalidatePartition()
+			}
+			runtime.Gosched()
+		}
+	}()
+	var wg sync.WaitGroup
+	for w := 0; w < 6; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for k := range queries {
+				i := (k + w*5) % len(queries)
+				q := queries[i]
+				res, err := e.Explore(context.Background(), q.via, q.start, q.hops, q.pred)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				got, exp := sortedCopy(res.Matches), sortedCopy(want[i].Matches)
+				if res.Visited != want[i].Visited || !slices.Equal(res.Levels, want[i].Levels) || !slices.Equal(got, exp) {
+					t.Errorf("query %+v: concurrent %d %v %v, sequential %d %v %v",
+						q, res.Visited, res.Levels, got, want[i].Visited, want[i].Levels, exp)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(stop)
+	<-invalidated
+}
+
+func TestMatchesUniqueOnCyclicMultigraph(t *testing.T) {
+	// A ring with doubled edges and chords, every node a match: each node
+	// is reached along many paths and offered by several owners in the
+	// same level, yet must be reported once.
+	const n = 30
 	cloud := newCloud(t, 4)
 	b := graph.NewBuilder(true)
-	gen.BuildUniform(gen.UniformConfig{Nodes: 400, AvgDegree: 5, Seed: 9}, 4, b)
+	for i := uint64(0); i < n; i++ {
+		b.AddNode(i, 7, "")
+	}
+	for i := uint64(0); i < n; i++ {
+		b.AddEdge(i, (i+1)%n)
+		b.AddEdge(i, (i+1)%n)
+		b.AddEdge(i, (i+3)%n)
+		b.AddEdge(i, i)
+	}
 	g, err := b.Load(context.Background(), cloud)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Sequential reference.
-	adj := make([][]uint64, 400)
-	for i := range adj {
-		adj[i], _ = g.On(0).Outlinks(context.Background(), uint64(i))
-	}
-	refKHop := func(start uint64, hops int) map[uint64]int {
-		dist := map[uint64]int{start: 0}
-		frontier := []uint64{start}
-		for d := 1; d <= hops && len(frontier) > 0; d++ {
-			var next []uint64
-			for _, u := range frontier {
-				for _, v := range adj[u] {
-					if _, ok := dist[v]; !ok {
-						dist[v] = d
-						next = append(next, v)
-					}
-				}
-			}
-			frontier = next
-		}
-		return dist
-	}
 	e := New(g)
-	for _, start := range []uint64{0, 17, 399} {
-		for hops := 0; hops <= 4; hops++ {
-			ref := refKHop(start, hops)
-			got, err := e.KHopNeighborhoodSize(context.Background(), int(start)%4, start, hops)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got != len(ref) {
-				t.Fatalf("KHop(%d, %d) = %d, reference %d", start, hops, got, len(ref))
-			}
+	for via := 0; via < 4; via++ {
+		res, err := e.Explore(context.Background(), via, 5, 40, Predicate{Mode: MatchLabel, Label: 7})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := sortedCopy(res.Matches)
+		if len(slices.Compact(got)) != len(res.Matches) {
+			t.Fatalf("via %d: duplicate matches %v", via, res.Matches)
+		}
+		if len(res.Matches) != n || res.Visited != n {
+			t.Fatalf("via %d: %d matches, %d visited; want %d each", via, len(res.Matches), res.Visited, n)
 		}
 	}
 }
@@ -478,4 +679,38 @@ func BenchmarkThreeHopCellsPipelined(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkKHopServeMix runs graph_serve's query shape in process: KHOP 2
+// and KHOP 3 alternating, from a fixed pool of 1,024 starts, over a
+// 10k-node power-law graph of degree 10 on 4 machines, coordinated by
+// machine 0 as the daemon does.
+func BenchmarkKHopServeMix(b *testing.B) {
+	const nodes = 10_000
+	cloud := newCloud(b, 4)
+	bl := graph.NewBuilder(true)
+	for i := uint64(0); i < nodes; i++ {
+		bl.AddNode(i, 0, "")
+	}
+	gen.PowerLaw(gen.PowerLawConfig{Nodes: nodes, AvgDegree: 10, Seed: 1}, bl.AddEdge)
+	g, err := bl.Load(context.Background(), cloud)
+	if err != nil {
+		b.Fatal(err)
+	}
+	e := New(g)
+	rng := hash.NewRNG(2)
+	starts := make([]uint64, 1024)
+	for i := range starts {
+		starts[i] = uint64(rng.Intn(nodes))
+	}
+	visited := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		n, err := e.KHopNeighborhoodSize(context.Background(), 0, starts[i%len(starts)], 2+i%2)
+		if err != nil {
+			b.Fatal(err)
+		}
+		visited += n
+	}
+	b.ReportMetric(float64(visited)/float64(b.N), "visited/op")
 }

@@ -12,6 +12,13 @@
 // feed which local targets) that the §5.4 hub-buffering pass consumes
 // directly.
 //
+// The out arena is also kept as dense uint32 slots, so a caller can hold
+// per-neighbor state in a bitset instead of a map: a local target's slot
+// is its dense index, and a remote target's slot is NumVertices() plus
+// its rank among the view's distinct remote targets, which are kept in
+// ascending ID order. Slots therefore enumerate in two ascending ID runs,
+// local then remote.
+//
 // Views are invalidated by epoch: every mutation of a machine's partition
 // through the graph layer bumps graph.Machine.Epoch, and Acquire rebuilds
 // lazily — concurrently trunk by trunk — when the cached snapshot's epoch
@@ -20,9 +27,11 @@
 package view
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -48,8 +57,10 @@ type View struct {
 	index  map[uint64]int32 // vertex ID -> dense local index
 	labels []int64
 
-	outOff []uint32 // len NumVertices()+1
-	out    []uint64 // out-neighbor arena
+	outOff  []uint32 // len NumVertices()+1
+	out     []uint64 // out-neighbor arena
+	outSlot []uint32 // the out arena as slots, parallel to out
+	outFar  []uint64 // slot NumVertices()+i -> distinct remote target (ascending)
 
 	inOff []uint32
 	in    []uint64 // in-neighbor arena
@@ -97,6 +108,24 @@ func (v *View) InDegree(idx int) int {
 // slice of the shared arena (do not modify; safe to retain).
 func (v *View) Out(idx int) []uint64 {
 	return v.out[v.outOff[idx]:v.outOff[idx+1]]
+}
+
+// NumSlots returns the number of out-edge slots: one per local vertex
+// plus one per distinct remote out-neighbor.
+func (v *View) NumSlots() int { return len(v.ids) + len(v.outFar) }
+
+// OutSlots returns the out-neighbors of the vertex at dense index idx as
+// slots, in the same order as Out (do not modify; safe to retain).
+func (v *View) OutSlots(idx int) []uint32 {
+	return v.outSlot[v.outOff[idx]:v.outOff[idx+1]]
+}
+
+// SlotID returns the vertex ID behind slot s.
+func (v *View) SlotID(s uint32) uint64 {
+	if n := uint32(len(v.ids)); s >= n {
+		return v.outFar[s-n]
+	}
+	return v.ids[s]
 }
 
 // In returns the in-neighbors of the vertex at dense index idx.
@@ -147,10 +176,11 @@ type part struct {
 	err  error
 }
 
-// mergeRec locates a vertex record across trunk parts during the merge.
+// mergeRec locates a vertex record across trunk parts during the merge;
+// it carries the ID so the sort moves 16 bytes, not the whole rec.
 type mergeRec struct {
-	part int32
-	rec  rec
+	id        uint64
+	part, rec int32
 }
 
 // build constructs a fresh snapshot of the machine's partition at the
@@ -203,16 +233,17 @@ func build(m *graph.Machine, epoch uint64) (*View, error) {
 		totalOut += len(parts[i].out)
 		totalIn += len(parts[i].in)
 	}
-	if totalOut > math.MaxUint32 || totalIn > math.MaxUint32 {
+	// Slots are uint32 too, and there are at most n+totalOut of them.
+	if n+totalOut > math.MaxUint32 || totalIn > math.MaxUint32 {
 		return nil, fmt.Errorf("view: partition exceeds %d edges", uint64(math.MaxUint32))
 	}
 	all := make([]mergeRec, 0, n)
 	for pi := range parts {
-		for _, r := range parts[pi].recs {
-			all = append(all, mergeRec{part: int32(pi), rec: r})
+		for ri, r := range parts[pi].recs {
+			all = append(all, mergeRec{id: r.id, part: int32(pi), rec: int32(ri)})
 		}
 	}
-	sort.Slice(all, func(i, j int) bool { return all[i].rec.id < all[j].rec.id })
+	slices.SortFunc(all, func(a, b mergeRec) int { return cmp.Compare(a.id, b.id) })
 
 	v := &View{
 		epoch:  epoch,
@@ -227,7 +258,7 @@ func build(m *graph.Machine, epoch uint64) (*View, error) {
 	}
 	for i, gr := range all {
 		p := &parts[gr.part]
-		r := gr.rec
+		r := &p.recs[gr.rec]
 		v.ids[i] = r.id
 		v.index[r.id] = int32(i)
 		v.labels[i] = r.label
@@ -236,6 +267,7 @@ func build(m *graph.Machine, epoch uint64) (*View, error) {
 		v.outOff[i+1] = uint32(len(v.out))
 		v.inOff[i+1] = uint32(len(v.in))
 	}
+	v.outSlot, v.outFar = outSlots(v)
 	v.remote = remoteSplit(v)
 
 	builds.Inc()
@@ -263,6 +295,44 @@ func scanTrunk(s *memcloud.Slave, tid uint32, p *part) {
 		})
 		return true
 	})
+}
+
+// outSlots encodes the finished out arena as slots: a local target maps
+// to its dense index; remote targets are numbered in first-seen order,
+// then renumbered by ascending ID once all are known.
+func outSlots(v *View) ([]uint32, []uint64) {
+	slots := make([]uint32, len(v.out))
+	var far []uint64
+	farRank := make(map[uint64]uint32)
+	for e, dst := range v.out {
+		if idx, ok := v.index[dst]; ok {
+			slots[e] = uint32(idx)
+			continue
+		}
+		r, ok := farRank[dst]
+		if !ok {
+			r = uint32(len(far))
+			farRank[dst] = r
+			far = append(far, dst)
+		}
+		slots[e] = math.MaxUint32 - r // provisional; renumbered below
+	}
+	if len(far) == 0 {
+		return slots, nil
+	}
+	// perm[first-seen rank] = slot of that target in ascending order.
+	slices.Sort(far)
+	perm := make([]uint32, len(far))
+	n := uint32(len(v.ids))
+	for i, id := range far {
+		perm[farRank[id]] = n + uint32(i)
+	}
+	for e, s := range slots {
+		if s >= n {
+			slots[e] = perm[math.MaxUint32-s]
+		}
+	}
+	return slots, far
 }
 
 // remoteSplit computes the bipartite split from the finished in arena:

@@ -109,6 +109,65 @@ func TestViewMatchesGraph(t *testing.T) {
 	}
 }
 
+// TestViewOutSlots checks the slot encoding of the out arena: slots
+// decode to the out-neighbors in order, a local target's slot is its
+// dense index, and the remote slots number the distinct remote targets in
+// ascending ID order, so both slot runs enumerate ascending IDs.
+func TestViewOutSlots(t *testing.T) {
+	cloud := newCloud(t, 3)
+	b := graph.NewBuilder(true)
+	const n = 150
+	for i := uint64(0); i < n; i++ {
+		b.AddNode(i, 0, "")
+	}
+	for i := uint64(0); i < n; i++ {
+		b.AddEdge(i, (i*7+3)%n)
+		b.AddEdge(i, (i*7+3)%n) // duplicate
+		b.AddEdge(i, i)         // self-loop
+		b.AddEdge(i, (i+1)%n)
+	}
+	g, err := b.Load(context.Background(), cloud)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for mi := 0; mi < g.Machines(); mi++ {
+		v, err := Acquire(g.On(mi))
+		if err != nil {
+			t.Fatal(err)
+		}
+		remote := map[uint64]bool{}
+		for idx := 0; idx < v.NumVertices(); idx++ {
+			out, slots := v.Out(idx), v.OutSlots(idx)
+			if len(slots) != len(out) {
+				t.Fatalf("machine %d: vertex %d has %d slots for %d out-edges", mi, v.IDOf(idx), len(slots), len(out))
+			}
+			for k, s := range slots {
+				if int(s) >= v.NumSlots() || v.SlotID(s) != out[k] {
+					t.Fatalf("machine %d: slot %d of vertex %d decodes wrong (want %d)", mi, s, v.IDOf(idx), out[k])
+				}
+				li, local := v.IndexOf(out[k])
+				if local != (int(s) < v.NumVertices()) || local && li != int(s) {
+					t.Fatalf("machine %d: target %d (local=%v) has slot %d", mi, out[k], local, s)
+				}
+				if !local {
+					remote[out[k]] = true
+				}
+			}
+		}
+		if len(remote) == 0 {
+			t.Fatalf("machine %d: no remote targets; the fixture must cross machines", mi)
+		}
+		if got := v.NumSlots() - v.NumVertices(); got != len(remote) {
+			t.Fatalf("machine %d: %d remote slots for %d distinct remote targets", mi, got, len(remote))
+		}
+		for s := v.NumVertices() + 1; s < v.NumSlots(); s++ {
+			if v.SlotID(uint32(s-1)) >= v.SlotID(uint32(s)) {
+				t.Fatalf("machine %d: remote slots %d, %d not in ascending ID order", mi, s-1, s)
+			}
+		}
+	}
+}
+
 // TestViewRemoteSources checks the §5.4 bipartite split: every remote
 // in-source with its local targets, no local vertex listed as remote.
 func TestViewRemoteSources(t *testing.T) {
