@@ -18,10 +18,11 @@
 //     teardown-shaped APIs, never for request-shaped ones.
 //
 //  3. No make([]byte, ...) on the designated hot paths (internal/trunk,
-//     internal/msg, internal/memcloud and its fetch/store subpackages)
-//     unless the line carries an `//alloc:ok <reason>` comment. These
-//     packages sit on the zero-copy read path and the batched write
-//     path: per-frame and per-cell buffers come from the buf lease
+//     internal/msg, internal/memcloud and its batch/fetch/store
+//     subpackages, internal/compute/bsp) unless the line carries an
+//     `//alloc:ok <reason>` comment. These packages sit on the
+//     zero-copy read path, the batched write path and the superstep
+//     loop: per-frame and per-cell buffers come from the buf lease
 //     pool, and an unannotated allocation is usually a regression that
 //     silently re-introduces the GC churn the lease refactor removed.
 //     Cold-path or deliberately caller-owned allocations get the
@@ -32,7 +33,10 @@
 //     benchmark/ — "the system" is what a binary can reach; code only a
 //     test calls has traffic nobody measured. The one escape is greppable
 //     and carries a reason: `//reach:test-seam <why>` in the doc comment
-//     of fault-injection and fixture API that tests need. Unlike checks
+//     of fault-injection and fixture API that tests need. A method called
+//     inside a string literal (the TSL generator's templates) counts only
+//     if a string literal of the same file names its package's import
+//     path, as a template that imports it must. Unlike checks
 //     1-3 this one type-checks the tree (reach.go); it counts references,
 //     not call paths, so a function kept alive only by another
 //     unreferenced function surfaces once that one is deleted.
@@ -72,6 +76,7 @@ var allocHotPackages = []string{
 	"internal/memcloud/batch",
 	"internal/memcloud/fetch",
 	"internal/memcloud/store",
+	"internal/compute/bsp",
 }
 
 // allowNoCtx names exported functions that block by design without a

@@ -176,6 +176,7 @@ type Failure struct{}
 func (Failure) Error() string { return "" }
 func (Failure) Unwrap() error { return nil }`,
 				"internal/tsl/codegen.go": `package tsl
+const imports = "import (\n\t\"trinity/internal/cell\"\n)\n"
 const setter = "func (a Accessor) Set(v bool) { a.ref.SetBool(v) }"`,
 				"internal/b/b.go": `package b
 type Getter interface{ Get() int }
@@ -184,6 +185,25 @@ func Use(g Getter) int { return g.Get() }`,
 "trinity/internal/b"`, "cell.Ref{}", "b.Use(cell.Store{})", "error(cell.Failure{})"),
 			},
 			want: []string{"internal/cell.Ref.SetNever has no reference", "internal/cell.Store.Put has no reference"},
+		},
+		{
+			name: "check 4: a call in a template counts only for the packages the template imports",
+			tree: map[string]string{
+				"internal/cell/c.go": `package cell
+type Ref struct{}
+func (Ref) Send(v bool) {}`,
+				"internal/eng/e.go": `package eng
+type Context struct{}
+func (Context) Send(v bool) {}`,
+				"internal/tsl/codegen.go": `package tsl
+import "trinity/internal/eng"
+var _ eng.Context
+const imports = "import \"trinity/internal/cell\"\n"
+const body = "func f(r cell.Ref) { r.Send(true) }"`,
+				"cmd/x/main.go": mainUsing(`"trinity/internal/cell"
+"trinity/internal/eng"`, "cell.Ref{}", "eng.Context{}"),
+			},
+			want: []string{"internal/eng.Context.Send has no reference"},
 		},
 	}
 	for _, c := range cases {

@@ -30,7 +30,13 @@ var errorsMethods = map[string]bool{"Unwrap": true, "Is": true, "As": true}
 // templateCall finds method calls inside string literals: the code
 // internal/tsl/codegen.go emits calls accessor methods that nothing in
 // the tree calls until someone compiles a schema using that field type.
-var templateCall = regexp.MustCompile(`\.([A-Z]\w*)\(`)
+// Such a call counts only for the packages whose import path a string
+// literal of the same file names (templateImport), the packages the
+// emitted code can import.
+var (
+	templateCall   = regexp.MustCompile(`\.([A-Z]\w*)\(`)
+	templateImport = regexp.MustCompile(modulePath + `/[\w/]+`)
+)
 
 // loader type-checks the module's packages from their parsed non-test
 // files, in import order, and hands everything else to the compiler's
@@ -86,12 +92,17 @@ func typeCheck(fset *token.FileSet, files map[string]*ast.File, rels []string) (
 
 // references walks every declaration and returns the objects it uses —
 // not counting a function's uses of itself or of its receiver type — and
-// the method names called inside string literals.
+// the methods called inside string literals, keyed "<import path>.<name>"
+// for every import path the same file's string literals name.
 func references(info *types.Info, files map[string]*ast.File) (reached map[types.Object]bool, inTemplate map[string]bool) {
 	reached = make(map[types.Object]bool)
 	inTemplate = make(map[string]bool)
 	for _, file := range files {
+		var calls, imports []string
 		for _, d := range file.Decls {
+			if gd, ok := d.(*ast.GenDecl); ok && gd.Tok == token.IMPORT {
+				continue // the file's own imports are no template
+			}
 			var self types.Object
 			parts := []ast.Node{d}
 			if fn, ok := d.(*ast.FuncDecl); ok {
@@ -115,12 +126,18 @@ func references(info *types.Info, files map[string]*ast.File) (reached map[types
 					case *ast.BasicLit:
 						if n.Kind == token.STRING {
 							for _, m := range templateCall.FindAllStringSubmatch(n.Value, -1) {
-								inTemplate[m[1]] = true
+								calls = append(calls, m[1])
 							}
+							imports = append(imports, templateImport.FindAllString(n.Value, -1)...)
 						}
 					}
 					return true
 				})
+			}
+		}
+		for _, p := range imports {
+			for _, name := range calls {
+				inTemplate[p+"."+name] = true
 			}
 		}
 	}
@@ -221,7 +238,7 @@ func checkReach(fset *token.FileSet, files map[string]*ast.File) ([]violation, e
 		obj := info.Defs[id]
 		live := reached[obj]
 		if f, ok := obj.(*types.Func); ok && recvType != nil && !live {
-			live = inTemplate[id.Name] || errorsMethods[id.Name] || viaInterface(f)
+			live = inTemplate[modulePath+"/"+path.Dir(rel)+"."+id.Name] || errorsMethods[id.Name] || viaInterface(f)
 		}
 		switch _, isType := obj.(*types.TypeName); {
 		case live && own && !isType:

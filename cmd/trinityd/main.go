@@ -62,7 +62,8 @@ func main() {
 	metricsListen := flag.String("metrics-listen", "127.0.0.1:7701",
 		"HTTP metrics listen address serving /debug/metrics (empty disables)")
 	cmdTimeout := flag.Duration("cmd-timeout", 30*time.Second,
-		"per-command deadline (propagated over the wire; 0 disables)")
+		"deadline of each ADDNODE, ADDEDGE, PAGERANK and KHOP, propagated over the wire; 0 disables "+
+			"(SET, GET, APPEND and DEL are bounded by the message layer's call timeout)")
 	drainTimeout := flag.Duration("drain-timeout", 5*time.Second,
 		"grace period for in-flight work on SIGINT/SIGTERM")
 	flag.Parse()
@@ -181,9 +182,9 @@ func replyf(w *bufio.Writer, format string, args ...any) {
 	fmt.Fprintf(w, format+"\r\n", args...)
 }
 
-// cmdCtx derives one command's context: the daemon root (so shutdown
-// aborts in-flight commands) bounded by the per-command deadline, which
-// Call propagates over the wire.
+// cmdCtx derives one graph command's context: the daemon root (so
+// shutdown aborts in-flight commands) bounded by the per-command
+// deadline, which Call propagates over the wire.
 func (sv *server) cmdCtx(ctx context.Context) (context.Context, context.CancelFunc) {
 	if sv.cmdTimeout > 0 {
 		return context.WithTimeout(ctx, sv.cmdTimeout)
@@ -213,7 +214,11 @@ func parseKey(b []byte) (uint64, error) {
 // SET and APPEND hand their value to Put and Append, which copy it before
 // returning (into the owner's trunk, into the request frame on a
 // re-route, into the log record under buffered logging). SET, APPEND, GET
-// and DEL enter at the key's owner; the graph verbs enter at machine 0.
+// and DEL enter at the key's owner and run under ctx itself: a local op
+// has no wait to bound, and every wait of a re-routed one is bounded
+// already (msg.Call by CallTimeout, Reroute's report and refresh by
+// FailureTimeout and CallTimeout). The graph verbs enter at machine 0
+// under cmdCtx.
 func (sv *server) exec(ctx context.Context, line []byte, w *bufio.Writer) (done bool) {
 	if ctx.Err() != nil {
 		w.WriteString(replyShuttingDown)
@@ -241,14 +246,11 @@ func (sv *server) exec(ctx context.Context, line []byte, w *bufio.Writer) (done 
 			replyf(w, "ERR usage: %s <key> <value>", string(verb))
 			return false
 		}
-		s := sv.owner(key)
-		cctx, cancel := sv.cmdCtx(ctx)
-		if string(verb) == "SET" {
-			err = s.Put(cctx, key, val)
+		if s := sv.owner(key); string(verb) == "SET" {
+			err = s.Put(ctx, key, val)
 		} else {
-			err = s.Append(cctx, key, val)
+			err = s.Append(ctx, key, val)
 		}
-		cancel()
 		if err != nil {
 			replyf(w, "ERR %v", err)
 			return false
@@ -260,9 +262,7 @@ func (sv *server) exec(ctx context.Context, line []byte, w *bufio.Writer) (done 
 			replyf(w, "ERR usage: GET <key>")
 			return false
 		}
-		cctx, cancel := sv.cmdCtx(ctx)
-		val, err := sv.owner(key).Get(cctx, key)
-		cancel()
+		val, err := sv.owner(key).Get(ctx, key)
 		if errors.Is(err, memcloud.ErrNotFound) {
 			replyf(w, "NOT_FOUND")
 			return false
@@ -280,9 +280,7 @@ func (sv *server) exec(ctx context.Context, line []byte, w *bufio.Writer) (done 
 			replyf(w, "ERR usage: DEL <key>")
 			return false
 		}
-		cctx, cancel := sv.cmdCtx(ctx)
-		err = sv.owner(key).Remove(cctx, key)
-		cancel()
+		err = sv.owner(key).Remove(ctx, key)
 		if err != nil {
 			replyf(w, "ERR %v", err)
 			return false

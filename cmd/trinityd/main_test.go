@@ -189,9 +189,9 @@ func TestKVVerbsEnterAtOwner(t *testing.T) {
 
 // TestExecAllocs pins the per-line cost of the key-value verbs: the line
 // is parsed in place, a value goes to Put as it is, and a GET reply is
-// written straight into the connection's buffer. What is left is the
-// per-command context.WithTimeout (4 allocations) and, for GET, the value
-// read from the trunk.
+// written straight into the connection's buffer, and no per-command
+// context is derived. What is left is, for GET, the value read from the
+// trunk.
 func TestExecAllocs(t *testing.T) {
 	sv := newTestServer(t, 2)
 	ctx := context.Background()
@@ -201,7 +201,7 @@ func TestExecAllocs(t *testing.T) {
 	for _, c := range []struct {
 		line []byte
 		max  float64
-	}{{set, 4}, {get, 5}} {
+	}{{set, 0}, {get, 1}} {
 		if got := testing.AllocsPerRun(200, func() { sv.exec(ctx, c.line, w) }); got > c.max {
 			t.Errorf("%.3s: %.1f allocations per line, want at most %.0f", c.line, got, c.max)
 		}

@@ -30,6 +30,8 @@ type pageRankProg struct {
 
 func (p *pageRankProg) Init(id uint64, outDeg int) (float64, bool) { return 1.0, true }
 
+func (p *pageRankProg) Combine(a, b float64) float64 { return a + b }
+
 func (p *pageRankProg) Compute(ctx *bsp.Context, id uint64, val float64, msgs []float64) (float64, bool) {
 	if ctx.Superstep() > 0 {
 		sum := 0.0
@@ -69,7 +71,6 @@ type InstrumentedPageRank struct {
 // the §5.4 hub-buffering ablation.
 func PageRankInstrumented(ctx context.Context, g *graph.Graph, iters, hubThreshold int) (*InstrumentedPageRank, error) {
 	e := bsp.New(g, bsp.Options{
-		Combine:       func(a, b float64) float64 { return a + b },
 		HubThreshold:  hubThreshold,
 		MaxSupersteps: iters + 1,
 	})
@@ -97,6 +98,8 @@ func (p *bfsProg) Init(id uint64, _ int) (float64, bool) {
 	}
 	return Unreached, false
 }
+
+func (p *bfsProg) Combine(a, b float64) float64 { return math.Min(a, b) }
 
 func (p *bfsProg) Compute(ctx *bsp.Context, id uint64, val float64, msgs []float64) (float64, bool) {
 	if ctx.Superstep() == 0 {
@@ -127,10 +130,7 @@ type BFSResult struct {
 
 // BFS computes hop distances from source over the distributed graph.
 func BFS(ctx context.Context, g *graph.Graph, source uint64, hubThreshold int) (*BFSResult, error) {
-	e := bsp.New(g, bsp.Options{
-		Combine:      func(a, b float64) float64 { return math.Min(a, b) },
-		HubThreshold: hubThreshold,
-	})
+	e := bsp.New(g, bsp.Options{HubThreshold: hubThreshold})
 	steps, err := e.Run(ctx, &bfsProg{source: source})
 	if err != nil {
 		return nil, err

@@ -47,7 +47,7 @@ type Message struct {
 // Program is a Giraph-style vertex program.
 type Program interface {
 	// Compute processes one vertex for the current superstep. It may call
-	// ctx.Send and ctx.VoteToHalt.
+	// ctx.SendToAllEdges and ctx.VoteToHalt.
 	Compute(ctx *Context, v *Vertex, msgs []any)
 }
 
@@ -59,11 +59,6 @@ type Context struct {
 
 // Superstep returns the current superstep.
 func (c *Context) Superstep() int { return c.step }
-
-// Send delivers a boxed message to the target vertex next superstep.
-func (c *Context) Send(target uint64, value any) {
-	c.w.sendMessage(target, value)
-}
 
 // SendToAllEdges broadcasts to every out-edge, one message per edge.
 func (c *Context) SendToAllEdges(v *Vertex, value any) {

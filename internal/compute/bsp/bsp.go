@@ -6,8 +6,9 @@
 // set of vertices (its neighbors), which makes the communication pattern
 // predictable. The engine exploits this with two §5.4 mechanisms:
 //
-//   - Message combining: messages to the same destination vertex are
-//     merged on arrival when the program provides a Combine function.
+//   - Message combining: every Program supplies Combine, and messages to
+//     the same destination vertex are merged on arrival, so each vertex
+//     has one mailbox word per superstep rather than a message list.
 //
 //   - Hub-vertex buffering with action scripts: before the first
 //     superstep, each machine reads the remote side of its partition
@@ -21,9 +22,11 @@
 //
 // All per-vertex state is dense: the engine acquires each machine's
 // partition view (internal/graph/view) at construction and indexes
-// values, activity and inboxes by the view's dense local index. Vertex
-// iteration and edge expansion walk the view's CSR arenas; cell storage
-// is not touched again after the snapshot is built.
+// values, activity, mailboxes and hub subscriptions by the view's dense
+// local index. A broadcast walks the view's out-edge slots: a local
+// target's slot is its dense index, so it is delivered with no owner or
+// index lookup, and a remote slot's owner is resolved once per engine.
+// Cell storage is not touched again after the snapshot is built.
 //
 // Supersteps end with a marker-based barrier: per-sender FIFO ordering of
 // the transport guarantees that a StepDone marker arrives after all of the
@@ -36,6 +39,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -47,7 +51,7 @@ import (
 	"trinity/internal/obs"
 )
 
-// inboxShards is the stripe count of the per-machine inbox locks.
+// inboxShards is the stripe count of the per-machine mailbox locks.
 const inboxShards = 64
 
 // Engine protocol IDs (below tsl.ProtoUserBase, above the graph range).
@@ -69,27 +73,23 @@ type Program interface {
 	// Compute processes the vertex for one superstep. It may send
 	// messages through ctx and returns the new value and whether the
 	// vertex votes to halt. Compute is invoked for a vertex when it is
-	// active or has pending messages.
+	// active or has a pending message; msgs holds the combined message,
+	// or nothing.
 	Compute(ctx *Context, id uint64, val float64, msgs []float64) (newVal float64, halt bool)
+	// Combine merges two messages addressed to the same vertex (sum for
+	// PageRank, min for BFS). Arrival order is not fixed, so it must be
+	// commutative and associative.
+	Combine(a, b float64) float64
 }
-
-// Combiner optionally merges two messages addressed to the same vertex
-// (e.g. sum for PageRank, min for SSSP). Nil disables combining.
-type Combiner func(a, b float64) float64
 
 // Options configures a run.
 type Options struct {
 	// MaxSupersteps bounds the run. Zero means 1<<30.
 	MaxSupersteps int
-	// Combine merges messages to the same destination vertex.
-	Combine Combiner
 	// HubThreshold enables hub-vertex buffering: a remote source feeding
 	// at least this many local targets is subscribed via an action
 	// script. Zero disables the optimization.
 	HubThreshold int
-	// OnSuperstep, if non-nil, observes (superstep, active, sent) after
-	// every barrier.
-	OnSuperstep func(step int, active, sent int64)
 }
 
 // Context carries per-superstep operations for the vertices of one
@@ -99,21 +99,55 @@ type Context struct {
 	self    uint64
 	selfIdx int // dense local index of self in the partition view
 	step    int
+
+	// This goroutine's message counts for the step, added to the
+	// worker's once its shard is done.
+	sent, wire, dropped int64
 }
 
 // Superstep returns the current superstep number (0-based).
 func (c *Context) Superstep() int { return c.step }
 
-// Send delivers m to vertex dst at the next superstep.
-func (c *Context) Send(dst uint64, m float64) {
-	c.w.send(dst, m)
-}
-
 // SendToAllOut broadcasts m along all out-edges — the restrictive-model
-// pattern ("Outlinks.Foreach"). This path is hub-optimized: if remote
-// machines have subscribed to this vertex, they receive one copy each.
+// pattern ("Outlinks.Foreach"). If remote machines have subscribed to
+// this vertex as a hub, they receive one copy each and the edges into
+// them send nothing.
 func (c *Context) SendToAllOut(m float64) {
-	c.w.sendToAllOut(c.selfIdx, c.self, m)
+	w := c.w
+	node := w.m.Slave().Node()
+	var buf [16]byte
+	binary.LittleEndian.PutUint64(buf[8:], math.Float64bits(m))
+	subs := w.subscribers(c.selfIdx)
+	if len(subs) > 0 {
+		binary.LittleEndian.PutUint64(buf[0:], c.self)
+		for i, word := range subs {
+			for ; word != 0; word &= word - 1 {
+				c.wire++
+				node.Send(msg.MachineID(64*i+bits.TrailingZeros64(word)), protoHubMsg, buf[:])
+			}
+		}
+	}
+	n := uint32(w.pv.NumVertices())
+	slots := w.pv.OutSlots(c.selfIdx)
+	c.sent += int64(len(slots))
+	for _, s := range slots {
+		if s < n {
+			w.deliver(int(s), m)
+			continue
+		}
+		switch owner := w.farOwner[s-n]; {
+		case owner == w.id:
+			// Owned here but absent from the snapshot: the vertex did
+			// not exist when the engine was built. Count, don't crash.
+			c.dropped++
+		case len(subs) > 0 && subs[owner/64]>>(owner%64)&1 != 0:
+			// Carried by the hub copy.
+		default:
+			binary.LittleEndian.PutUint64(buf[0:], w.pv.SlotID(s))
+			c.wire++
+			node.Send(owner, protoVertexMsg, buf[:])
+		}
+	}
 }
 
 // OutDegree returns the current vertex's out-degree.
@@ -127,6 +161,7 @@ func (c *Context) OutDegree() int {
 type Engine struct {
 	g       *graph.Graph
 	opts    Options
+	prog    Program // set by Run
 	workers []*worker
 	prepErr error // partition-view acquisition failure, surfaced by Run
 
@@ -138,8 +173,7 @@ type Engine struct {
 // engineMetrics are the engine's registry-backed counters, created
 // eagerly at construction (scope "bsp" on the cloud's registry) so a
 // snapshot lists them even before the first Run. Counters are cumulative
-// across runs sharing one cloud; the per-step numbers the paper tables
-// need still flow through Options.OnSuperstep.
+// across runs sharing one cloud.
 type engineMetrics struct {
 	supersteps    *obs.Counter
 	msgsSent      *obs.Counter // logical vertex messages
@@ -155,6 +189,15 @@ type engineMetrics struct {
 	barrierNs     *obs.Histogram // the marker wait that follows it
 }
 
+// stripe guards the next-step mailboxes of the vertices whose index is
+// congruent to its position modulo inboxShards, and counts the combiner
+// merges made under it. One cache line each.
+type stripe struct {
+	sync.Mutex
+	merged int64
+	_      [48]byte
+}
+
 // worker is the per-machine execution state. Vertex state is dense,
 // indexed by the partition view's local index.
 type worker struct {
@@ -166,28 +209,30 @@ type worker struct {
 	values []float64
 	active []bool
 
-	// Inboxes are dense per-vertex message lists; writes stripe over 64
-	// locks by local index so concurrent deliveries do not contend on one
-	// lock.
-	inbox  [][]float64 // messages for the CURRENT superstep
-	nextMu [inboxShards]sync.Mutex
-	next   [][]float64
+	// Mailboxes: one combined message per vertex and a flag saying it is
+	// there. cur is read by this step's Compute; next is filled by this
+	// step's deliveries under the stripe locks. After the barrier the
+	// superstep swaps them and clears the new next's flags.
+	cur, next       []float64
+	curHas, nextHas []bool
+	stripes         [inboxShards]stripe
+
+	// farOwner maps a remote out-edge slot, less NumVertices, to the
+	// machine that owns its target.
+	farOwner []msg.MachineID
 
 	// Hub optimization state.
-	hubSources     map[uint64][]int32         // remote hub -> dense local targets
-	hubSubscribers map[uint64][]msg.MachineID // local hub -> subscribed machines
-	hubSubSet      map[uint64]map[msg.MachineID]bool
+	hubSources map[uint64][]int32 // remote hub -> dense local targets
+	hubSubs    []uint64           // local vertex -> bitmask of subscribed machines, subWords words each
+	subWords   int
 
 	sentWire  atomic.Int64 // messages that crossed the wire (cumulative)
-	sentTotal atomic.Int64 // logical messages this step
-	combined  atomic.Int64 // combiner merges (cumulative)
+	sentTotal atomic.Int64 // logical messages this step, taken at its end
 	lastWire  atomic.Int64 // sentWire at the end of the previous step
-	lastComb  atomic.Int64 // combined at the end of the previous step
 
 	doneMu   sync.Mutex
 	doneFrom map[msg.MachineID]bool
 	doneCond *sync.Cond
-	step     int
 }
 
 // New builds an engine over the graph. The graph must be fully loaded:
@@ -229,9 +274,15 @@ func New(g *graph.Graph, opts Options) *Engine {
 			pv:       pv,
 			values:   make([]float64, n),
 			active:   make([]bool, n),
-			inbox:    make([][]float64, n),
-			next:     make([][]float64, n),
+			cur:      make([]float64, n),
+			next:     make([]float64, n),
+			curHas:   make([]bool, n),
+			nextHas:  make([]bool, n),
+			farOwner: make([]msg.MachineID, pv.NumSlots()-n),
 			doneFrom: make(map[msg.MachineID]bool),
+		}
+		for j := range w.farOwner {
+			w.farOwner[j] = m.Slave().Owner(pv.SlotID(uint32(n + j)))
 		}
 		w.doneCond = sync.NewCond(&w.doneMu)
 		e.totalVertices += n
@@ -258,6 +309,7 @@ func (e *Engine) Run(ctx context.Context, p Program) (int, error) {
 	if e.prepErr != nil {
 		return 0, e.prepErr
 	}
+	e.prog = p
 	// The barrier watcher: workers parked on their marker conds cannot
 	// select on ctx, so one goroutine turns ctx.Done into a broadcast.
 	// Waiters re-check ctx.Err in their loop condition and bail out.
@@ -274,7 +326,7 @@ func (e *Engine) Run(ctx context.Context, p Program) (int, error) {
 		case <-watchDone:
 		}
 	}()
-	e.initVertices(p)
+	e.initVertices()
 	if e.opts.HubThreshold > 0 {
 		e.setupHubSubscriptions(ctx)
 	}
@@ -284,15 +336,12 @@ func (e *Engine) Run(ctx context.Context, p Program) (int, error) {
 			e.metrics.runsCancelled.Inc()
 			return step, err
 		}
-		active, sent, err := e.superstep(ctx, p, step)
+		active, sent, err := e.superstep(ctx, step)
 		if err != nil {
 			if ctx.Err() != nil {
 				e.metrics.runsCancelled.Inc()
 			}
 			return step, err
-		}
-		if e.opts.OnSuperstep != nil {
-			e.opts.OnSuperstep(step, active, sent)
 		}
 		if active == 0 && sent == 0 {
 			return step + 1, nil
@@ -305,14 +354,14 @@ func (e *Engine) Run(ctx context.Context, p Program) (int, error) {
 // come from the partition view, so Init can no longer silently observe a
 // degree-0 fallback on a decode error: a corrupt cell fails view
 // acquisition in New instead.
-func (e *Engine) initVertices(p Program) {
+func (e *Engine) initVertices() {
 	var wg sync.WaitGroup
 	for _, w := range e.workers {
 		wg.Add(1)
 		go func(w *worker) {
 			defer wg.Done()
 			for idx, id := range w.pv.IDs() {
-				val, active := p.Init(id, w.pv.OutDegree(idx))
+				val, active := e.prog.Init(id, w.pv.OutDegree(idx))
 				w.values[idx] = val
 				w.active[idx] = active
 			}
@@ -345,37 +394,30 @@ func (e *Engine) WireMessages() int64 {
 }
 
 // superstep drives one synchronized superstep across all machines.
-func (e *Engine) superstep(ctx context.Context, p Program, step int) (int64, int64, error) {
+func (e *Engine) superstep(ctx context.Context, step int) (int64, int64, error) {
 	start := time.Now()
 	defer func() { e.metrics.superstepNs.Observe(int64(time.Since(start))) }()
-	// Phase 1: rotate inboxes (prepared by the previous step).
-	for _, w := range e.workers {
-		w.inbox, w.next = w.next, make([][]float64, w.pv.NumVertices())
-		w.step = step
-		w.sentTotal.Store(0)
-	}
-	// Phase 2: compute all machines in parallel.
-	computeStart := time.Now()
+	// Phase 1: compute all machines in parallel.
 	var wg sync.WaitGroup
 	errCh := make(chan error, len(e.workers))
 	for _, w := range e.workers {
 		wg.Add(1)
 		go func(w *worker) {
 			defer wg.Done()
-			if err := w.computePhase(ctx, p, step); err != nil {
+			if err := w.computePhase(ctx, step); err != nil {
 				errCh <- err
 			}
 		}(w)
 	}
 	wg.Wait()
 	computed := time.Now()
-	e.metrics.computeNs.Observe(int64(computed.Sub(computeStart)))
+	e.metrics.computeNs.Observe(int64(computed.Sub(start)))
 	select {
 	case err := <-errCh:
 		return 0, 0, err
 	default:
 	}
-	// Phase 3: barrier — wait for all markers on every machine. The wait
+	// Phase 2: barrier — wait for all markers on every machine. The wait
 	// is ctx-aware: a peer that was cancelled (or whose markers a chaotic
 	// transport ate) must not park this run forever.
 	var err error
@@ -388,19 +430,19 @@ func (e *Engine) superstep(ctx context.Context, p Program, step int) (int64, int
 	if err != nil {
 		return 0, 0, err
 	}
-	// Phase 4: reduce counters on the coordinator.
+	// Phase 3: make this step's deliveries the next step's input, and
+	// reduce counters on the coordinator.
 	var active, sent int64
 	for _, w := range e.workers {
-		for idx := range w.active {
-			if w.active[idx] || len(w.next[idx]) > 0 {
+		e.metrics.msgsCombined.Add(w.rotate())
+		for idx, a := range w.active {
+			if a || w.curHas[idx] {
 				active++
 			}
 		}
-		sent += w.sentTotal.Load()
+		sent += w.sentTotal.Swap(0)
 		wire := w.sentWire.Load()
 		e.metrics.msgsWire.Add(wire - w.lastWire.Swap(wire))
-		comb := w.combined.Load()
-		e.metrics.msgsCombined.Add(comb - w.lastComb.Swap(comb))
 	}
 	e.metrics.supersteps.Inc()
 	e.metrics.msgsSent.Add(sent)
@@ -408,12 +450,31 @@ func (e *Engine) superstep(ctx context.Context, p Program, step int) (int64, int
 	return active, sent, nil
 }
 
+// rotate makes the mailboxes filled during this step current, empties
+// the next ones and returns the step's combiner merges. It holds every
+// stripe so that no delivery can straddle the swap.
+func (w *worker) rotate() (merged int64) {
+	for i := range w.stripes {
+		s := &w.stripes[i]
+		s.Lock()
+		merged += s.merged
+		s.merged = 0
+	}
+	w.cur, w.next = w.next, w.cur
+	w.curHas, w.nextHas = w.nextHas, w.curHas
+	clear(w.nextHas)
+	for i := range w.stripes {
+		w.stripes[i].Unlock()
+	}
+	return merged
+}
+
 // computePhase runs Compute over this machine's vertices, then flushes
 // and broadcasts the end-of-step marker. Cancellation is polled every
 // 1024 vertices; a cancelled phase returns ctx.Err() before sending its
 // markers (the whole superstep is abandoned, so no peer will wait for
 // them — the barrier itself is ctx-aware).
-func (w *worker) computePhase(ctx context.Context, p Program, step int) error {
+func (w *worker) computePhase(ctx context.Context, step int) error {
 	node := w.m.Slave().Node()
 	n := w.pv.NumVertices()
 	// Shard vertices across a small pool: vertex computation is
@@ -438,16 +499,21 @@ func (w *worker) computePhase(ctx context.Context, p Program, step int) error {
 				if idx&1023 == 0 && ctx.Err() != nil {
 					break
 				}
-				msgs := w.inbox[idx]
-				if !w.active[idx] && len(msgs) == 0 {
+				var msgs []float64
+				if w.curHas[idx] {
+					msgs = w.cur[idx : idx+1]
+				} else if !w.active[idx] {
 					continue
 				}
 				vctx.self = ids[idx]
 				vctx.selfIdx = idx
-				newVal, halt := p.Compute(vctx, vctx.self, w.values[idx], msgs)
+				newVal, halt := w.e.prog.Compute(vctx, vctx.self, w.values[idx], msgs)
 				w.values[idx] = newVal
 				w.active[idx] = !halt
 			}
+			w.sentTotal.Add(vctx.sent)
+			w.sentWire.Add(vctx.wire)
+			w.e.metrics.msgsDropped.Add(vctx.dropped)
 		}(s, endIdx)
 	}
 	wg.Wait()
@@ -476,7 +542,7 @@ func (w *worker) waitForMarkers(ctx context.Context, want int) error {
 		w.doneCond.Wait()
 	}
 	err := ctx.Err()
-	w.doneFrom = make(map[msg.MachineID]bool)
+	clear(w.doneFrom)
 	w.doneMu.Unlock()
 	return err
 }
@@ -488,65 +554,17 @@ func (w *worker) onStepDone(from msg.MachineID, _ []byte) {
 	w.doneMu.Unlock()
 }
 
-// send routes one message; local destinations bypass the wire.
-func (w *worker) send(dst uint64, m float64) {
-	w.sentTotal.Add(1)
-	owner := w.m.Slave().Owner(dst)
-	if owner == w.id {
-		if idx, ok := w.pv.IndexOf(dst); ok {
-			w.deliverLocal(idx, m)
-		} else {
-			// Locally-owned id absent from the snapshot: the vertex did
-			// not exist when the engine was built. Count, don't crash.
-			w.e.metrics.msgsDropped.Inc()
-		}
-		return
+// deliver combines m into local vertex idx's next-step mailbox.
+func (w *worker) deliver(idx int, m float64) {
+	s := &w.stripes[idx%inboxShards]
+	s.Lock()
+	if w.nextHas[idx] {
+		w.next[idx] = w.e.prog.Combine(w.next[idx], m)
+		s.merged++
+	} else {
+		w.next[idx], w.nextHas[idx] = m, true
 	}
-	var buf [16]byte
-	binary.LittleEndian.PutUint64(buf[0:], dst)
-	binary.LittleEndian.PutUint64(buf[8:], math.Float64bits(m))
-	w.sentWire.Add(1)
-	w.m.Slave().Node().Send(owner, protoVertexMsg, buf[:])
-}
-
-// sendToAllOut broadcasts along out-edges with hub-aware deduplication.
-func (w *worker) sendToAllOut(srcIdx int, srcID uint64, m float64) {
-	subs := w.hubSubscribers[srcID]
-	subscribed := w.hubSubSet[srcID]
-	// One wire message per subscribed machine.
-	if len(subs) > 0 {
-		var buf [16]byte
-		binary.LittleEndian.PutUint64(buf[0:], srcID)
-		binary.LittleEndian.PutUint64(buf[8:], math.Float64bits(m))
-		for _, dstMachine := range subs {
-			w.sentWire.Add(1)
-			w.m.Slave().Node().Send(dstMachine, protoHubMsg, buf[:])
-		}
-	}
-	for _, dst := range w.pv.Out(srcIdx) {
-		owner := w.m.Slave().Owner(dst)
-		if subscribed != nil && subscribed[owner] {
-			w.sentTotal.Add(1) // logical message, carried by the hub copy
-			continue
-		}
-		w.send(dst, m)
-	}
-}
-
-// deliverLocal appends m to the next-step inbox, combining when enabled.
-func (w *worker) deliverLocal(idx int, m float64) {
-	mu := &w.nextMu[idx%inboxShards]
-	mu.Lock()
-	if w.e.opts.Combine != nil {
-		if prev := w.next[idx]; len(prev) == 1 {
-			prev[0] = w.e.opts.Combine(prev[0], m)
-			mu.Unlock()
-			w.combined.Add(1)
-			return
-		}
-	}
-	w.next[idx] = append(w.next[idx], m)
-	mu.Unlock()
+	s.Unlock()
 }
 
 func (w *worker) onVertexMsg(_ msg.MachineID, b []byte) {
@@ -556,7 +574,7 @@ func (w *worker) onVertexMsg(_ msg.MachineID, b []byte) {
 	dst := binary.LittleEndian.Uint64(b[0:])
 	m := math.Float64frombits(binary.LittleEndian.Uint64(b[8:]))
 	if idx, ok := w.pv.IndexOf(dst); ok {
-		w.deliverLocal(idx, m)
+		w.deliver(idx, m)
 	} else {
 		w.e.metrics.msgsDropped.Inc()
 	}
@@ -570,8 +588,18 @@ func (w *worker) onHubMsg(_ msg.MachineID, b []byte) {
 	src := binary.LittleEndian.Uint64(b[0:])
 	m := math.Float64frombits(binary.LittleEndian.Uint64(b[8:]))
 	for _, idx := range w.hubSources[src] {
-		w.deliverLocal(int(idx), m)
+		w.deliver(int(idx), m)
 	}
+}
+
+// subscribers returns the bitmask of machines subscribed to local vertex
+// idx as a hub (bit m of word m/64 for machine m), or nil with hub
+// buffering off.
+func (w *worker) subscribers(idx int) []uint64 {
+	if w.hubSubs == nil {
+		return nil
+	}
+	return w.hubSubs[idx*w.subWords : (idx+1)*w.subWords]
 }
 
 // setupHubSubscriptions implements the §5.4 action-script exchange. The
@@ -580,8 +608,8 @@ func (w *worker) onHubMsg(_ msg.MachineID, b []byte) {
 func (e *Engine) setupHubSubscriptions(ctx context.Context) {
 	for _, w := range e.workers {
 		w.hubSources = make(map[uint64][]int32)
-		w.hubSubscribers = make(map[uint64][]msg.MachineID)
-		w.hubSubSet = make(map[uint64]map[msg.MachineID]bool)
+		w.subWords = (len(e.workers) + 63) / 64
+		w.hubSubs = make([]uint64, w.pv.NumVertices()*w.subWords)
 	}
 	var wg sync.WaitGroup
 	for _, w := range e.workers {
@@ -599,7 +627,7 @@ func (e *Engine) setupHubSubscriptions(ctx context.Context) {
 			}
 			node := w.m.Slave().Node()
 			for owner, hubs := range perOwner {
-				script := make([]byte, 8*len(hubs))
+				script := make([]byte, 8*len(hubs)) //alloc:ok one action script per hub owner, once per run
 				for i, h := range hubs {
 					binary.LittleEndian.PutUint64(script[8*i:], h)
 				}
@@ -625,18 +653,15 @@ func (e *Engine) setupHubSubscriptions(ctx context.Context) {
 }
 
 // onActionScript records a peer's hub subscriptions ("each machine merges
-// the action scripts it receives from other machines", §5.4).
+// the action scripts it receives from other machines", §5.4) in the
+// subscribed hubs' bitmasks. A hub absent from this snapshot has no
+// broadcast to share.
 func (w *worker) onActionScript(_ context.Context, from msg.MachineID, script []byte) ([]byte, error) {
 	w.doneMu.Lock() // reuse as a small setup lock
 	defer w.doneMu.Unlock()
 	for off := 0; off+8 <= len(script); off += 8 {
-		hub := binary.LittleEndian.Uint64(script[off:])
-		if w.hubSubSet[hub] == nil {
-			w.hubSubSet[hub] = make(map[msg.MachineID]bool)
-		}
-		if !w.hubSubSet[hub][from] {
-			w.hubSubSet[hub][from] = true
-			w.hubSubscribers[hub] = append(w.hubSubscribers[hub], from)
+		if idx, ok := w.pv.IndexOf(binary.LittleEndian.Uint64(script[off:])); ok {
+			w.subscribers(idx)[from/64] |= 1 << (from % 64)
 		}
 	}
 	return nil, nil

@@ -2,6 +2,7 @@ package bsp
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"testing"
 	"time"
@@ -44,6 +45,8 @@ type pagerank struct {
 
 func (p *pagerank) Init(id uint64, outDeg int) (float64, bool) { return 1.0, true }
 
+func (p *pagerank) Combine(a, b float64) float64 { return a + b }
+
 func (p *pagerank) Compute(ctx *Context, id uint64, val float64, msgs []float64) (float64, bool) {
 	if ctx.Superstep() > 0 {
 		sum := 0.0
@@ -69,6 +72,8 @@ type propagateMax struct{}
 
 func (propagateMax) Init(id uint64, _ int) (float64, bool) { return float64(id), true }
 
+func (propagateMax) Combine(a, b float64) float64 { return math.Max(a, b) }
+
 func (propagateMax) Compute(ctx *Context, id uint64, val float64, msgs []float64) (float64, bool) {
 	changed := ctx.Superstep() == 0
 	for _, m := range msgs {
@@ -86,7 +91,7 @@ func (propagateMax) Compute(ctx *Context, id uint64, val float64, msgs []float64
 func TestPageRankOnRing(t *testing.T) {
 	cloud := newCloud(t, 2)
 	g := ringGraph(t, cloud, 40)
-	e := New(g, Options{Combine: func(a, b float64) float64 { return a + b }})
+	e := New(g, Options{})
 	steps, err := e.Run(context.Background(), &pagerank{iters: 30})
 	if err != nil {
 		t.Fatal(err)
@@ -102,53 +107,221 @@ func TestPageRankOnRing(t *testing.T) {
 	}
 }
 
-func TestPageRankMatchesSequentialReference(t *testing.T) {
-	// The distributed engine must agree with a straightforward sequential
-	// PageRank over the same adjacency, vertex by vertex.
-	cloud := newCloud(t, 3)
+// refGraph is a sequential model of a loaded graph: every node's stored
+// out-list. An out-neighbor that is no node is a dangling target.
+type refGraph struct {
+	out [][]uint64 // by node id 0..n-1
+}
+
+func (r *refGraph) isNode(id uint64) bool { return id < uint64(len(r.out)) }
+
+// pageRank runs the engine's update rule over dense arrays: a vertex's
+// share goes to every out-edge, and a dangling target's share is lost.
+func (r *refGraph) pageRank(iters int) []float64 {
+	rank := make([]float64, len(r.out))
+	for i := range rank {
+		rank[i] = 1.0
+	}
+	for it := 0; it < iters; it++ {
+		in := make([]float64, len(r.out))
+		for u, out := range r.out {
+			for _, v := range out {
+				if r.isNode(v) {
+					in[v] += rank[u] / float64(len(out))
+				}
+			}
+		}
+		for i := range rank {
+			rank[i] = 0.15 + 0.85*in[i]
+		}
+	}
+	return rank
+}
+
+// bfs returns hop distances from src, algo.Unreached's -1 where none.
+func (r *refGraph) bfs(src uint64) []float64 {
+	level := make([]float64, len(r.out))
+	for i := range level {
+		level[i] = -1
+	}
+	level[src] = 0
+	for frontier := []uint64{src}; len(frontier) > 0; {
+		var next []uint64
+		for _, u := range frontier {
+			for _, v := range r.out[u] {
+				if r.isNode(v) && level[v] < 0 {
+					level[v] = level[u] + 1
+					next = append(next, v)
+				}
+			}
+		}
+		frontier = next
+	}
+	return level
+}
+
+// dangling returns node u's out-edges to ids that are no node.
+func (r *refGraph) dangling(u int) int64 {
+	var d int64
+	for _, v := range r.out[u] {
+		if !r.isNode(v) {
+			d++
+		}
+	}
+	return d
+}
+
+// loadRef loads nodes 0..n-1 and edges into a directed graph, appends
+// each dangling edge's target (an id with no cell) to its source's
+// out-list in place, and models what was stored.
+func loadRef(t *testing.T, cloud *memcloud.Cloud, n int, edges, dangling [][2]uint64) (*graph.Graph, *refGraph) {
+	t.Helper()
+	ctx := context.Background()
 	b := graph.NewBuilder(true)
-	gen.BuildUniform(gen.UniformConfig{Nodes: 200, AvgDegree: 6, Seed: 1}, 0, b)
-	g, err := b.Load(context.Background(), cloud)
+	for i := 0; i < n; i++ {
+		b.AddNode(uint64(i), 0, "")
+	}
+	for _, e := range edges {
+		b.AddEdge(e[0], e[1])
+	}
+	g, err := b.Load(ctx, cloud)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Reference: same update rule, dense arrays.
-	const n = 200
-	const iters = 20
-	adj := make([][]uint64, n)
-	for i := 0; i < n; i++ {
-		out, err := g.On(0).Outlinks(context.Background(), uint64(i))
+	for _, e := range dangling {
+		node, err := g.On(0).GetNode(ctx, e[0])
 		if err != nil {
 			t.Fatal(err)
 		}
-		adj[i] = out
-	}
-	ref := make([]float64, n)
-	for i := range ref {
-		ref[i] = 1.0
-	}
-	for it := 0; it < iters; it++ {
-		in := make([]float64, n)
-		for u, out := range adj {
-			if len(out) == 0 {
-				continue
-			}
-			share := ref[u] / float64(len(out))
-			for _, v := range out {
-				in[v] += share
-			}
-		}
-		for i := range ref {
-			ref[i] = 0.15 + 0.85*in[i]
+		node.Outlinks = append(node.Outlinks, e[1])
+		if err := g.On(0).PutNode(ctx, node); err != nil {
+			t.Fatal(err)
 		}
 	}
-	e := New(g, Options{Combine: func(a, b float64) float64 { return a + b }})
-	if _, err := e.Run(context.Background(), &pagerank{iters: iters}); err != nil {
-		t.Fatal(err)
+	r := &refGraph{out: make([][]uint64, n)}
+	for i := range r.out {
+		if r.out[i], err = g.On(0).Outlinks(ctx, uint64(i)); err != nil {
+			t.Fatal(err)
+		}
 	}
-	for id, v := range e.Values() {
-		if math.Abs(v-ref[id]) > 1e-9 {
-			t.Fatalf("rank(%d) = %.12f, reference %.12f", id, v, ref[id])
+	return g, r
+}
+
+// bfsProg is the BFS kernel: a vertex takes the least level offered and
+// offers the next one to its out-neighbors once.
+type bfsProg struct{ src uint64 }
+
+func (p bfsProg) Init(id uint64, _ int) (float64, bool) {
+	if id == p.src {
+		return 0, true
+	}
+	return -1, false
+}
+
+func (bfsProg) Combine(a, b float64) float64 { return math.Min(a, b) }
+
+func (p bfsProg) Compute(ctx *Context, id uint64, val float64, msgs []float64) (float64, bool) {
+	if ctx.Superstep() == 0 {
+		if id == p.src {
+			ctx.SendToAllOut(1)
+		}
+		return val, true
+	}
+	if val >= 0 || len(msgs) == 0 {
+		return val, true
+	}
+	ctx.SendToAllOut(msgs[0] + 1)
+	return msgs[0], true
+}
+
+func TestPageRankMatchesSequentialReference(t *testing.T) {
+	// The distributed engine must agree with a straightforward sequential
+	// model over the same stored adjacency, vertex by vertex: PageRank
+	// and BFS, with and without hub buffering, on 3 and 4 machines. Every
+	// message to a dangling target is counted as dropped, whether its
+	// owner is the sender's machine or another.
+	const iters = 20
+	var uniform [][2]uint64
+	gen.Uniform(gen.UniformConfig{Nodes: 200, AvgDegree: 6, Seed: 1}, func(u, v uint64) {
+		uniform = append(uniform, [2]uint64{u, v})
+	})
+	// Power law with hubs, plus self-loops, duplicate edges and edges to
+	// ids that have no cell.
+	const plNodes = 600
+	var powerLaw, dangling [][2]uint64
+	gen.PowerLaw(gen.PowerLawConfig{Nodes: plNodes, AvgDegree: 6, Seed: 5}, func(u, v uint64) {
+		powerLaw = append(powerLaw, [2]uint64{u, v})
+		if u%7 == 0 {
+			powerLaw = append(powerLaw, [2]uint64{u, v})
+		}
+	})
+	for i := uint64(0); i < plNodes; i += 20 {
+		powerLaw = append(powerLaw, [2]uint64{i, i})
+		dangling = append(dangling, [2]uint64{i / 2, plNodes + 1000 + i})
+	}
+	graphs := []struct {
+		name            string
+		nodes           int
+		edges, dangling [][2]uint64
+	}{
+		{"uniform", 200, uniform, nil},
+		{"powerlaw", plNodes, powerLaw, dangling},
+	}
+	for _, gc := range graphs {
+		for machines := 3; machines <= 4; machines++ {
+			cloud := newCloud(t, machines)
+			g, ref := loadRef(t, cloud, gc.nodes, gc.edges, gc.dangling)
+			dropped := cloud.Metrics().Scope("bsp").Counter("messages_dropped")
+			levels := ref.bfs(0)
+			progs := []struct {
+				name string
+				prog Program
+				want []float64
+				// sends is how many supersteps vertex u broadcasts in.
+				sends func(u int) int64
+			}{
+				{"pagerank", &pagerank{iters: iters}, ref.pageRank(iters), func(int) int64 { return iters }},
+				{"bfs", bfsProg{src: 0}, levels, func(u int) int64 {
+					if levels[u] >= 0 {
+						return 1 // once, when reached
+					}
+					return 0
+				}},
+			}
+			for _, pc := range progs {
+				for _, hub := range []int{0, 4} {
+					name := fmt.Sprintf("%s/machines=%d/%s/hub=%d", gc.name, machines, pc.name, hub)
+					t.Run(name, func(t *testing.T) {
+						before := dropped.Load()
+						e := New(g, Options{HubThreshold: hub})
+						if _, err := e.Run(context.Background(), pc.prog); err != nil {
+							t.Fatal(err)
+						}
+						vals := e.Values()
+						if len(vals) != len(pc.want) {
+							t.Fatalf("%d values, want %d", len(vals), len(pc.want))
+						}
+						for id, v := range vals {
+							if math.Abs(v-pc.want[id]) > 1e-9 {
+								t.Fatalf("value(%d) = %.12f, reference %.12f", id, v, pc.want[id])
+							}
+						}
+						if hub > 0 {
+							return
+						}
+						var want int64
+						for u := range ref.out {
+							want += ref.dangling(u) * pc.sends(u)
+						}
+						if gc.dangling != nil && want == 0 {
+							t.Fatal("no message to a dangling target: the case tests nothing")
+						}
+						if got := dropped.Load() - before; got != want {
+							t.Fatalf("messages_dropped = %d, want %d", got, want)
+						}
+					})
+				}
+			}
 		}
 	}
 }
@@ -189,6 +362,7 @@ func TestVoteToHaltTerminates(t *testing.T) {
 type haltNow struct{}
 
 func (haltNow) Init(uint64, int) (float64, bool) { return 0, true }
+func (haltNow) Combine(a, b float64) float64     { return a + b }
 func (haltNow) Compute(*Context, uint64, float64, []float64) (float64, bool) {
 	return 0, true
 }
@@ -209,6 +383,7 @@ func TestMaxSuperstepsBound(t *testing.T) {
 type neverHalt struct{}
 
 func (neverHalt) Init(uint64, int) (float64, bool) { return 0, true }
+func (neverHalt) Combine(a, b float64) float64     { return a + b }
 func (neverHalt) Compute(ctx *Context, id uint64, v float64, _ []float64) (float64, bool) {
 	ctx.SendToAllOut(1)
 	return v, false
@@ -228,10 +403,7 @@ func TestHubOptimizationEquivalence(t *testing.T) {
 		return g
 	}
 	run := func(g *graph.Graph, hub int) (map[uint64]float64, int64) {
-		e := New(g, Options{
-			Combine:      func(a, b float64) float64 { return a + b },
-			HubThreshold: hub,
-		})
+		e := New(g, Options{HubThreshold: hub})
 		if _, err := e.Run(context.Background(), &pagerank{iters: 5}); err != nil {
 			t.Fatal(err)
 		}
@@ -277,10 +449,7 @@ func BenchmarkPageRankIteration(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e := New(g, Options{
-			Combine:      func(a, b float64) float64 { return a + b },
-			HubThreshold: 8,
-		})
+		e := New(g, Options{HubThreshold: 8})
 		if _, err := e.Run(context.Background(), &pagerank{iters: 3}); err != nil {
 			b.Fatal(err)
 		}

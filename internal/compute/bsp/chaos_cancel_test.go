@@ -54,7 +54,7 @@ func TestChaosCancelMidSuperstep(t *testing.T) {
 				Jitter: 200 * time.Microsecond,
 			})
 
-			e := New(g, Options{Combine: func(a, b float64) float64 { return a + b }})
+			e := New(g, Options{})
 			base := runtime.NumGoroutine()
 			ctx, cancel := context.WithCancel(context.Background())
 			go func() {

@@ -37,7 +37,7 @@ func TestChaosPageRankOnRing(t *testing.T) {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			cloud := newChaosCloud(t, 2, seed)
 			g := ringGraph(t, cloud, 40)
-			e := New(g, Options{Combine: func(a, b float64) float64 { return a + b }})
+			e := New(g, Options{})
 			steps, err := e.Run(context.Background(), &pagerank{iters: 30})
 			if err != nil {
 				t.Fatal(err)

@@ -164,10 +164,9 @@ func TestCellOpTableConformance(t *testing.T) {
 // group. Once the datanodes are back, writes succeed again and are
 // durable: they survive the owner's death through WAL replay.
 func TestWALAppendFailureIsNotAcknowledged(t *testing.T) {
-	const datanodes = 3
+	const datanodes = 3 // the TFS default
 	cfg := testConfig(3)
 	cfg.BufferedLogging = true
-	cfg.Datanodes = datanodes
 	c := New(cfg)
 	defer c.Close()
 	const victim = msg.MachineID(2)

@@ -22,7 +22,6 @@ import (
 	"trinity/internal/msg"
 	"trinity/internal/obs"
 	"trinity/internal/tfs"
-	"trinity/internal/trunk"
 )
 
 // Errors returned by memory cloud operations.
@@ -122,8 +121,6 @@ type Config struct {
 	// each trunk runs a pass once its gaps reach its live bytes and one
 	// page (§6.1).
 	TrunkPageSize int64
-	// Reservation is the trunk expansion reservation policy.
-	Reservation trunk.ReservationPolicy
 	// BufferedLogging enables RAMCloud-style durable logging of every
 	// mutation to TFS between backups.
 	BufferedLogging bool
@@ -135,8 +132,6 @@ type Config struct {
 	TransportWrap func(msg.Transport) msg.Transport
 	// Cluster configures heartbeats and failure detection.
 	Cluster cluster.Config
-	// Datanodes is the TFS datanode count. Zero means 3.
-	Datanodes int
 	// Metrics is the observability registry for the whole cloud: every
 	// slave's memcloud, msg, trunk and cluster metrics register here. Nil
 	// creates a private registry per cloud so concurrently running clouds
@@ -203,7 +198,7 @@ func New(cfg Config) *Cloud {
 	cfg.fill()
 	c := &Cloud{
 		cfg: cfg,
-		fs:  tfs.New(tfs.Options{Datanodes: cfg.Datanodes}),
+		fs:  tfs.New(tfs.Options{}),
 		bus: msg.NewBus(),
 	}
 	machines := make([]msg.MachineID, cfg.Machines)

@@ -111,10 +111,9 @@ func newSlave(node *msg.Node, fs *tfs.FS, initial *cluster.Table, cfg Config) *S
 
 func (s *Slave) newTrunk() *trunk.Trunk {
 	return trunk.New(trunk.Options{
-		Capacity:    s.cfg.TrunkCapacity,
-		PageSize:    s.cfg.TrunkPageSize,
-		Reservation: s.cfg.Reservation,
-		Metrics:     s.trunkMx,
+		Capacity: s.cfg.TrunkCapacity,
+		PageSize: s.cfg.TrunkPageSize,
+		Metrics:  s.trunkMx,
 	})
 }
 

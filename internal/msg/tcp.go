@@ -20,16 +20,6 @@ import (
 // touching the socket.
 const DefaultMaxFrameSize = 16 << 20
 
-// TCPOptions configures a TCPTransport beyond its listen address.
-type TCPOptions struct {
-	// MaxFrameSize bounds frames in both directions. Zero means
-	// DefaultMaxFrameSize.
-	MaxFrameSize uint32
-	// Metrics is the registry for the transport's counters, under
-	// "msg.m<id>.tcp". Nil gives the transport a private registry.
-	Metrics *obs.Registry
-}
-
 // TCPTransport is a Transport over real TCP sockets. Frames are
 // length-prefixed (4-byte little-endian length, 4-byte sender ID, body).
 // Connections to peers are dialed lazily and kept open; a failed dial or a
@@ -38,7 +28,6 @@ type TCPOptions struct {
 type TCPTransport struct {
 	id       MachineID
 	listener net.Listener
-	maxFrame uint32
 	oversize *obs.Counter
 
 	mu      sync.Mutex
@@ -51,23 +40,12 @@ type TCPTransport struct {
 }
 
 // NewTCPTransport starts listening on addr ("" or "127.0.0.1:0" for an
-// ephemeral loopback port) with default options. Peer addresses are
-// registered with AddPeer; use Addr to learn the bound address.
+// ephemeral loopback port). Frames in both directions are bounded by
+// DefaultMaxFrameSize. Peer addresses are registered with AddPeer; use
+// Addr to learn the bound address.
 func NewTCPTransport(id MachineID, addr string) (*TCPTransport, error) {
-	return NewTCPTransportOpts(id, addr, TCPOptions{})
-}
-
-// NewTCPTransportOpts is NewTCPTransport with explicit options.
-func NewTCPTransportOpts(id MachineID, addr string, opts TCPOptions) (*TCPTransport, error) {
 	if addr == "" {
 		addr = "127.0.0.1:0"
-	}
-	if opts.MaxFrameSize == 0 {
-		opts.MaxFrameSize = DefaultMaxFrameSize
-	}
-	reg := opts.Metrics
-	if reg == nil {
-		reg = obs.NewRegistry()
 	}
 	l, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -76,8 +54,9 @@ func NewTCPTransportOpts(id MachineID, addr string, opts TCPOptions) (*TCPTransp
 	t := &TCPTransport{
 		id:       id,
 		listener: l,
-		maxFrame: opts.MaxFrameSize,
-		oversize: reg.Scope(fmt.Sprintf("msg.m%d.tcp", id)).Counter("oversize_frames"),
+		// A private registry: no cloud runs over TCP yet, so there is no
+		// shared one to join.
+		oversize: obs.NewRegistry().Scope(fmt.Sprintf("msg.m%d.tcp", id)).Counter("oversize_frames"),
 		peers:    make(map[MachineID]string),
 		conns:    make(map[MachineID]net.Conn),
 		inbound:  make(map[net.Conn]bool),
@@ -142,7 +121,7 @@ func (t *TCPTransport) read(conn net.Conn) {
 		}
 		size := binary.LittleEndian.Uint32(hdr[0:])
 		from := MachineID(int32(binary.LittleEndian.Uint32(hdr[4:])))
-		if size > t.maxFrame {
+		if size > DefaultMaxFrameSize {
 			// The length prefix is untrusted input: drain the frame off
 			// the stream (keeping the connection framed) and drop it,
 			// visibly, instead of allocating whatever a corrupt or
@@ -182,8 +161,8 @@ func (t *TCPTransport) Send(to MachineID, frame *buf.Lease) error {
 	if t.done {
 		return ErrClosed
 	}
-	if uint32(frame.Len()) > t.maxFrame {
-		return fmt.Errorf("%w: %d bytes to machine %d (limit %d)", ErrFrameTooLarge, frame.Len(), to, t.maxFrame)
+	if uint32(frame.Len()) > DefaultMaxFrameSize {
+		return fmt.Errorf("%w: %d bytes to machine %d (limit %d)", ErrFrameTooLarge, frame.Len(), to, DefaultMaxFrameSize)
 	}
 	conn, err := t.connLocked(to)
 	if err != nil {

@@ -283,6 +283,8 @@ func (fs *FS) Delete(name string) error {
 }
 
 // List returns the names of all files with the given prefix, sorted.
+//
+//reach:test-seam tests enumerate TFS files (tfs's own, and memcloud's WAL test clearing files whose blocks were lost); no program lists files
 func (fs *FS) List(prefix string) []string {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
