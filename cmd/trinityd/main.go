@@ -13,6 +13,8 @@
 //	GET 42                -> VALUE hello
 //	APPEND 42 ,world      -> OK
 //	DEL 42                -> OK
+//	ADDNODE 7             -> OK
+//	ADDEDGE 7 42          -> OK            (both nodes must exist)
 //	KHOP <node> <hops>    -> VISITED <n>   (over cells that are graph nodes)
 //	PAGERANK [iters]      -> OK supersteps=<n> ranked=<n>  (BSP over the graph)
 //	STATS                 -> cluster counters
@@ -24,8 +26,10 @@
 // A request enters the cloud where the paper's Figure 1 sends it: SET,
 // APPEND, GET and DEL run on the machine the addressing table names for
 // the key's trunk, so they apply to a local trunk with no hop between
-// machines; the graph verbs (ADDNODE, ADDEDGE, KHOP, PAGERANK) enter at
-// machine 0 and reach other machines through the graph layer.
+// machines. ADDNODE runs on the node's owner and ADDEDGE on the source's
+// owner, so the out-link append is local and only an in-link on another
+// machine crosses the bus. KHOP and PAGERANK enter at machine 0 and reach
+// the other machines through the graph layer.
 //
 // The same registry snapshot is served over HTTP (expvar-style) at
 // http://<metrics-listen>/debug/metrics, so dashboards and curl can poll
@@ -192,15 +196,16 @@ func (sv *server) cmdCtx(ctx context.Context) (context.Context, context.CancelFu
 	return context.WithCancel(ctx)
 }
 
-// owner returns the slave a key-value request on key enters at: the one
-// the addressing table names for the key's trunk (the paper's Figure 1),
-// so Slave.do applies the op to a local trunk with no msg.Call. Should
-// the tables disagree during a failover, do still re-routes through
-// Reroute. trinityd has no verb that stops a single machine, so the owner
-// picked here is always live; a future kill verb must revisit this, since
-// a killed machine's slave still holds its old table and trunks.
-func (sv *server) owner(key uint64) *memcloud.Slave {
-	return sv.cloud.Slave(int(sv.cloud.Slave(0).Owner(key)))
+// owner returns the machine a request on key enters at: the one the
+// addressing table names for the key's trunk (the paper's Figure 1), so
+// Slave.do applies a key-value op to a local trunk with no msg.Call, and
+// the graph layer appends to a local node cell in place. Should the
+// tables disagree during a failover, do still re-routes through Reroute.
+// trinityd has no verb that stops a single machine, so the owner picked
+// here is always live; a future kill verb must revisit this, since a
+// killed machine's slave still holds its old table and trunks.
+func (sv *server) owner(key uint64) int {
+	return int(sv.cloud.Slave(0).Owner(key))
 }
 
 // parseKey parses a decimal cell ID.
@@ -217,8 +222,9 @@ func parseKey(b []byte) (uint64, error) {
 // and DEL enter at the key's owner and run under ctx itself: a local op
 // has no wait to bound, and every wait of a re-routed one is bounded
 // already (msg.Call by CallTimeout, Reroute's report and refresh by
-// FailureTimeout and CallTimeout). The graph verbs enter at machine 0
-// under cmdCtx.
+// FailureTimeout and CallTimeout). The graph verbs run under cmdCtx:
+// ADDNODE at the node's owner, ADDEDGE at the source's, KHOP and PAGERANK
+// at machine 0.
 func (sv *server) exec(ctx context.Context, line []byte, w *bufio.Writer) (done bool) {
 	if ctx.Err() != nil {
 		w.WriteString(replyShuttingDown)
@@ -246,7 +252,7 @@ func (sv *server) exec(ctx context.Context, line []byte, w *bufio.Writer) (done 
 			replyf(w, "ERR usage: %s <key> <value>", string(verb))
 			return false
 		}
-		if s := sv.owner(key); string(verb) == "SET" {
+		if s := sv.cloud.Slave(sv.owner(key)); string(verb) == "SET" {
 			err = s.Put(ctx, key, val)
 		} else {
 			err = s.Append(ctx, key, val)
@@ -262,7 +268,7 @@ func (sv *server) exec(ctx context.Context, line []byte, w *bufio.Writer) (done 
 			replyf(w, "ERR usage: GET <key>")
 			return false
 		}
-		val, err := sv.owner(key).Get(ctx, key)
+		val, err := sv.cloud.Slave(sv.owner(key)).Get(ctx, key)
 		if errors.Is(err, memcloud.ErrNotFound) {
 			replyf(w, "NOT_FOUND")
 			return false
@@ -280,7 +286,7 @@ func (sv *server) exec(ctx context.Context, line []byte, w *bufio.Writer) (done 
 			replyf(w, "ERR usage: DEL <key>")
 			return false
 		}
-		err = sv.owner(key).Remove(ctx, key)
+		err = sv.cloud.Slave(sv.owner(key)).Remove(ctx, key)
 		if err != nil {
 			replyf(w, "ERR %v", err)
 			return false
@@ -293,7 +299,7 @@ func (sv *server) exec(ctx context.Context, line []byte, w *bufio.Writer) (done 
 			return false
 		}
 		cctx, cancel := sv.cmdCtx(ctx)
-		err = sv.g.On(0).PutNode(cctx, &graph.Node{ID: key})
+		err = sv.g.On(sv.owner(key)).PutNode(cctx, &graph.Node{ID: key})
 		cancel()
 		if err != nil {
 			replyf(w, "ERR %v", err)
@@ -313,7 +319,7 @@ func (sv *server) exec(ctx context.Context, line []byte, w *bufio.Writer) (done 
 			return false
 		}
 		cctx, cancel := sv.cmdCtx(ctx)
-		err := sv.g.On(0).AddEdge(cctx, src, dst)
+		err := sv.g.On(sv.owner(src)).AddEdge(cctx, src, dst)
 		cancel()
 		if err != nil {
 			replyf(w, "ERR %v", err)

@@ -187,6 +187,50 @@ func TestKVVerbsEnterAtOwner(t *testing.T) {
 	}
 }
 
+// TestGraphVerbsEnterAtOwner checks that ADDNODE runs on the node's owner
+// and ADDEDGE on the source's: no node write crosses the bus, and an edge
+// makes exactly one call, for the in-link, when its endpoints live on
+// different machines.
+func TestGraphVerbsEnterAtOwner(t *testing.T) {
+	sv := newTestServer(t, 4)
+	ctx := context.Background()
+	syncCalls := func() (n int64) {
+		for i := 0; i < sv.cloud.Slaves(); i++ {
+			n += sv.cloud.Slave(i).Node().Stats().SyncCalls
+		}
+		return n
+	}
+	const nodes = 200
+	before := syncCalls()
+	for id := 1; id <= nodes; id++ {
+		if got := run(ctx, sv, fmt.Sprintf("ADDNODE %d", id)); got != "OK\r\n" {
+			t.Fatalf("ADDNODE %d -> %q", id, got)
+		}
+	}
+	if st := sv.cloud.Stats(); st.RemoteOps != 0 || st.LocalOps != nodes {
+		t.Errorf("ADDNODE: local=%d remote=%d, want local=%d remote=0", st.LocalOps, st.RemoteOps, nodes)
+	}
+	var cross int64
+	for src := uint64(1); src <= nodes; src++ {
+		dst := src%nodes + 1
+		if sv.owner(src) != sv.owner(dst) {
+			cross++
+		}
+		if got := run(ctx, sv, fmt.Sprintf("ADDEDGE %d %d", src, dst)); got != "OK\r\n" {
+			t.Fatalf("ADDEDGE %d %d -> %q", src, dst, got)
+		}
+	}
+	if cross == 0 || cross == nodes {
+		t.Fatalf("%d of %d edges cross machines; want some of each", cross, nodes)
+	}
+	if got := syncCalls() - before; got != cross {
+		t.Errorf("%d sync calls for %d edges, want one per cross-machine edge (%d)", got, nodes, cross)
+	}
+	if got := run(ctx, sv, "KHOP 1 3"); got != "VISITED 4\r\n" {
+		t.Errorf("KHOP 1 3 on the ring -> %q, want VISITED 4", got)
+	}
+}
+
 // TestExecAllocs pins the per-line cost of the key-value verbs: the line
 // is parsed in place, a value goes to Put as it is, and a GET reply is
 // written straight into the connection's buffer, and no per-command

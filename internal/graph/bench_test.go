@@ -59,3 +59,46 @@ func BenchmarkBulkLoad(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkAddEdgePowerLaw adds the edges of a power-law graph (γ = 2.16,
+// so a few hubs gather most of the links) on 4 machines, each entered at
+// its source's owner, as trinityd does: the out-link append is local and
+// the in-link is local or one call. Every pass over the edge list starts
+// from empty nodes again (off the clock), so ns/op and allocs/op do not
+// drift with b.N as the hubs grow.
+func BenchmarkAddEdgePowerLaw(b *testing.B) {
+	const nodes, degree = 2000, 8
+	cloud := benchCloud(4)
+	defer cloud.Close()
+	g := graph.New(cloud, true)
+	ctx := context.Background()
+	type edge struct {
+		src, dst uint64
+		at       *graph.Machine
+	}
+	var edges []edge
+	gen.PowerLaw(gen.PowerLawConfig{Nodes: nodes, AvgDegree: degree, Gamma: 2.16, Seed: 7}, func(u, v uint64) {
+		edges = append(edges, edge{u, v, g.On(int(g.On(0).Slave().Owner(u)))})
+	})
+	reset := func() {
+		for id := uint64(0); id < nodes; id++ {
+			if err := g.On(0).PutNode(ctx, &graph.Node{ID: id}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	reset()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i > 0 && i%len(edges) == 0 {
+			b.StopTimer()
+			reset()
+			b.StartTimer()
+		}
+		e := edges[i%len(edges)]
+		if err := e.at.AddEdge(ctx, e.src, e.dst); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -229,44 +229,53 @@ func (m *Machine) AddEdge(ctx context.Context, src, dst uint64) error {
 func (m *Machine) mutateEndpoint(ctx context.Context, node, other uint64, inlink bool) error {
 	owner := m.s.Owner(node)
 	if owner == m.s.ID() {
-		return m.addLinkLocal(ctx, node, other, inlink)
+		return m.addLinkLocal(node, other, inlink)
 	}
 	proto := protoAddEdge
 	if inlink {
 		proto = protoAddInlink
 	}
-	req := make([]byte, 16)
-	binary.LittleEndian.PutUint64(req, node)
+	var req [16]byte
+	binary.LittleEndian.PutUint64(req[:], node)
 	binary.LittleEndian.PutUint64(req[8:], other)
-	_, err := m.s.Node().Call(ctx, owner, proto, req)
+	_, err := m.s.Node().Call(ctx, owner, proto, req[:])
 	if msg.ErrorCode(err) == codeNoNode {
 		return fmt.Errorf("%w: %d", ErrNoNode, node)
 	}
 	return err
 }
 
-// addLinkLocal performs the read-modify-write on a local node cell.
-func (m *Machine) addLinkLocal(ctx context.Context, node, other uint64, inlink bool) error {
+// locateOutlinks and locateInlinks find a node blob's list counts for
+// Slave.ListAppend. Outlinks is the tail list, so an outlink append moves
+// no byte of the cell; an inlink append shifts the outlink section up.
+func locateOutlinks(b []byte) (int, error) { return locateList(b, listOutlinks) }
+func locateInlinks(b []byte) (int, error)  { return locateList(b, listInlinks) }
+
+func locateList(b []byte, list int) (int, error) {
+	off, _, err := blobListAt(b, list)
+	return off - 4, err
+}
+
+// addLinkLocal appends other to a local node cell's link list in place:
+// one exclusive trunk operation, no decode and no re-encode. The stripe
+// holds the append and its WAL record together, so two appends to one
+// node are logged in the order they were applied (replay uses the count
+// offsets they resolved).
+func (m *Machine) addLinkLocal(node, other uint64, inlink bool) error {
+	locate := locateOutlinks
+	if inlink {
+		locate = locateInlinks
+	}
+	var elem [8]byte
+	binary.LittleEndian.PutUint64(elem[:], other)
 	mu := m.stripe(node)
 	mu.Lock()
-	defer mu.Unlock()
-	blob, err := m.s.Get(ctx, node)
+	err := m.s.ListAppend(node, locate, elem[:])
+	mu.Unlock()
 	if err != nil {
 		if errors.Is(err, memcloud.ErrNotFound) {
 			return fmt.Errorf("%w: %d", ErrNoNode, node)
 		}
-		return err
-	}
-	n, err := DecodeNode(node, blob)
-	if err != nil {
-		return err
-	}
-	if inlink {
-		n.Inlinks = append(n.Inlinks, other)
-	} else {
-		n.Outlinks = append(n.Outlinks, other)
-	}
-	if err := m.s.Put(ctx, node, EncodeNode(n)); err != nil {
 		return err
 	}
 	m.InvalidatePartition()
@@ -276,13 +285,13 @@ func (m *Machine) addLinkLocal(ctx context.Context, node, other uint64, inlink b
 // onAddLink serves both edge protocols: the request names a local node
 // and the neighbor to append to its outlinks, or to its inlinks.
 func (m *Machine) onAddLink(inlink bool) msg.SyncHandler {
-	return func(ctx context.Context, _ msg.MachineID, req []byte) ([]byte, error) {
+	return func(_ context.Context, _ msg.MachineID, req []byte) ([]byte, error) {
 		if len(req) != 16 {
 			return nil, errors.New("graph: bad add-link request")
 		}
 		node := binary.LittleEndian.Uint64(req)
 		other := binary.LittleEndian.Uint64(req[8:])
-		err := m.addLinkLocal(ctx, node, other, inlink)
+		err := m.addLinkLocal(node, other, inlink)
 		if errors.Is(err, ErrNoNode) {
 			err = msg.WithCode(codeNoNode, err)
 		}

@@ -105,6 +105,21 @@ func FuzzReplayWAL(f *testing.F) {
 	f.Add([]byte{opGroup})                                  // header cut mid-frame
 	f.Add([]byte{0x7F, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}) // unknown op
 
+	// List appends: the value is the count offset (u32), then the element.
+	listAppend := func(key uint64, off uint32, elem []byte) []byte {
+		return single(opListAppend, key, append(binary.LittleEndian.AppendUint32(nil, off), elem...))
+	}
+	cell := []byte{1, 2, 3, 1, 0, 0, 0, 9, 9, 9, 9, 9, 9, 9, 9, 7, 7} // count 1 at offset 3
+	put := single(opPut, 4, cell)
+	f.Add(append(put, listAppend(4, 3, []byte("elemelem"))...))                           // valid
+	f.Add(append(put, listAppend(4, 0, []byte("elemelem"))...))                           // count read from other bytes
+	f.Add(append(put, listAppend(4, 1<<31, []byte("elemelem"))...))                       // offset far out
+	f.Add(append(put, listAppend(4, uint32(len(cell)-2), []byte("e"))...))                // count past the end
+	f.Add(append(put, listAppend(4, 3, nil)...))                                          // empty element
+	f.Add(append(put, single(opListAppend, 4, []byte{3, 0})...))                          // value shorter than an offset
+	f.Add(listAppend(5, 0, []byte("elemelem")))                                           // no such cell
+	f.Add(append([]byte{opGroup, 15, 0, 0, 0}, single(opListAppend, 4, []byte{3, 0})...)) // inside a group
+
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tr := trunk.New(trunk.Options{Capacity: 1 << 16, PageSize: 1 << 10})
 		_ = replay(tr, data, false) // must not panic, whatever the bytes

@@ -303,6 +303,31 @@ func (s *Slave) Update(key uint64, fn func(payload []byte) error) error {
 	return mapTrunkErr(t.Update(key, fn))
 }
 
+// ListAppend appends elem to a length-prefixed list inside a LOCAL cell,
+// in place under its trunk's exclusive mutex (trunk.Trunk.ListAppend):
+// locate returns the offset of the list's u32 count in the payload, and
+// elem goes in after the list's last element. It fails with ErrWrongOwner
+// for cells on other machines, and like Update it is local only.
+//
+// Under buffered logging the append is logged with the count offset it
+// used, so replay needs no knowledge of the payload's layout. Replay
+// applies records in log order, so callers must serialize appends to one
+// cell across the apply and its log record (the graph layer's write
+// stripes do); otherwise a record logged after one it raced with could
+// replay at a stale offset.
+func (s *Slave) ListAppend(key uint64, locate func(payload []byte) (int, error), elem []byte) error {
+	t, err := s.serveTrunk(key)
+	if err != nil {
+		return err
+	}
+	s.localOps.Add(1)
+	if s.cfg.BufferedLogging {
+		return s.loggedListAppend(t, key, locate, elem)
+	}
+	_, err = t.ListAppend(key, locate, elem)
+	return mapTrunkErr(err)
+}
+
 // onMultiGet answers N cell reads in one frame. Every key gets its own
 // status byte, so a stale addressing-table entry for one key degrades to a
 // per-key MultiGetWrongOwner instead of failing the whole batch — the

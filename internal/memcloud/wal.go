@@ -23,6 +23,9 @@ const (
 	// truncated tail (ignored, the writes were never acked) from garbage
 	// inside a fully appended group (an error).
 	opGroup
+	// opListAppend is a Slave.ListAppend: a plain record whose value is
+	// the list's resolved count offset (u32) followed by the element.
+	opListAppend
 )
 
 // encodeGroupRecord builds one opGroup WAL record covering the writes in
@@ -88,6 +91,28 @@ func (s *Slave) loggedApply(op *cellOp, t *trunk.Trunk, key uint64, val []byte) 
 	return out, s.appendWAL(tid, rec)
 }
 
+// loggedListAppend is ListAppend under buffered logging, kept apart so
+// the unlogged path's frames stay small (see trunk.mutate): the append and
+// its opListAppend record are one critical section with respect to
+// backup, exactly as in loggedApply.
+func (s *Slave) loggedListAppend(t *trunk.Trunk, key uint64, locate func([]byte) (int, error), elem []byte) error {
+	tid := s.trunkFor(key)
+	mu := &s.walMu[tid]
+	mu.RLock()
+	defer mu.RUnlock()
+	countOff, err := t.ListAppend(key, locate, elem)
+	if err != nil {
+		return mapTrunkErr(err)
+	}
+	rec := make([]byte, 17+len(elem)) //alloc:ok per-op WAL record, as in loggedApply
+	rec[0] = opListAppend
+	binary.LittleEndian.PutUint64(rec[1:], key)
+	binary.LittleEndian.PutUint32(rec[9:], uint32(4+len(elem)))
+	binary.LittleEndian.PutUint32(rec[13:], uint32(countOff))
+	copy(rec[17:], elem)
+	return s.appendWAL(tid, rec)
+}
+
 // appendWAL appends one encoded record — a single op's or a multi-put
 // group's — to the trunk's log. Called with the trunk's wal lock held.
 func (s *Slave) appendWAL(tid uint32, rec []byte) error {
@@ -148,6 +173,15 @@ func replay(t *trunk.Trunk, log []byte, inGroup bool) error {
 		case opAppend:
 			if err := t.Append(key, val); errors.Is(err, trunk.ErrNotFound) {
 				t.Put(key, val)
+			}
+		case opListAppend:
+			if len(val) < 4 {
+				return fmt.Errorf("memcloud: wal list append of %d bytes", len(val))
+			}
+			countOff := int(binary.LittleEndian.Uint32(val))
+			locate := func([]byte) (int, error) { return countOff, nil }
+			if _, err := t.ListAppend(key, locate, val[4:]); err != nil {
+				return fmt.Errorf("memcloud: wal list append to %#x: %w", key, err)
 			}
 		default:
 			return fmt.Errorf("memcloud: unknown wal op %d", op)

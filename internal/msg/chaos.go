@@ -45,7 +45,13 @@ type Chaos struct {
 	isolated map[MachineID]bool
 	poison   bool
 	stats    ChaosStats
-	wg       sync.WaitGroup
+	// inFlight counts delayed frames not yet handed to the inner
+	// transport; drained is signalled, under mu, when it drops to zero.
+	// A count under the mutex, not a WaitGroup: delayed sends go on
+	// while Drain waits, and a WaitGroup forbids an Add from zero that
+	// races a Wait.
+	inFlight int
+	drained  sync.Cond
 	closed   bool
 }
 
@@ -82,11 +88,13 @@ type ChaosStats struct {
 
 // NewChaos creates a fault injector with the given PRNG seed.
 func NewChaos(seed int64) *Chaos {
-	return &Chaos{
+	c := &Chaos{
 		rng:      rand.New(rand.NewSource(seed)),
 		pairs:    make(map[[2]MachineID]Policy),
 		isolated: make(map[MachineID]bool),
 	}
+	c.drained.L = &c.mu
+	return c
 }
 
 // SetDefault installs the policy used for pairs without an override.
@@ -143,8 +151,15 @@ func (c *Chaos) Stats() ChaosStats {
 
 // Drain blocks until all delayed frames have been handed to (or refused
 // by) the inner transports. Tests call it before asserting delivery
-// counts.
-func (c *Chaos) Drain() { c.wg.Wait() }
+// counts. Sends may go on during a Drain; it returns at a moment when no
+// delayed frame is in flight.
+func (c *Chaos) Drain() {
+	c.mu.Lock()
+	for c.inFlight > 0 {
+		c.drained.Wait()
+	}
+	c.mu.Unlock()
+}
 
 // Wrap decorates one transport endpoint. Wrap every endpoint of a
 // cluster with the same Chaos so pairwise policies cover all links.
@@ -200,6 +215,7 @@ func (e *chaosEndpoint) Send(to MachineID, frame *buf.Lease) error {
 		}
 		delay = time.Duration(c.rng.Int63n(int64(md))) + time.Microsecond
 		c.stats.Delayed++
+		c.inFlight++
 	}
 	if p.Dup > 0 && c.rng.Float64() < p.Dup {
 		dup = true
@@ -222,13 +238,17 @@ func (e *chaosEndpoint) Send(to MachineID, frame *buf.Lease) error {
 		if dup {
 			frame.Retain()
 		}
-		c.wg.Add(1)
 		go func() {
-			defer c.wg.Done()
 			time.Sleep(delay)
-			if e.inner.Send(to, frame) == nil {
-				c.countDelivered()
+			delivered := e.inner.Send(to, frame) == nil
+			c.mu.Lock()
+			if delivered {
+				c.stats.Delivered++
 			}
+			if c.inFlight--; c.inFlight == 0 {
+				c.drained.Broadcast()
+			}
+			c.mu.Unlock()
 		}()
 		if dup {
 			err := e.inner.Send(to, frame)

@@ -343,6 +343,60 @@ func TestChaosDelayReorders(t *testing.T) {
 	}
 }
 
+// TestChaosDrainDuringDelayedSends drains the chaos hub again and again
+// while senders keep issuing delayed frames: a frame delayed after one
+// Drain began is waited for by that Drain or by a later one, and Drain
+// never races the bookkeeping of new delays (a WaitGroup did: an Add from
+// zero racing a Wait, which -race reports).
+func TestChaosDrainDuringDelayedSends(t *testing.T) {
+	for _, seed := range Seeds() {
+		a, b, ch := chaosPair(t, "bus", seed, Options{FlushInterval: -1, NoPacking: true})
+		ch.SetPair(0, 1, Policy{Delay: 0.9, MaxDelay: 50 * time.Microsecond})
+		var got atomic.Int64
+		b.HandleAsync(protoOrdered, func(MachineID, []byte) { got.Add(1) })
+		const senders, perSender = 3, 300
+		var wg sync.WaitGroup
+		for i := 0; i < senders; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for j := 0; j < perSender; j++ {
+					if err := a.Send(1, protoOrdered, nil); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}()
+		}
+		stop, drained := make(chan struct{}), make(chan struct{})
+		go func() {
+			defer close(drained)
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					ch.Drain()
+				}
+			}
+		}()
+		wg.Wait()
+		close(stop)
+		<-drained
+		ch.Drain()
+		if st := ch.Stats(); st.Delivered != senders*perSender || st.Delayed == 0 {
+			t.Fatalf("seed %d: %+v after the last Drain, want all %d frames delivered", seed, st, senders*perSender)
+		}
+		deadline := time.Now().Add(5 * time.Second)
+		for got.Load() < senders*perSender && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+		if n := got.Load(); n != senders*perSender {
+			t.Fatalf("seed %d: received %d of %d", seed, n, senders*perSender)
+		}
+	}
+}
+
 // TestChaosDuplicates: duplicated frames mean duplicated deliveries; the
 // messaging layer does not dedup (that is an application concern), so the
 // count doubles exactly.

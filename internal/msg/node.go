@@ -264,10 +264,12 @@ type callResult struct {
 	err     error
 }
 
+// packer is one destination's packing buffer. The Node keeps one per
+// destination for its lifetime; l is nil between a flush and the next
+// Send to that destination.
 type packer struct {
-	l     *buf.Lease
-	count int
-	dm    *destMetrics
+	l  *buf.Lease
+	dm *destMetrics
 }
 
 // NewNode creates a messaging runtime on the given transport endpoint and
@@ -508,25 +510,27 @@ func (n *Node) Send(to MachineID, p ProtocolID, msg []byte) error {
 	n.packMu.Lock()
 	pk, ok := n.packers[to]
 	if !ok {
+		pk = &packer{dm: n.destMetricsFor(to)}
+		n.packers[to] = pk
+	}
+	if pk.l == nil {
 		// The batch buffer is a pooled lease sized to BatchBytes up
 		// front: in steady state the same backing arrays cycle between
 		// packer and pool, so reserving the full batch costs nothing and
 		// spares the append-growth copy chain of a small initial buffer.
-		pk = &packer{l: buf.Sized(1, n.opts.BatchBytes), dm: n.destMetricsFor(to)}
+		pk.l = buf.Sized(1, n.opts.BatchBytes)
 		pk.l.Bytes()[0] = kindBatch
-		n.packers[to] = pk
 	}
 	var item [batchItem]byte
 	binary.LittleEndian.PutUint16(item[0:], uint16(p))
 	binary.LittleEndian.PutUint32(item[2:], uint32(len(msg)))
 	pk.l = pk.l.Append(item[:], msg)
-	pk.count++
 	var flush *buf.Lease
 	var ob *outbox
 	var ticket uint64
 	if pk.l.Len() >= n.opts.BatchBytes {
 		flush = pk.l
-		delete(n.packers, to)
+		pk.l = nil
 		pk.dm.queueBytes.Set(0)
 		// Ticket the sealed batch while still holding packMu: the send
 		// order is decided here, not at the transport, so a concurrent
@@ -545,7 +549,8 @@ func (n *Node) Send(to MachineID, p ProtocolID, msg []byte) error {
 }
 
 // Flush forces out all pending packed messages. It returns the first send
-// error encountered, if any.
+// error encountered, if any. A flush with nothing pending (the background
+// flusher's idle tick) allocates nothing.
 func (n *Node) Flush() error {
 	type pendingSend struct {
 		to     MachineID
@@ -553,14 +558,17 @@ func (n *Node) Flush() error {
 		ob     *outbox
 		ticket uint64
 	}
+	var room [8]pendingSend // enough for most clusters without a heap slice
+	outs := room[:0]
 	n.packMu.Lock()
-	pending := n.packers
-	n.packers = make(map[MachineID]*packer)
-	outs := make([]pendingSend, 0, len(pending))
-	for to, pk := range pending {
+	for to, pk := range n.packers {
+		if pk.l == nil {
+			continue
+		}
 		pk.dm.queueBytes.Set(0)
 		ob := n.outboxFor(to)
 		outs = append(outs, pendingSend{to: to, fl: pk.l, ob: ob, ticket: ob.take()})
+		pk.l = nil
 	}
 	n.packMu.Unlock()
 	var firstErr error

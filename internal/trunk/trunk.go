@@ -509,36 +509,44 @@ func (t *Trunk) rewriteLocked(key uint64, e entry, payload []byte) error {
 		t.index[key] = e
 		return nil
 	}
-	return t.relocateLocked(key, e, payload, int32(t.reserve(int(e.size), int(newSize-e.size))))
+	off, err := t.moveLocked(key, e, newSize, int32(t.reserve(int(e.size), int(newSize-e.size))))
+	if err != nil {
+		return err
+	}
+	copy(t.buf[off+headerSize:], payload)
+	return nil
 }
 
-// relocateLocked moves a cell to a freshly allocated slot with the given
-// reservation, abandoning the old slot as a gap. Called with t.mu held.
-func (t *Trunk) relocateLocked(key uint64, e entry, payload []byte, reserved int32) error {
-	need := int64(headerSize) + int64(len(payload)) + int64(reserved)
+// moveLocked allocates a slot for a size-byte payload with the given
+// reservation (none when the trunk is too tight for it), indexes the key
+// there and abandons the old slot as a gap. It returns the new record's
+// offset; the payload bytes are the caller's to write. The old slot's
+// bytes stay intact until the next defragmentation pass, so a caller may
+// copy straight from them. Called with t.mu held.
+func (t *Trunk) moveLocked(key uint64, e entry, size, reserved int32) (int64, error) {
+	need := int64(headerSize) + int64(size) + int64(reserved)
 	off, err := t.alloc(need)
 	if err != nil && reserved > 0 {
 		// Tight on space: retry without the luxury reservation.
 		reserved = 0
-		need = int64(headerSize) + int64(len(payload))
+		need = int64(headerSize) + int64(size)
 		off, err = t.alloc(need)
 	}
 	if err != nil {
-		return err
+		return 0, err
 	}
 	oldSpan := int64(headerSize) + int64(e.size) + int64(e.reserved)
 	t.gapBytes += oldSpan
 	t.reservedBytes -= int64(e.reserved)
 	t.liveBytes -= int64(headerSize) + int64(e.size)
 
-	t.writeHeader(off, key, int32(len(payload)), reserved)
-	copy(t.buf[off+headerSize:], payload)
-	t.index[key] = entry{offset: off, size: int32(len(payload)), reserved: reserved}
-	t.liveBytes += int64(headerSize) + int64(len(payload))
+	t.writeHeader(off, key, size, reserved)
+	t.index[key] = entry{offset: off, size: size, reserved: reserved}
+	t.liveBytes += int64(headerSize) + int64(size)
 	t.reservedBytes += int64(reserved)
 	t.stats.Allocs++
 	t.stats.Relocations++
-	return nil
+	return off, nil
 }
 
 // Append extends a cell's payload with extra bytes. If the cell's
@@ -553,20 +561,99 @@ func (t *Trunk) appendLocked(key uint64, e entry, extra []byte) error {
 	growth := int32(len(extra))
 	if growth <= e.reserved {
 		copy(t.buf[e.offset+headerSize+int64(e.size):], extra)
-		e.size += growth
-		e.reserved -= growth
-		t.writeHeader(e.offset, key, e.size, e.reserved)
-		t.index[key] = e
-		t.liveBytes += int64(growth)
-		t.reservedBytes -= int64(growth)
-		t.stats.InPlaceGrowth++
+		t.growLocked(key, e, growth)
 		return nil
 	}
-	// Relocate with room for the new bytes plus a fresh reservation.
-	payload := make([]byte, int(e.size)+len(extra)) //alloc:ok relocation slow path, amortized by reservation
-	copy(payload, t.buf[e.offset+headerSize:e.offset+headerSize+int64(e.size)])
-	copy(payload[e.size:], extra)
-	return t.relocateLocked(key, e, payload, int32(t.reserve(int(e.size), len(extra))))
+	// Relocate with room for the new bytes plus a fresh reservation,
+	// copying the old payload buffer to buffer.
+	off, err := t.moveLocked(key, e, e.size+growth, int32(t.reserve(int(e.size), len(extra))))
+	if err != nil {
+		return err
+	}
+	n := copy(t.buf[off+headerSize:], t.buf[e.offset+headerSize:e.offset+headerSize+int64(e.size)])
+	copy(t.buf[off+headerSize+int64(n):], extra)
+	return nil
+}
+
+// growLocked moves growth bytes of a cell's reservation into its payload,
+// once the caller has written them there. Called with t.mu held.
+func (t *Trunk) growLocked(key uint64, e entry, growth int32) {
+	e.size += growth
+	e.reserved -= growth
+	t.writeHeader(e.offset, key, e.size, e.reserved)
+	t.index[key] = e
+	t.liveBytes += int64(growth)
+	t.reservedBytes -= int64(growth)
+	t.stats.InPlaceGrowth++
+}
+
+// ListAppend appends elem to a length-prefixed list inside the cell's
+// payload: a u32 element count followed by count elements of len(elem)
+// bytes each. locate runs on the payload under the exclusive mutex and
+// returns the offset of the list's count; elem goes in after the list's
+// last element, the bytes behind the list move up by len(elem), and the
+// count goes up by one. ListAppend returns the count offset it used, so a
+// log can replay the append with a fixed one.
+//
+// This is the §6.1 in-place growth of a cell: when the cell's reservation
+// absorbs elem the append is one memmove of the bytes after the list;
+// otherwise the cell is relocated once with a fresh reservation, copied
+// buffer to buffer. Like Append it retries once after a defragmentation
+// pass on ErrFull and ends with mutate's compaction rule. A count offset
+// or list end outside the cell is an error; the cell is then untouched.
+// locate must not retain the payload or call back into this trunk.
+func (t *Trunk) ListAppend(key uint64, locate func(payload []byte) (int, error), elem []byte) (countOff int, err error) {
+	t.mu.Lock()
+	countOff, err = t.listAppendLocked(key, locate, elem)
+	if errors.Is(err, ErrFull) && t.defragmentLocked() > 0 {
+		countOff, err = t.listAppendLocked(key, locate, elem)
+	}
+	if t.gapBytes >= t.liveBytes && t.gapBytes >= t.pageSize {
+		t.defragmentLocked()
+	}
+	t.mu.Unlock()
+	return countOff, err
+}
+
+// listAppendLocked applies one ListAppend without retrying. Called with
+// t.mu held.
+func (t *Trunk) listAppendLocked(key uint64, locate func([]byte) (int, error), elem []byte) (int, error) {
+	e, ok := t.index[key]
+	if !ok {
+		return 0, ErrNotFound
+	}
+	base := e.offset + headerSize
+	size := int64(e.size)
+	countOff, err := locate(t.buf[base : base+size])
+	if err != nil {
+		return 0, err
+	}
+	if len(elem) == 0 || countOff < 0 || int64(countOff)+4 > size {
+		return 0, fmt.Errorf("trunk: list count at %d of a %d-byte cell %#x (element %d bytes)", countOff, size, key, len(elem))
+	}
+	count := binary.LittleEndian.Uint32(t.buf[base+int64(countOff):])
+	end := int64(countOff) + 4 + int64(count)*int64(len(elem))
+	if end > size {
+		return 0, fmt.Errorf("trunk: list of %d elements at %d overruns the %d-byte cell %#x", count, countOff, size, key)
+	}
+	growth := int32(len(elem))
+	if growth <= e.reserved {
+		copy(t.buf[base+end+int64(growth):], t.buf[base+end:base+size])
+		copy(t.buf[base+end:], elem)
+		binary.LittleEndian.PutUint32(t.buf[base+int64(countOff):], count+1)
+		t.growLocked(key, e, growth)
+		return countOff, nil
+	}
+	off, err := t.moveLocked(key, e, e.size+growth, int32(t.reserve(int(e.size), len(elem))))
+	if err != nil {
+		return 0, err
+	}
+	dst := off + headerSize
+	copy(t.buf[dst:], t.buf[base:base+end])
+	copy(t.buf[dst+end:], elem)
+	copy(t.buf[dst+end+int64(growth):], t.buf[base+end:base+size])
+	binary.LittleEndian.PutUint32(t.buf[dst+int64(countOff):], count+1)
+	return countOff, nil
 }
 
 // Get copies the cell's payload into a fresh slice (nil for an empty

@@ -2,6 +2,7 @@ package trunk
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"runtime"
@@ -195,6 +196,188 @@ func TestAppendUsesReservation(t *testing.T) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Fatal("appended payload corrupted")
+	}
+}
+
+// listCell builds a payload holding a length-prefixed list of 8-byte
+// elements between a head and a tail, and returns it with the offset of
+// the list's count.
+func listCell(head, elems, tail int, seed byte) ([]byte, int) {
+	b := payload(head, seed)
+	b = binary.LittleEndian.AppendUint32(b, uint32(elems))
+	b = append(b, payload(8*elems, seed+1)...)
+	return append(b, payload(tail, seed+2)...), head
+}
+
+// listAppendModel is ListAppend's contract on a plain byte slice: p with
+// elem appended to the list whose count sits at off, or false when that
+// list does not fit in p.
+func listAppendModel(p []byte, off int, elem []byte) ([]byte, bool) {
+	if len(elem) == 0 || off < 0 || off+4 > len(p) {
+		return nil, false
+	}
+	count := binary.LittleEndian.Uint32(p[off:])
+	end := int64(off) + 4 + int64(count)*int64(len(elem))
+	if end > int64(len(p)) {
+		return nil, false
+	}
+	out := append(append(append([]byte(nil), p[:end]...), elem...), p[end:]...)
+	binary.LittleEndian.PutUint32(out[off:], count+1)
+	return out, true
+}
+
+// at is a ListAppend locator for a fixed count offset.
+func at(off int) func([]byte) (int, error) {
+	return func([]byte) (int, error) { return off, nil }
+}
+
+func TestListAppendGrowsInPlaceWithinItsReservation(t *testing.T) {
+	tr := New(Options{Capacity: 1 << 16, PageSize: 1 << 10,
+		Reservation: func(old, growth int) int { return 64 }})
+	want, off := listCell(12, 3, 0, 1) // a tail list: nothing follows it
+	if err := tr.Add(1, want); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 10; i++ {
+		elem := payload(8, byte(10*i))
+		got, err := tr.ListAppend(1, at(off), elem)
+		if err != nil || got != off {
+			t.Fatalf("append %d: count offset %d, err %v", i, got, err)
+		}
+		want, _ = listAppendModel(want, off, elem)
+	}
+	// A fresh cell has no reservation, so the first append relocates and
+	// leaves 64 bytes behind: the next eight fit in them, and the tenth
+	// relocates once more.
+	s := tr.Stats()
+	if s.Relocations != 2 || s.InPlaceGrowth != 8 {
+		t.Fatalf("Relocations = %d, InPlaceGrowth = %d; want 2 and 8", s.Relocations, s.InPlaceGrowth)
+	}
+	if got, _ := tr.Get(1); !bytes.Equal(got, want) {
+		t.Fatalf("list cell corrupted:\n got %x\nwant %x", got, want)
+	}
+	if s.LiveBytes != headerSize+int64(len(want)) || s.ReservedBytes != 64 {
+		t.Fatalf("LiveBytes = %d, ReservedBytes = %d after growth", s.LiveBytes, s.ReservedBytes)
+	}
+}
+
+func TestListAppendInsertsMidCell(t *testing.T) {
+	// An inlink-style append: the list is followed by another list and a
+	// tail, which must move up by one element, by memmove in place and by
+	// copy on relocation alike.
+	tr := New(Options{Capacity: 1 << 16, PageSize: 1 << 10,
+		Reservation: func(old, growth int) int { return 16 }})
+	first, off := listCell(5, 2, 0, 1)
+	second, _ := listCell(0, 3, 7, 40)
+	want := append(first, second...)
+	if err := tr.Add(7, want); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5; i++ {
+		elem := payload(8, byte(100+i))
+		if _, err := tr.ListAppend(7, at(off), elem); err != nil {
+			t.Fatal(err)
+		}
+		want, _ = listAppendModel(want, off, elem)
+		if got, _ := tr.Get(7); !bytes.Equal(got, want) {
+			t.Fatalf("after append %d:\n got %x\nwant %x", i, got, want)
+		}
+	}
+	if s := tr.Stats(); s.Relocations == 0 || s.InPlaceGrowth == 0 {
+		t.Fatalf("Relocations = %d, InPlaceGrowth = %d: want both paths taken", s.Relocations, s.InPlaceGrowth)
+	}
+	secondOff := off + 4 + 8*7
+	if n := binary.LittleEndian.Uint32(want[secondOff:]); n != 3 {
+		t.Fatalf("second list count = %d after the shift, want 3", n)
+	}
+}
+
+func TestListAppendDefragmentsWhenFreeSpaceIsAllGaps(t *testing.T) {
+	tr := quietTrunk(64<<10, NoReservation)
+	var n uint64
+	for ; ; n++ {
+		cell, _ := listCell(4, 100, 92, byte(n))
+		if err := tr.Add(n, cell); err != nil {
+			if !errors.Is(err, ErrFull) {
+				t.Fatal(err)
+			}
+			break
+		}
+	}
+	// No contiguous room left: an append that must relocate is full.
+	if _, err := tr.ListAppend(1, at(4), payload(8, 9)); !errors.Is(err, ErrFull) {
+		t.Fatalf("ListAppend on a full trunk = %v, want ErrFull", err)
+	}
+	for k := uint64(0); k < n; k += 2 {
+		if err := tr.Remove(k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	passes := tr.Stats().DefragPasses
+	if _, err := tr.ListAppend(1, at(4), payload(8, 9)); err != nil {
+		t.Fatalf("ListAppend with room only in gaps: %v", err)
+	}
+	if got := tr.Stats().DefragPasses; got != passes+1 {
+		t.Fatalf("DefragPasses %d -> %d, want one retry pass", passes, got)
+	}
+	cell, _ := listCell(4, 100, 92, 1)
+	want, _ := listAppendModel(cell, 4, payload(8, 9))
+	if got, err := tr.Get(1); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("cell 1 after ListAppend: %d bytes, err %v", len(got), err)
+	}
+	for k := uint64(3); k < n; k += 2 {
+		cell, _ := listCell(4, 100, 92, byte(k))
+		if got, err := tr.Get(k); err != nil || !bytes.Equal(got, cell) {
+			t.Fatalf("survivor %d damaged: err %v", k, err)
+		}
+	}
+}
+
+func TestListAppendRejectsListsOutsideTheCell(t *testing.T) {
+	tr := newSmall(t)
+	cell, off := listCell(6, 2, 3, 1) // 6 + 4 + 16 + 3 = 29 bytes
+	if err := tr.Add(1, cell); err != nil {
+		t.Fatal(err)
+	}
+	huge := append([]byte(nil), cell...)
+	binary.LittleEndian.PutUint32(huge[off:], ^uint32(0))
+	if err := tr.Add(2, huge); err != nil {
+		t.Fatal(err)
+	}
+	before := tr.Stats()
+	errLocate := errors.New("no such list")
+	for _, c := range []struct {
+		name string
+		key  uint64
+		off  int
+		elem []byte
+	}{
+		{"negative offset", 1, -1, payload(8, 0)},
+		{"count past the end", 1, len(cell) - 3, payload(8, 0)},
+		{"offset at the end", 1, len(cell), payload(8, 0)},
+		{"offset far out", 1, 1 << 40, payload(8, 0)},
+		{"list overruns the cell", 1, off, payload(16, 0)},
+		{"count of 2^32-1", 2, off, payload(8, 0)},
+		{"empty element", 1, off, nil},
+	} {
+		if _, err := tr.ListAppend(c.key, at(c.off), c.elem); err == nil {
+			t.Errorf("%s: ListAppend succeeded", c.name)
+		}
+	}
+	if _, err := tr.ListAppend(1, func([]byte) (int, error) { return 0, errLocate }, payload(8, 0)); !errors.Is(err, errLocate) {
+		t.Errorf("locate's error = %v, want it passed through", err)
+	}
+	if _, err := tr.ListAppend(3, at(0), payload(8, 0)); !errors.Is(err, ErrNotFound) {
+		t.Errorf("ListAppend on a missing cell = %v, want ErrNotFound", err)
+	}
+	if got, _ := tr.Get(1); !bytes.Equal(got, cell) {
+		t.Errorf("a rejected append changed the cell: %x", got)
+	}
+	if got, _ := tr.Get(2); !bytes.Equal(got, huge) {
+		t.Errorf("a rejected append changed the cell: %x", got)
+	}
+	if after := tr.Stats(); after != before {
+		t.Errorf("rejected appends moved the stats:\n%+v\n%+v", before, after)
 	}
 }
 
@@ -712,7 +895,7 @@ func TestStatsInvariants(t *testing.T) {
 		rng := hash.NewRNG(seed)
 		for i := 0; i < 300; i++ {
 			key := uint64(rng.Intn(40))
-			switch rng.Intn(4) {
+			switch rng.Intn(5) {
 			case 0:
 				tr.Put(key, payload(rng.Intn(128), byte(key)))
 			case 1:
@@ -721,6 +904,12 @@ func TestStatsInvariants(t *testing.T) {
 				tr.Append(key, payload(rng.Intn(32), 1))
 			case 3:
 				defragment(tr)
+			case 4:
+				cell, off := listCell(rng.Intn(16), rng.Intn(8), rng.Intn(16), byte(key))
+				tr.Put(key, cell)
+				for j := rng.Intn(12); j > 0; j-- {
+					tr.ListAppend(key, at(off), payload(8, byte(j)))
+				}
 			}
 			s := tr.Stats()
 			if s.LiveBytes+s.GapBytes+s.ReservedBytes > s.UsedBytes {
@@ -742,19 +931,51 @@ func TestStatsInvariants(t *testing.T) {
 
 func TestModelBasedRandomOps(t *testing.T) {
 	// Property: the trunk behaves exactly like a map[uint64][]byte under
-	// any sequence of Put/Append/Remove/defragment, and no operation
+	// any sequence of Put/Append/ListAppend/Remove/defragment, and no
+	// operation
 	// leaves it above the compaction trigger.
 	f := func(seed uint64) bool {
 		tr := New(Options{Capacity: 1 << 16, PageSize: 1 << 10})
 		model := map[uint64][]byte{}
+		listAt := map[uint64]int{} // where the last list-shaped Put put its count
 		rng := hash.NewRNG(seed)
 		for i := 0; i < 500; i++ {
 			key := uint64(rng.Intn(30))
-			switch rng.Intn(5) {
+			switch rng.Intn(7) {
 			case 0, 1:
 				p := payload(rng.Intn(100), byte(rng.Next()))
 				if tr.Put(key, p) == nil {
 					model[key] = p
+				}
+			case 5:
+				p, off := listCell(rng.Intn(20), rng.Intn(4), rng.Intn(20), byte(rng.Next()))
+				if tr.Put(key, p) == nil {
+					model[key] = p
+					listAt[key] = off
+				}
+			case 6:
+				// Mostly the offset a list really sits at; now and then
+				// any offset, whose "count" is whatever bytes are there.
+				off := listAt[key]
+				if rng.Intn(4) == 0 {
+					off = rng.Intn(110) - 5
+				}
+				elem := payload(8, byte(rng.Next()))
+				_, err := tr.ListAppend(key, at(off), elem)
+				p, ok := model[key]
+				switch {
+				case !ok:
+					if !errors.Is(err, ErrNotFound) {
+						return false
+					}
+				default:
+					want, fits := listAppendModel(p, off, elem)
+					if fits != (err == nil) {
+						return false
+					}
+					if fits {
+						model[key] = want
+					}
 				}
 			case 2:
 				extra := payload(rng.Intn(30), byte(rng.Next()))
