@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"trinity/internal/cluster"
 	"trinity/internal/compute/traversal"
 	"trinity/internal/graph"
 	"trinity/internal/memcloud"
@@ -22,7 +23,14 @@ import (
 
 func newTestServer(t *testing.T, machines int) *server {
 	t.Helper()
-	cloud := memcloud.New(memcloud.Config{Machines: machines, TrunkCapacity: 1 << 20})
+	// No heartbeats within a test: a late one makes the leader send a
+	// confirm ping, a sync call that TestGraphVerbsEnterAtOwner would
+	// count as the graph verbs' own.
+	cloud := memcloud.New(memcloud.Config{
+		Machines:      machines,
+		TrunkCapacity: 1 << 20,
+		Cluster:       cluster.Config{HeartbeatInterval: time.Hour},
+	})
 	t.Cleanup(cloud.Close)
 	g := graph.New(cloud, true)
 	return &server{cloud: cloud, g: g, trav: traversal.New(g), cmdTimeout: 10 * time.Second}
@@ -201,7 +209,17 @@ func TestGraphVerbsEnterAtOwner(t *testing.T) {
 		return n
 	}
 	const nodes = 200
+	// The bootstrap leader election pings every peer and goes on at the
+	// first answer: let the other pings land before counting.
 	before := syncCalls()
+	for deadline := time.Now().Add(time.Second); time.Now().Before(deadline); {
+		time.Sleep(20 * time.Millisecond)
+		n := syncCalls()
+		if n == before {
+			break
+		}
+		before = n
+	}
 	for id := 1; id <= nodes; id++ {
 		if got := run(ctx, sv, fmt.Sprintf("ADDNODE %d", id)); got != "OK\r\n" {
 			t.Fatalf("ADDNODE %d -> %q", id, got)

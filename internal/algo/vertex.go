@@ -62,8 +62,10 @@ func PageRank(ctx context.Context, g *graph.Graph, iters, hubThreshold int) (*Pa
 // InstrumentedPageRank extends PageRankResult with engine counters.
 type InstrumentedPageRank struct {
 	PageRankResult
-	// WireMessages counts messages that physically crossed the wire
-	// (hub-buffered broadcasts count once per subscribed machine).
+	// WireMessages counts messages that physically crossed the wire:
+	// one per (id, value) pair combined at the sender, so a remote target
+	// counts at most once per sending machine per superstep, and one per
+	// hub copy, so a hub's broadcast counts once per subscribed machine.
 	WireMessages int64
 }
 

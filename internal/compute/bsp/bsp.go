@@ -7,8 +7,11 @@
 // predictable. The engine exploits this with two §5.4 mechanisms:
 //
 //   - Message combining: every Program supplies Combine, and messages to
-//     the same destination vertex are merged on arrival, so each vertex
-//     has one mailbox word per superstep rather than a message list.
+//     the same destination vertex are combined at the sender and on
+//     arrival. Each compute goroutine keeps a dense outbox over the view's
+//     remote out-edge slots, so a remote target gets at most one (id,
+//     value) pair per sending machine per superstep, and each vertex has
+//     one mailbox word per superstep rather than a message list.
 //
 //   - Hub-vertex buffering with action scripts: before the first
 //     superstep, each machine reads the remote side of its partition
@@ -28,6 +31,20 @@
 // index lookup, and a remote slot's owner is resolved once per engine.
 // Cell storage is not touched again after the snapshot is built.
 //
+// After compute, each machine ships every remote owner its combined pairs
+// as protoVertexMsg payloads: runs of 16-byte (id, value) pairs in
+// strictly ascending id order, at most maxBatchPairs to a payload. A
+// receiver rejects a malformed payload whole and counts it
+// (batches_rejected); it never applies part of one.
+//
+// Counters: messages_sent counts logical messages, one per out-edge of a
+// broadcast (termination relies on it); messages_wire counts what crossed
+// the wire, one per combined pair and one per hub copy; messages_combined
+// counts the merges made by Combine at the sender and at the receiver;
+// messages_dropped counts messages to vertices absent from the snapshot.
+// A dangling target owned by the sender's machine is dropped once per
+// edge, a remote one once per combined pair, at its owner.
+//
 // Supersteps end with a marker-based barrier: per-sender FIFO ordering of
 // the transport guarantees that a StepDone marker arrives after all of the
 // sender's vertex messages.
@@ -45,6 +62,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"trinity/internal/buf"
 	"trinity/internal/graph"
 	"trinity/internal/graph/view"
 	"trinity/internal/msg"
@@ -53,6 +71,17 @@ import (
 
 // inboxShards is the stripe count of the per-machine mailbox locks.
 const inboxShards = 64
+
+// pairBytes is the wire size of one (id, value) pair.
+const pairBytes = 16
+
+// maxBatchPairs bounds a protoVertexMsg payload so that one payload, with
+// msg's batch headers, fits the packer's default 64 KiB lease.
+const maxBatchPairs = (64<<10 - pairBytes) / pairBytes
+
+// errScriptsClosed answers an action script that arrives after hub
+// set-up: subscriptions never change under a running superstep.
+var errScriptsClosed = errors.New("bsp: action script after hub set-up")
 
 // Engine protocol IDs (below tsl.ProtoUserBase, above the graph range).
 const (
@@ -100,30 +129,41 @@ type Context struct {
 	selfIdx int // dense local index of self in the partition view
 	step    int
 
-	// This goroutine's message counts for the step, added to the
-	// worker's once its shard is done.
-	sent, wire, dropped int64
+	// The outbox: one combined message per remote out-edge slot, indexed
+	// by slot - NumVertices, and a bitset saying it is there. Shipped and
+	// cleared after the step's compute.
+	out    []float64
+	outHas []uint64
+
+	// This goroutine's message counts for the step, folded into the
+	// engine's by ship.
+	sent, wire, combined, dropped int64
+
+	// Contexts sit side by side in one array and run on different
+	// goroutines: keep their counters off each other's cache lines.
+	_ [64]byte
 }
 
 // Superstep returns the current superstep number (0-based).
 func (c *Context) Superstep() int { return c.step }
 
 // SendToAllOut broadcasts m along all out-edges — the restrictive-model
-// pattern ("Outlinks.Foreach"). If remote machines have subscribed to
-// this vertex as a hub, they receive one copy each and the edges into
-// them send nothing.
+// pattern ("Outlinks.Foreach"). A local target's mailbox takes m at once;
+// a remote target's is combined into this goroutine's outbox and shipped
+// after compute. If remote machines have subscribed to this vertex as a
+// hub, they receive one copy each and the edges into them send nothing.
 func (c *Context) SendToAllOut(m float64) {
 	w := c.w
-	node := w.m.Slave().Node()
-	var buf [16]byte
-	binary.LittleEndian.PutUint64(buf[8:], math.Float64bits(m))
 	subs := w.subscribers(c.selfIdx)
 	if len(subs) > 0 {
-		binary.LittleEndian.PutUint64(buf[0:], c.self)
+		var hub [pairBytes]byte
+		binary.LittleEndian.PutUint64(hub[0:], c.self)
+		binary.LittleEndian.PutUint64(hub[8:], math.Float64bits(m))
+		node := w.m.Slave().Node()
 		for i, word := range subs {
 			for ; word != 0; word &= word - 1 {
 				c.wire++
-				node.Send(msg.MachineID(64*i+bits.TrailingZeros64(word)), protoHubMsg, buf[:])
+				node.Send(msg.MachineID(64*i+bits.TrailingZeros64(word)), protoHubMsg, hub[:])
 			}
 		}
 	}
@@ -135,17 +175,20 @@ func (c *Context) SendToAllOut(m float64) {
 			w.deliver(int(s), m)
 			continue
 		}
-		switch owner := w.farOwner[s-n]; {
+		r := s - n
+		switch owner := w.farOwner[r]; {
 		case owner == w.id:
 			// Owned here but absent from the snapshot: the vertex did
 			// not exist when the engine was built. Count, don't crash.
 			c.dropped++
 		case len(subs) > 0 && subs[owner/64]>>(owner%64)&1 != 0:
 			// Carried by the hub copy.
+		case c.outHas[r/64]>>(r%64)&1 != 0:
+			c.out[r] = w.e.prog.Combine(c.out[r], m)
+			c.combined++
 		default:
-			binary.LittleEndian.PutUint64(buf[0:], w.pv.SlotID(s))
-			c.wire++
-			node.Send(owner, protoVertexMsg, buf[:])
+			c.out[r] = m
+			c.outHas[r/64] |= 1 << (r % 64)
 		}
 	}
 }
@@ -178,8 +221,9 @@ type engineMetrics struct {
 	supersteps    *obs.Counter
 	msgsSent      *obs.Counter // logical vertex messages
 	msgsWire      *obs.Counter // messages that crossed the wire
-	msgsCombined  *obs.Counter // messages merged by the combiner
+	msgsCombined  *obs.Counter // messages merged by the combiner, at sender and receiver
 	msgsDropped   *obs.Counter // messages to vertices absent from the snapshot
+	rejected      *obs.Counter // malformed vertex payloads, discarded whole
 	hubRetries    *obs.Counter // action-script calls that needed a retry
 	hubFailures   *obs.Counter // action-script subscriptions abandoned after retry
 	runsCancelled *obs.Counter // Run calls that returned a context error
@@ -221,10 +265,18 @@ type worker struct {
 	// machine that owns its target.
 	farOwner []msg.MachineID
 
-	// Hub optimization state.
-	hubSources map[uint64][]int32 // remote hub -> dense local targets
-	hubSubs    []uint64           // local vertex -> bitmask of subscribed machines, subWords words each
-	subWords   int
+	// ctxs are the compute goroutines' contexts, outboxes included: one
+	// per shard, allocated once per engine. batches holds, per remote
+	// owner, the payload being filled while the outboxes are shipped.
+	ctxs    []Context
+	batches []batch
+
+	// Hub optimization state. hubSubs changes only while scriptsOpen,
+	// which hub set-up holds under doneMu.
+	hubSources  map[uint64][]int32 // remote hub -> dense local targets
+	hubSubs     []uint64           // local vertex -> bitmask of subscribed machines, subWords words each
+	subWords    int
+	scriptsOpen bool
 
 	sentWire  atomic.Int64 // messages that crossed the wire (cumulative)
 	sentTotal atomic.Int64 // logical messages this step, taken at its end
@@ -251,6 +303,7 @@ func New(g *graph.Graph, opts Options) *Engine {
 		msgsWire:      scope.Counter("messages_wire"),
 		msgsCombined:  scope.Counter("messages_combined"),
 		msgsDropped:   scope.Counter("messages_dropped"),
+		rejected:      scope.Counter("batches_rejected"),
 		hubRetries:    scope.Counter("hub_script_retries"),
 		hubFailures:   scope.Counter("hub_script_failures"),
 		runsCancelled: scope.Counter("runs_cancelled"),
@@ -259,6 +312,9 @@ func New(g *graph.Graph, opts Options) *Engine {
 		computeNs:     scope.Histogram("superstep.compute_ns"),
 		barrierNs:     scope.Histogram("superstep.barrier_ns"),
 	}
+	// Vertex computation is embarrassingly parallel within a machine:
+	// each machine shards its vertices across a small pool.
+	shards := max(runtime.NumCPU()/g.Machines(), 1)
 	for i := 0; i < g.Machines(); i++ {
 		m := g.On(i)
 		pv, err := view.Acquire(m)
@@ -292,6 +348,28 @@ func New(g *graph.Graph, opts Options) *Engine {
 		node.HandleAsync(protoStepDone, w.onStepDone)
 		node.HandleSync(protoActionScript, w.onActionScript)
 		e.workers = append(e.workers, w)
+	}
+	// The compute goroutines' contexts and outboxes, and the payloads
+	// being filled: one allocation each for the whole engine.
+	var slots, words int
+	for _, w := range e.workers {
+		slots += len(w.farOwner)
+		words += (len(w.farOwner) + 63) / 64
+	}
+	ctxs := make([]Context, shards*len(e.workers))
+	out := make([]float64, shards*slots)
+	has := make([]uint64, shards*words)
+	batches := make([]batch, len(e.workers)*len(e.workers))
+	for _, w := range e.workers {
+		r, nw := len(w.farOwner), (len(w.farOwner)+63)/64
+		w.ctxs, ctxs = ctxs[:shards:shards], ctxs[shards:]
+		w.batches, batches = batches[:len(e.workers):len(e.workers)], batches[len(e.workers):]
+		for i := range w.ctxs {
+			c := &w.ctxs[i]
+			c.w = w
+			c.out, out = out[:r:r], out[r:]
+			c.outHas, has = has[:nw:nw], has[nw:]
+		}
 	}
 	return e
 }
@@ -383,8 +461,11 @@ func (e *Engine) Values() map[uint64]float64 {
 }
 
 // WireMessages returns the cumulative number of messages that actually
-// crossed the wire (hub-buffered fan-outs count once). The hub ablation
-// benchmark compares this against logical messages.
+// crossed the wire: one per (id, value) pair combined at the sender, so a
+// remote target counts at most once per sending machine per superstep,
+// and one per hub copy, so a hub's fan-out counts once per subscribed
+// machine. The hub ablation benchmark compares this against logical
+// messages.
 func (e *Engine) WireMessages() int64 {
 	var total int64
 	for _, w := range e.workers {
@@ -469,32 +550,24 @@ func (w *worker) rotate() (merged int64) {
 	return merged
 }
 
-// computePhase runs Compute over this machine's vertices, then flushes
-// and broadcasts the end-of-step marker. Cancellation is polled every
-// 1024 vertices; a cancelled phase returns ctx.Err() before sending its
-// markers (the whole superstep is abandoned, so no peer will wait for
-// them — the barrier itself is ctx-aware).
+// computePhase runs Compute over this machine's vertices, ships the
+// outboxes, then flushes and broadcasts the end-of-step marker.
+// Cancellation is polled every 1024 vertices; a cancelled phase returns
+// ctx.Err() before shipping or sending its markers (the whole superstep
+// is abandoned, so no peer will wait for them — the barrier itself is
+// ctx-aware).
 func (w *worker) computePhase(ctx context.Context, step int) error {
 	node := w.m.Slave().Node()
 	n := w.pv.NumVertices()
-	// Shard vertices across a small pool: vertex computation is
-	// embarrassingly parallel within a machine.
-	workers := runtime.NumCPU() / len(w.e.workers)
-	if workers < 1 {
-		workers = 1
-	}
 	var wg sync.WaitGroup
 	ids := w.pv.IDs()
-	shard := (n + workers - 1) / workers
-	for s := 0; s < n; s += shard {
-		endIdx := s + shard
-		if endIdx > n {
-			endIdx = n
-		}
+	shard := (n + len(w.ctxs) - 1) / len(w.ctxs)
+	for i, lo := 0, 0; lo < n; i, lo = i+1, lo+shard {
+		vctx := &w.ctxs[i]
+		vctx.step = step
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()
-			vctx := &Context{w: w, step: step}
 			for idx := lo; idx < hi; idx++ {
 				if idx&1023 == 0 && ctx.Err() != nil {
 					break
@@ -511,15 +584,13 @@ func (w *worker) computePhase(ctx context.Context, step int) error {
 				w.values[idx] = newVal
 				w.active[idx] = !halt
 			}
-			w.sentTotal.Add(vctx.sent)
-			w.sentWire.Add(vctx.wire)
-			w.e.metrics.msgsDropped.Add(vctx.dropped)
-		}(s, endIdx)
+		}(lo, min(lo+shard, n))
 	}
 	wg.Wait()
 	if err := ctx.Err(); err != nil {
 		return err
 	}
+	w.ship(node)
 	if err := node.Flush(); err != nil && !errors.Is(err, msg.ErrUnreachable) {
 		return err
 	}
@@ -531,6 +602,80 @@ func (w *worker) computePhase(ctx context.Context, step int) error {
 		}
 	}
 	return node.Flush()
+}
+
+// batch is one remote owner's payload under construction: n pairs in l.
+type batch struct {
+	l *buf.Lease
+	n int
+}
+
+// ship folds the compute goroutines' step counts and outboxes into the
+// first context's, then sends each remote owner its pairs in ascending
+// slot order, which is ascending id order, clearing the outbox as it
+// goes. A full payload is flushed on its own, so the packer never grows
+// past its lease.
+func (w *worker) ship(node *msg.Node) {
+	first := &w.ctxs[0]
+	for i := 1; i < len(w.ctxs); i++ {
+		c := &w.ctxs[i]
+		first.sent += c.sent
+		first.wire += c.wire
+		first.combined += c.combined
+		first.dropped += c.dropped
+		c.sent, c.wire, c.combined, c.dropped = 0, 0, 0, 0
+		for i, word := range c.outHas {
+			for ; word != 0; word &= word - 1 {
+				r := 64*i + bits.TrailingZeros64(word)
+				if first.outHas[i]>>(r%64)&1 != 0 {
+					first.out[r] = w.e.prog.Combine(first.out[r], c.out[r])
+					first.combined++
+				} else {
+					first.out[r] = c.out[r]
+					first.outHas[i] |= 1 << (r % 64)
+				}
+			}
+			c.outHas[i] = 0
+		}
+	}
+	n := uint32(w.pv.NumVertices())
+	for i, word := range first.outHas {
+		for ; word != 0; word &= word - 1 {
+			r := 64*i + bits.TrailingZeros64(word)
+			owner := w.farOwner[r]
+			b := &w.batches[owner]
+			if b.l == nil {
+				b.l = buf.Get(maxBatchPairs * pairBytes)
+			}
+			p := b.l.Bytes()[b.n*pairBytes:]
+			binary.LittleEndian.PutUint64(p, w.pv.SlotID(n+uint32(r)))
+			binary.LittleEndian.PutUint64(p[8:], math.Float64bits(first.out[r]))
+			first.wire++
+			if b.n++; b.n == maxBatchPairs {
+				node.Flush()
+				node.Send(owner, protoVertexMsg, b.l.Bytes())
+				node.Flush()
+				b.n = 0
+			}
+		}
+		first.outHas[i] = 0
+	}
+	for owner := range w.batches {
+		b := &w.batches[owner]
+		if b.l == nil {
+			continue
+		}
+		if b.n > 0 {
+			node.Send(msg.MachineID(owner), protoVertexMsg, b.l.Bytes()[:b.n*pairBytes])
+		}
+		b.l.Release()
+		*b = batch{}
+	}
+	w.sentTotal.Add(first.sent)
+	w.sentWire.Add(first.wire)
+	w.e.metrics.msgsCombined.Add(first.combined)
+	w.e.metrics.msgsDropped.Add(first.dropped)
+	first.sent, first.wire, first.combined, first.dropped = 0, 0, 0, 0
 }
 
 // waitForMarkers blocks until `want` peers have signalled end-of-step,
@@ -567,22 +712,42 @@ func (w *worker) deliver(idx int, m float64) {
 	s.Unlock()
 }
 
+// onVertexMsg delivers a payload of combined (id, value) pairs.
 func (w *worker) onVertexMsg(_ msg.MachineID, b []byte) {
-	if len(b) != 16 {
-		return
+	ok := decodeVertexBatch(b, func(dst uint64, m float64) {
+		if idx, ok := w.pv.IndexOf(dst); ok {
+			w.deliver(idx, m)
+		} else {
+			w.e.metrics.msgsDropped.Inc()
+		}
+	})
+	if !ok {
+		w.e.metrics.rejected.Inc()
 	}
-	dst := binary.LittleEndian.Uint64(b[0:])
-	m := math.Float64frombits(binary.LittleEndian.Uint64(b[8:]))
-	if idx, ok := w.pv.IndexOf(dst); ok {
-		w.deliver(idx, m)
-	} else {
-		w.e.metrics.msgsDropped.Inc()
+}
+
+// decodeVertexBatch hands each (id, value) pair of a protoVertexMsg
+// payload to fn. A payload whose length is not a whole number of pairs,
+// or whose ids are not strictly ascending, is rejected whole: it returns
+// false before fn sees any pair.
+func decodeVertexBatch(b []byte, fn func(id uint64, val float64)) bool {
+	if len(b)%pairBytes != 0 {
+		return false
 	}
+	for off := pairBytes; off < len(b); off += pairBytes {
+		if binary.LittleEndian.Uint64(b[off:]) <= binary.LittleEndian.Uint64(b[off-pairBytes:]) {
+			return false
+		}
+	}
+	for ; len(b) > 0; b = b[pairBytes:] {
+		fn(binary.LittleEndian.Uint64(b), math.Float64frombits(binary.LittleEndian.Uint64(b[8:])))
+	}
+	return true
 }
 
 // onHubMsg fans a hub vertex's broadcast out to all local targets.
 func (w *worker) onHubMsg(_ msg.MachineID, b []byte) {
-	if len(b) != 16 {
+	if len(b) != pairBytes {
 		return
 	}
 	src := binary.LittleEndian.Uint64(b[0:])
@@ -605,11 +770,21 @@ func (w *worker) subscribers(idx int) []uint64 {
 // setupHubSubscriptions implements the §5.4 action-script exchange. The
 // remote/local bipartite split comes straight from the partition view;
 // no in-link re-scan is needed.
+//
+// The hub owner alone decides what is skipped: a subscriber keeps its
+// hubs whatever its calls return, since the owner may have applied a
+// script whose reply was lost. It then fans out a hub copy if the owner
+// sends one, and receives the per-edge messages otherwise. Owners accept
+// scripts only until every machine's calls are answered, so no
+// subscription changes under a running superstep.
 func (e *Engine) setupHubSubscriptions(ctx context.Context) {
 	for _, w := range e.workers {
 		w.hubSources = make(map[uint64][]int32)
 		w.subWords = (len(e.workers) + 63) / 64
+		w.doneMu.Lock()
 		w.hubSubs = make([]uint64, w.pv.NumVertices()*w.subWords)
+		w.scriptsOpen = true
+		w.doneMu.Unlock()
 	}
 	var wg sync.WaitGroup
 	for _, w := range e.workers {
@@ -632,33 +807,33 @@ func (e *Engine) setupHubSubscriptions(ctx context.Context) {
 					binary.LittleEndian.PutUint64(script[8*i:], h)
 				}
 				if _, err := node.Call(ctx, owner, protoActionScript, script); err != nil {
-					// Retry once; a transient transport fault must not
-					// silently leave the hub owner unsubscribed while this
-					// machine skips per-edge sends.
+					// Retry once: the owner may not have applied it.
 					e.metrics.hubRetries.Inc()
 					if _, err = node.Call(ctx, owner, protoActionScript, script); err != nil {
 						e.metrics.hubFailures.Inc()
-						// Abandon the subscription: without the owner's
-						// acknowledgement these hubs must fall back to
-						// ordinary per-edge delivery.
-						for _, h := range hubs {
-							delete(w.hubSources, h)
-						}
 					}
 				}
 			}
 		}(w)
 	}
 	wg.Wait()
+	for _, w := range e.workers {
+		w.doneMu.Lock()
+		w.scriptsOpen = false
+		w.doneMu.Unlock()
+	}
 }
 
 // onActionScript records a peer's hub subscriptions ("each machine merges
 // the action scripts it receives from other machines", §5.4) in the
 // subscribed hubs' bitmasks. A hub absent from this snapshot has no
-// broadcast to share.
+// broadcast to share. A script that arrives after hub set-up is refused.
 func (w *worker) onActionScript(_ context.Context, from msg.MachineID, script []byte) ([]byte, error) {
 	w.doneMu.Lock() // reuse as a small setup lock
 	defer w.doneMu.Unlock()
+	if !w.scriptsOpen {
+		return nil, errScriptsClosed
+	}
 	for off := 0; off+8 <= len(script); off += 8 {
 		if idx, ok := w.pv.IndexOf(binary.LittleEndian.Uint64(script[off:])); ok {
 			w.subscribers(idx)[from/64] |= 1 << (from % 64)

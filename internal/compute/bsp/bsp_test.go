@@ -2,11 +2,13 @@ package bsp
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"testing"
 	"time"
 
+	"trinity/internal/buf"
 	"trinity/internal/gen"
 	"trinity/internal/graph"
 	"trinity/internal/memcloud"
@@ -160,15 +162,36 @@ func (r *refGraph) bfs(src uint64) []float64 {
 	return level
 }
 
-// dangling returns node u's out-edges to ids that are no node.
-func (r *refGraph) dangling(u int) int64 {
-	var d int64
-	for _, v := range r.out[u] {
-		if !r.isNode(v) {
-			d++
+// dropped counts the messages the engine drops when vertex u broadcasts
+// in supersteps steps(u): one per edge to a dangling target that the
+// sender's own machine owns, and one per (sending machine, target,
+// superstep) to a dangling target that another machine owns, since the
+// sender combines those into one pair. perEdge is the count without
+// sender-side combining.
+func (r *refGraph) dropped(owner func(uint64) msg.MachineID, steps func(u int) []int) (want, perEdge int64) {
+	type pair struct {
+		from msg.MachineID
+		to   uint64
+		step int
+	}
+	remote := make(map[pair]bool)
+	for u, out := range r.out {
+		from := owner(uint64(u))
+		for _, step := range steps(u) {
+			for _, v := range out {
+				switch {
+				case r.isNode(v):
+					continue
+				case owner(v) == from:
+					want++
+				default:
+					remote[pair{from, v, step}] = true
+				}
+				perEdge++
+			}
 		}
 	}
-	return d
+	return want + int64(len(remote)), perEdge
 }
 
 // loadRef loads nodes 0..n-1 and edges into a directed graph, appends
@@ -238,8 +261,8 @@ func TestPageRankMatchesSequentialReference(t *testing.T) {
 	// The distributed engine must agree with a straightforward sequential
 	// model over the same stored adjacency, vertex by vertex: PageRank
 	// and BFS, with and without hub buffering, on 3 and 4 machines. Every
-	// message to a dangling target is counted as dropped, whether its
-	// owner is the sender's machine or another.
+	// message to a dangling target is counted as dropped: per edge when
+	// the sender's machine owns it, per combined pair when another does.
 	const iters = 20
 	var uniform [][2]uint64
 	gen.Uniform(gen.UniformConfig{Nodes: 200, AvgDegree: 6, Seed: 1}, func(u, v uint64) {
@@ -259,6 +282,12 @@ func TestPageRankMatchesSequentialReference(t *testing.T) {
 		powerLaw = append(powerLaw, [2]uint64{i, i})
 		dangling = append(dangling, [2]uint64{i / 2, plNodes + 1000 + i})
 	}
+	// One dangling target with in-edges from several sources, so that
+	// some machine holds two of them and the sender combines their
+	// messages into one pair.
+	for u := uint64(1); u <= 32; u++ {
+		dangling = append(dangling, [2]uint64{u, plNodes + 5000})
+	}
 	graphs := []struct {
 		name            string
 		nodes           int
@@ -277,15 +306,21 @@ func TestPageRankMatchesSequentialReference(t *testing.T) {
 				name string
 				prog Program
 				want []float64
-				// sends is how many supersteps vertex u broadcasts in.
-				sends func(u int) int64
+				// steps are the supersteps vertex u broadcasts in.
+				steps func(u int) []int
 			}{
-				{"pagerank", &pagerank{iters: iters}, ref.pageRank(iters), func(int) int64 { return iters }},
-				{"bfs", bfsProg{src: 0}, levels, func(u int) int64 {
-					if levels[u] >= 0 {
-						return 1 // once, when reached
+				{"pagerank", &pagerank{iters: iters}, ref.pageRank(iters), func(int) []int {
+					steps := make([]int, iters)
+					for i := range steps {
+						steps[i] = i
 					}
-					return 0
+					return steps
+				}},
+				{"bfs", bfsProg{src: 0}, levels, func(u int) []int {
+					if levels[u] >= 0 {
+						return []int{int(levels[u])} // once, when reached
+					}
+					return nil
 				}},
 			}
 			for _, pc := range progs {
@@ -309,12 +344,12 @@ func TestPageRankMatchesSequentialReference(t *testing.T) {
 						if hub > 0 {
 							return
 						}
-						var want int64
-						for u := range ref.out {
-							want += ref.dangling(u) * pc.sends(u)
-						}
+						want, perEdge := ref.dropped(cloud.Slave(0).Owner, pc.steps)
 						if gc.dangling != nil && want == 0 {
 							t.Fatal("no message to a dangling target: the case tests nothing")
+						}
+						if gc.dangling != nil && pc.name == "pagerank" && want == perEdge {
+							t.Fatal("no dangling pair combined at the sender: the case tests nothing")
 						}
 						if got := dropped.Load() - before; got != want {
 							t.Fatalf("messages_dropped = %d, want %d", got, want)
@@ -426,6 +461,51 @@ func TestHubOptimizationEquivalence(t *testing.T) {
 		baseWire, optWire, 100*float64(baseWire-optWire)/float64(baseWire))
 }
 
+// dropScriptReplies loses every reply to an action script: the hub owner
+// applies the script, but the subscriber's call times out. A msg frame
+// starts kind(1) proto(2); kind 2 is a sync reply.
+type dropScriptReplies struct{ msg.Transport }
+
+func (d dropScriptReplies) Send(to msg.MachineID, frame *buf.Lease) error {
+	if b := frame.Bytes(); len(b) >= 3 && b[0] == 2 &&
+		msg.ProtocolID(binary.LittleEndian.Uint16(b[1:])) == protoActionScript {
+		frame.Release()
+		return nil
+	}
+	return d.Transport.Send(to, frame)
+}
+
+func TestHubSubscriptionSurvivesLostReplies(t *testing.T) {
+	// Every hub owner applies its scripts, and every subscriber's calls
+	// time out. The subscribers must still fan out the hub copies the
+	// owners then send in place of the per-edge messages.
+	cloud := memcloud.New(memcloud.Config{
+		Machines:      4,
+		Msg:           msg.Options{FlushInterval: time.Millisecond, CallTimeout: 200 * time.Millisecond},
+		TransportWrap: func(tr msg.Transport) msg.Transport { return dropScriptReplies{tr} },
+	})
+	t.Cleanup(cloud.Close)
+	var edges [][2]uint64
+	gen.PowerLaw(gen.PowerLawConfig{Nodes: 600, AvgDegree: 6, Seed: 5}, func(u, v uint64) {
+		edges = append(edges, [2]uint64{u, v})
+	})
+	g, ref := loadRef(t, cloud, 600, edges, nil)
+	const iters = 20
+	e := New(g, Options{HubThreshold: 4})
+	if _, err := e.Run(context.Background(), &pagerank{iters: iters}); err != nil {
+		t.Fatal(err)
+	}
+	if cloud.Metrics().Scope("bsp").Counter("hub_script_failures").Load() == 0 {
+		t.Fatal("no action script failed: the case tests nothing")
+	}
+	want := ref.pageRank(iters)
+	for id, v := range e.Values() {
+		if math.Abs(v-want[id]) > 1e-9 {
+			t.Fatalf("rank(%d) = %.12f, reference %.12f", id, v, want[id])
+		}
+	}
+}
+
 func TestEmptyGraph(t *testing.T) {
 	cloud := newCloud(t, 2)
 	g := graph.New(cloud, true)
@@ -447,11 +527,14 @@ func BenchmarkPageRankIteration(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e := New(g, Options{HubThreshold: 8})
-		if _, err := e.Run(context.Background(), &pagerank{iters: 3}); err != nil {
-			b.Fatal(err)
-		}
+	for _, hubs := range []int{0, 8} {
+		b.Run(fmt.Sprintf("hubs=%d", hubs), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				e := New(g, Options{HubThreshold: hubs})
+				if _, err := e.Run(context.Background(), &pagerank{iters: 3}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
