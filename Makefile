@@ -5,12 +5,13 @@ GO ?= go
 CHAOS_SEEDS ?= 1,2,3
 CHAOS_TIMEOUT ?= 10m
 
-# The gated benchmark set: the graph stack plus the trunk's own Put, Get,
-# View and §6.1 expansion benchmarks. Archived, baselined and gated in CI.
+# The gated benchmark set: the graph stack, the messaging runtime's sync
+# call and packing benchmarks, and the trunk's own Put, Get, View and
+# §6.1 expansion benchmarks. Archived, baselined and gated in CI.
 BENCH_PKGS = ./internal/graph/ ./internal/graph/view/ \
 	./internal/compute/bsp/ ./internal/compute/traversal/ \
 	./internal/memcloud/fetch/ ./internal/memcloud/store/ \
-	./internal/trunk/
+	./internal/msg/ ./internal/trunk/
 BENCH_TIME ?= 2s
 BENCH_JSON ?= bench_new.json
 

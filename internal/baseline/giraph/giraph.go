@@ -106,7 +106,7 @@ func New(machines int, adjacency map[uint64][]uint64) *Engine {
 	e := &Engine{bus: msg.NewBus()}
 	for i := 0; i < machines; i++ {
 		node := msg.NewNode(e.bus.Endpoint(msg.MachineID(i)), msg.Options{
-			NoPacking: true, // the ablation under test
+			BatchBytes: 1, // a frame per message: the packing ablation under test
 		})
 		w := &worker{
 			e:        e,

@@ -800,19 +800,25 @@ func (e *Engine) setupHubSubscriptions(ctx context.Context) {
 					perOwner[owner] = append(perOwner[owner], rs.ID)
 				}
 			}
+			// One call per owner, all in flight at once: a machine whose
+			// replies are lost waits 2 × CallTimeout in all, not per owner.
 			node := w.m.Slave().Node()
 			for owner, hubs := range perOwner {
-				script := make([]byte, 8*len(hubs)) //alloc:ok one action script per hub owner, once per run
-				for i, h := range hubs {
-					binary.LittleEndian.PutUint64(script[8*i:], h)
-				}
-				if _, err := node.Call(ctx, owner, protoActionScript, script); err != nil {
-					// Retry once: the owner may not have applied it.
-					e.metrics.hubRetries.Inc()
-					if _, err = node.Call(ctx, owner, protoActionScript, script); err != nil {
-						e.metrics.hubFailures.Inc()
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					script := make([]byte, 8*len(hubs)) //alloc:ok one action script per hub owner, once per run
+					for i, h := range hubs {
+						binary.LittleEndian.PutUint64(script[8*i:], h)
 					}
-				}
+					if _, err := node.Call(ctx, owner, protoActionScript, script); err != nil {
+						// Retry once: the owner may not have applied it.
+						e.metrics.hubRetries.Inc()
+						if _, err = node.Call(ctx, owner, protoActionScript, script); err != nil {
+							e.metrics.hubFailures.Inc()
+						}
+					}
+				}()
 			}
 		}(w)
 	}

@@ -492,11 +492,17 @@ func TestHubSubscriptionSurvivesLostReplies(t *testing.T) {
 	g, ref := loadRef(t, cloud, 600, edges, nil)
 	const iters = 20
 	e := New(g, Options{HubThreshold: 4})
+	start := time.Now()
 	if _, err := e.Run(context.Background(), &pagerank{iters: iters}); err != nil {
 		t.Fatal(err)
 	}
 	if cloud.Metrics().Scope("bsp").Counter("hub_script_failures").Load() == 0 {
 		t.Fatal("no action script failed: the case tests nothing")
+	}
+	// Every owner is called at once, so set-up waits 2 × CallTimeout
+	// (call and retry) however many owners a machine subscribes to.
+	if took := time.Since(start); took >= 5*200*time.Millisecond {
+		t.Errorf("run took %v with every script reply lost, want < 5 × CallTimeout", took)
 	}
 	want := ref.pageRank(iters)
 	for id, v := range e.Values() {

@@ -46,9 +46,8 @@ type Machine struct {
 	// stripes serialize read-modify-write mutations of local node cells;
 	// plain reads need only the trunk's shared mutex.
 	stripes [128]sync.Mutex
-	// epoch counts mutations of this machine's local partition. The
-	// partition-view layer (internal/graph/view) compares it against a
-	// cached snapshot's epoch to decide whether the snapshot is stale.
+	// epoch counts mutations of this machine's local partition made
+	// through the graph layer; Epoch adds the slave's trunk-set changes.
 	epoch atomic.Uint64
 	// viewCache is the partition-view layer's cache slot, typed any to
 	// avoid an import cycle (graph/view imports graph).
@@ -133,10 +132,15 @@ func (m *Machine) stripe(id uint64) *sync.Mutex {
 	return &m.stripes[hash.Mix64(id)&127]
 }
 
-// Epoch returns the machine's partition mutation epoch. Every mutation of
-// a local node cell that flows through the graph layer (AddNode, PutNode,
-// either endpoint of AddEdge landing here, a Builder flush) bumps it.
-func (m *Machine) Epoch() uint64 { return m.epoch.Load() }
+// Epoch returns the machine's partition epoch. It moves on every mutation
+// of a local node cell that flows through the graph layer (AddNode,
+// PutNode, either endpoint of AddEdge landing here, a Builder flush) and
+// on every change to the set of trunks the slave holds (Slave.TrunkGen:
+// a recovery that moves trunks here or away). Both counts only grow, so
+// their sum changes whenever either does. The partition-view layer
+// (internal/graph/view) compares it against a cached snapshot's epoch to
+// decide whether the snapshot is stale.
+func (m *Machine) Epoch() uint64 { return m.epoch.Load() + m.s.TrunkGen() }
 
 // InvalidatePartition bumps the mutation epoch, marking any cached
 // partition view of this machine stale. Code that mutates node cells

@@ -15,7 +15,11 @@ import (
 	"trinity/internal/hash"
 	"trinity/internal/memcloud"
 	"trinity/internal/msg"
+	"trinity/internal/tsl"
 )
+
+// nodeSchema is NodeTSL compiled: the reference the hand codec is held to.
+var nodeSchema = tsl.MustCompile(NodeTSL).Struct("GraphNode")
 
 func newCloud(t testing.TB, machines int) *memcloud.Cloud {
 	c := memcloud.New(memcloud.Config{
@@ -48,7 +52,7 @@ func TestEncodeNodeMatchesSchema(t *testing.T) {
 	n := &Node{ID: 1, Label: 5, Name: "x", Weights: []int64{9},
 		Inlinks: []uint64{2}, Outlinks: []uint64{3, 4}}
 	fast := EncodeNode(n)
-	slow, err := cell.Encode(NodeSchema, map[string]cell.Value{
+	slow, err := cell.Encode(nodeSchema, map[string]cell.Value{
 		"Label":    int64(5),
 		"Name":     "x",
 		"Weights":  []int64{9},
@@ -62,7 +66,7 @@ func TestEncodeNodeMatchesSchema(t *testing.T) {
 		t.Fatalf("encoders disagree:\nfast %v\nslow %v", fast, slow)
 	}
 	// And the schema accessor reads the fast encoding.
-	a := cell.NewAccessor(NodeSchema, fast)
+	a := cell.NewAccessor(nodeSchema, fast)
 	if a.MustField("Label").Long() != 5 || a.MustField("Name").Str() != "x" {
 		t.Fatal("accessor cannot read fast encoding")
 	}

@@ -3,10 +3,10 @@
 // node cells (SimpleEdge), and all access goes through the cell accessor
 // machinery so the topology lives in blobs, not runtime objects.
 //
-// The node schema is declared in TSL and compiled at init, making the TSL
-// pipeline load-bearing for the engine itself. Hot paths additionally use
-// hand-written encoders that produce byte-identical blobs (verified by
-// tests against the schema-driven encoder).
+// The node schema is declared in TSL (NodeTSL). The engine reads and
+// writes node blobs with the hand-written codec below; the tests compile
+// NodeTSL and check that the codec matches the schema-driven encoder and
+// accessor byte for byte.
 package graph
 
 import (
@@ -14,7 +14,6 @@ import (
 	"fmt"
 
 	"trinity/internal/cell"
-	"trinity/internal/tsl"
 )
 
 // NodeTSL is the TSL declaration of a graph node cell. Outlinks is
@@ -38,12 +37,6 @@ cell struct GraphNode
 }
 `
 
-// Schema is the compiled node schema.
-var Schema = tsl.MustCompile(NodeTSL)
-
-// NodeSchema is the GraphNode struct type.
-var NodeSchema = Schema.Struct("GraphNode")
-
 // Node is the decoded form of a node cell.
 type Node struct {
 	ID       uint64
@@ -55,7 +48,8 @@ type Node struct {
 }
 
 // EncodeNode serializes a node into the GraphNode blob layout. It is the
-// fast-path equivalent of cell.Encode over NodeSchema (tested to match).
+// fast-path equivalent of cell.Encode over the compiled NodeTSL (tested
+// to match).
 func EncodeNode(n *Node) []byte {
 	size := 8 + 4 + len(n.Name) + 4 + 8*len(n.Weights) + 4 + 8*len(n.Inlinks) + 4 + 8*len(n.Outlinks)
 	b := make([]byte, 0, size)

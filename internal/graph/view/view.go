@@ -20,7 +20,8 @@
 // local then remote.
 //
 // Views are invalidated by epoch: every mutation of a machine's partition
-// through the graph layer bumps graph.Machine.Epoch, and Acquire rebuilds
+// through the graph layer, and every recovery that moves trunks to or
+// from the machine, moves graph.Machine.Epoch, and Acquire rebuilds
 // lazily — concurrently trunk by trunk — when the cached snapshot's epoch
 // no longer matches. A held View is never mutated; computations keep a
 // stable snapshot while new Acquires observe new edges.
@@ -141,7 +142,8 @@ func (v *View) RemoteInSources() []RemoteSource { return v.remote }
 
 // Acquire returns the machine's current partition snapshot, rebuilding it
 // (concurrently, trunk by trunk) when the cached one predates the
-// machine's mutation epoch. The returned View is immutable; callers may
+// machine's epoch: a graph-layer mutation or a change to the trunks the
+// slave holds. The returned View is immutable; callers may
 // hold it across an arbitrary amount of work while newer Acquires observe
 // newer epochs. Concurrent Acquires may race to build the same epoch;
 // both produce equivalent snapshots and last-store wins.

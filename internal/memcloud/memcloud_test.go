@@ -260,6 +260,39 @@ func TestMachineFailureRecovery(t *testing.T) {
 	}
 }
 
+// TestRecoveryMovesTrunkGen: each machine that takes over a dead
+// machine's trunks moves its TrunkGen once per trunk installed, which is
+// what caches of the local partition (graph views) key on; a survivor
+// that gains nothing keeps its count.
+func TestRecoveryMovesTrunkGen(t *testing.T) {
+	c := newCloud(t, 4)
+	const victim = msg.MachineID(3)
+	key := keysOwnedBy(t, c, victim, 1)[0]
+	lost := len(c.Slave(int(victim)).LocalTrunkIDs())
+	var gen [3]uint64
+	var held [3]int
+	for i := range gen {
+		gen[i] = c.Slave(i).TrunkGen()
+		held[i] = len(c.Slave(i).LocalTrunkIDs())
+	}
+	c.KillMachine(victim)
+	// Touching a key the victim owned reports the failure.
+	getSettled(t, c.Slave(0), key)
+	gained := func(i int) int { return len(c.Slave(i).LocalTrunkIDs()) - held[i] }
+	deadline := time.Now().Add(5 * time.Second)
+	for gained(0)+gained(1)+gained(2) < lost {
+		if time.Now().After(deadline) {
+			t.Fatalf("survivors took over %d of %d trunks", gained(0)+gained(1)+gained(2), lost)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	for i := range gen {
+		if moved := c.Slave(i).TrunkGen() - gen[i]; moved != uint64(gained(i)) {
+			t.Errorf("machine %d: TrunkGen moved %d for %d trunks taken over", i, moved, gained(i))
+		}
+	}
+}
+
 func TestWritesAfterRecovery(t *testing.T) {
 	c := newCloud(t, 3)
 	s0 := c.Slave(0)

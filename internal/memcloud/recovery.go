@@ -74,6 +74,7 @@ func (s *Slave) acquireTrunks(tids []uint32) {
 		s.mu.Lock()
 		if _, exists := s.trunks[tid]; !exists {
 			s.trunks[tid] = t
+			s.trunkGen.Add(1)
 			s.recoveries.Add(1)
 		}
 		s.mu.Unlock()
@@ -87,7 +88,10 @@ func (s *Slave) releaseTrunks(tids []uint32) {
 	for _, tid := range tids {
 		s.mu.Lock()
 		t := s.trunks[tid]
-		delete(s.trunks, tid)
+		if t != nil {
+			delete(s.trunks, tid)
+			s.trunkGen.Add(1)
+		}
 		s.mu.Unlock()
 		if t != nil {
 			s.backupTrunk(tid, t)

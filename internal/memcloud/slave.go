@@ -32,6 +32,9 @@ type Slave struct {
 
 	mu     sync.RWMutex
 	trunks map[uint32]*trunk.Trunk
+	// trunkGen counts changes to the set of trunks held here. It moves
+	// under mu together with trunks, and is read without it.
+	trunkGen atomic.Uint64
 
 	// walMu[tid] makes (trunk mutation + wal append) atomic with respect
 	// to (trunk dump + wal truncation). Mutators hold it in read mode,
@@ -227,6 +230,12 @@ func (s *Slave) LocalKeys() []uint64 {
 	}
 	return keys
 }
+
+// TrunkGen counts the changes to the set of trunks this machine holds:
+// recovery installing a trunk it took over, or dropping one that moved
+// away. It only grows. Caches of the local partition key on it, so a
+// cache built before a failover is not served after it.
+func (s *Slave) TrunkGen() uint64 { return s.trunkGen.Load() }
 
 // LocalTrunkIDs returns the trunk numbers currently hosted on this
 // machine. Combined with ForEachInTrunk it lets engines walk the local

@@ -317,7 +317,7 @@ func TestChaosOneWayPartition(t *testing.T) {
 // itself is allowed to delay frames, per-sender order genuinely breaks —
 // proving the checker detects what the Node-level fix prevents.
 func TestChaosDelayReorders(t *testing.T) {
-	a, b, ch := chaosPair(t, "bus", 13, Options{FlushInterval: -1, NoPacking: true})
+	a, b, ch := chaosPair(t, "bus", 13, Options{FlushInterval: -1, BatchBytes: 1})
 	ch.SetPair(0, 1, Policy{Delay: 0.5, MaxDelay: 2 * time.Millisecond})
 	oc := NewOrderChecker()
 	b.HandleAsync(protoOrdered, oc.Handler())
@@ -350,7 +350,7 @@ func TestChaosDelayReorders(t *testing.T) {
 // zero racing a Wait, which -race reports).
 func TestChaosDrainDuringDelayedSends(t *testing.T) {
 	for _, seed := range Seeds() {
-		a, b, ch := chaosPair(t, "bus", seed, Options{FlushInterval: -1, NoPacking: true})
+		a, b, ch := chaosPair(t, "bus", seed, Options{FlushInterval: -1, BatchBytes: 1})
 		ch.SetPair(0, 1, Policy{Delay: 0.9, MaxDelay: 50 * time.Microsecond})
 		var got atomic.Int64
 		b.HandleAsync(protoOrdered, func(MachineID, []byte) { got.Add(1) })
@@ -401,7 +401,7 @@ func TestChaosDrainDuringDelayedSends(t *testing.T) {
 // messaging layer does not dedup (that is an application concern), so the
 // count doubles exactly.
 func TestChaosDuplicates(t *testing.T) {
-	a, b, ch := chaosPair(t, "bus", 17, Options{FlushInterval: -1, NoPacking: true})
+	a, b, ch := chaosPair(t, "bus", 17, Options{FlushInterval: -1, BatchBytes: 1})
 	ch.SetPair(0, 1, Policy{Dup: 1.0})
 	var got atomic.Int64
 	b.HandleAsync(protoNotify, func(MachineID, []byte) { got.Add(1) })

@@ -156,45 +156,76 @@ func TestAsyncDelivery(t *testing.T) {
 	}
 }
 
+// TestMessagePacking sends n messages and checks how many frames carry
+// them: packed, far fewer than n; under BatchBytes 1 (the §4.2 packing
+// ablation), exactly one frame per message. Either way every message
+// arrives, in the order it was sent.
 func TestMessagePacking(t *testing.T) {
-	a, b := newPair(t, Options{FlushInterval: -1})
-	var received atomic.Int64
-	b.HandleAsync(protoNotify, func(MachineID, []byte) { received.Add(1) })
 	const n = 1000
-	for i := 0; i < n; i++ {
-		a.Send(1, protoNotify, []byte("tiny"))
-	}
-	a.Flush()
-	deadline := time.Now().Add(2 * time.Second)
-	for received.Load() < n && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if received.Load() != n {
-		t.Fatalf("received %d/%d", received.Load(), n)
-	}
-	s := a.Stats()
-	if s.FramesSent >= n/10 {
-		t.Fatalf("packing ineffective: %d messages in %d frames", s.MessagesSent, s.FramesSent)
+	for _, tc := range []struct {
+		name                 string
+		batchBytes           int
+		minFrames, maxFrames int64
+	}{
+		{"packed", 0, 1, n/10 - 1},
+		{"one-per-frame", 1, n, n},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			a, b := newPair(t, Options{FlushInterval: -1, BatchBytes: tc.batchBytes})
+			var mu sync.Mutex
+			var got []byte
+			b.HandleAsync(protoNotify, func(_ MachineID, m []byte) {
+				mu.Lock()
+				got = append(got, m[0])
+				mu.Unlock()
+			})
+			for i := 0; i < n; i++ {
+				a.Send(1, protoNotify, []byte{byte(i)})
+			}
+			a.Flush()
+			deadline := time.Now().Add(2 * time.Second)
+			for time.Now().Before(deadline) {
+				mu.Lock()
+				k := len(got)
+				mu.Unlock()
+				if k >= n {
+					break
+				}
+				time.Sleep(time.Millisecond)
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			if len(got) != n {
+				t.Fatalf("received %d/%d", len(got), n)
+			}
+			for i, m := range got {
+				if m != byte(i) {
+					t.Fatalf("message %d arrived as %d: order broken", i, m)
+				}
+			}
+			if s := a.Stats(); s.FramesSent < tc.minFrames || s.FramesSent > tc.maxFrames {
+				t.Fatalf("%d messages in %d frames", s.MessagesSent, s.FramesSent)
+			}
+		})
 	}
 }
 
-func TestNoPackingAblation(t *testing.T) {
-	a, b := newPair(t, Options{NoPacking: true})
-	var received atomic.Int64
-	b.HandleAsync(protoNotify, func(MachineID, []byte) { received.Add(1) })
-	const n = 100
-	for i := 0; i < n; i++ {
-		a.Send(1, protoNotify, []byte("tiny"))
+// TestPackingAllocs pins the two allocation claims of the packing path:
+// a Send that only packs, and a Flush with nothing pending (the
+// background flusher's idle tick), allocate nothing.
+func TestPackingAllocs(t *testing.T) {
+	a, b := newPair(t, Options{FlushInterval: -1})
+	b.HandleAsync(protoNotify, func(MachineID, []byte) {})
+	msg := make([]byte, 16)
+	if err := a.Send(1, protoNotify, msg); err != nil {
+		t.Fatal(err)
 	}
-	deadline := time.Now().Add(2 * time.Second)
-	for received.Load() < n && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
+	if got := testing.AllocsPerRun(100, func() { a.Send(1, protoNotify, msg) }); got != 0 {
+		t.Errorf("packed Send: %v allocs, want 0", got)
 	}
-	if received.Load() != n {
-		t.Fatalf("received %d/%d", received.Load(), n)
-	}
-	if s := a.Stats(); s.FramesSent != n {
-		t.Fatalf("NoPacking sent %d frames for %d messages", s.FramesSent, n)
+	a.Flush()
+	if got := testing.AllocsPerRun(100, func() { a.Flush() }); got != 0 {
+		t.Errorf("idle Flush: %v allocs, want 0", got)
 	}
 }
 
@@ -433,10 +464,10 @@ func BenchmarkSyncCall(b *testing.B) {
 // BenchmarkAsyncPacked vs BenchmarkAsyncUnpacked is the message-packing
 // ablation (§4.2: "a huge cost if the system does not automatically pack
 // small messages between two machines into a single transfer").
-func benchmarkAsync(b *testing.B, noPack bool) {
+func benchmarkAsync(b *testing.B, batchBytes int) {
 	bus := NewBus()
-	a := NewNode(bus.Endpoint(0), Options{FlushInterval: -1, NoPacking: noPack})
-	c := NewNode(bus.Endpoint(1), Options{NoPacking: noPack})
+	a := NewNode(bus.Endpoint(0), Options{FlushInterval: -1, BatchBytes: batchBytes})
+	c := NewNode(bus.Endpoint(1), Options{BatchBytes: batchBytes})
 	defer a.Close()
 	defer c.Close()
 	var received atomic.Int64
@@ -452,5 +483,5 @@ func benchmarkAsync(b *testing.B, noPack bool) {
 	}
 }
 
-func BenchmarkAsyncPacked(b *testing.B)   { benchmarkAsync(b, false) }
-func BenchmarkAsyncUnpacked(b *testing.B) { benchmarkAsync(b, true) }
+func BenchmarkAsyncPacked(b *testing.B)   { benchmarkAsync(b, 0) }
+func BenchmarkAsyncUnpacked(b *testing.B) { benchmarkAsync(b, 1) }

@@ -33,18 +33,19 @@ type SyncHandler func(ctx context.Context, from MachineID, request []byte) ([]by
 // AsyncHandler serves an asynchronous (one-way) protocol. msg must not be
 // retained after the handler returns. Async handlers run inline on the
 // transport's delivery goroutine: they must not block indefinitely and
-// must not perform blocking sends themselves (enqueue work for another
-// goroutine instead, as the BSP engine does) — otherwise two
-// machines flooding each other could deadlock on full delivery queues.
+// must not Send, Flush or Call (enqueue work for another goroutine
+// instead, as the BSP engine does). A Send may wait for a frame to the
+// same destination that is inside the transport, and that frame may be
+// waiting for this very delivery goroutine to drain its queue.
 type AsyncHandler func(from MachineID, msg []byte)
 
-// frame kinds on the wire.
+// frame kinds on the wire. Every one-way message travels in a batch,
+// of one message when BatchBytes is 1.
 const (
-	kindSyncReq byte = iota + 1
-	kindSyncResp
-	kindSyncErr
-	kindAsync
-	kindBatch
+	kindSyncReq  byte = 1
+	kindSyncResp byte = 2
+	kindSyncErr  byte = 3
+	kindBatch    byte = 5
 )
 
 // wire header: kind(1) proto(2) corr(8); batch items: proto(2) len(4).
@@ -133,7 +134,9 @@ func ErrorCode(err error) byte {
 // Options configures a Node.
 type Options struct {
 	// BatchBytes is the packing buffer size per destination: an async
-	// batch is flushed when it would exceed this. Zero means 64 KiB.
+	// batch is sent as soon as it holds this many bytes. Zero means
+	// 64 KiB; 1 sends every message in its own frame, which is the §4.2
+	// packing ablation.
 	BatchBytes int
 	// FlushInterval bounds how long a small async message can linger in
 	// the packing buffer. Zero means 2ms. Negative disables the
@@ -141,9 +144,6 @@ type Options struct {
 	FlushInterval time.Duration
 	// CallTimeout bounds synchronous calls. Zero means 10s.
 	CallTimeout time.Duration
-	// NoPacking disables message packing entirely: every async message
-	// travels in its own frame. Used by the packing ablation benchmark.
-	NoPacking bool
 	// Metrics is the registry the node publishes its counters to, under
 	// the scope "msg.m<id>". Nil gives the node a private registry, which
 	// keeps independently constructed nodes (tests, ad-hoc tools) isolated
@@ -167,63 +167,33 @@ type Node struct {
 	callsMu  sync.Mutex
 	calls    map[uint64]chan callResult
 
-	packMu  sync.Mutex
-	packers map[MachineID]*packer
+	// peers holds one record per destination. The map is copied on
+	// write: a destination is added once, under addMu, and every frame
+	// and flush afterwards reads the map without a lock.
+	peers   atomic.Pointer[map[MachineID]*peer]
+	addMu   sync.Mutex
 	flushCh chan struct{}
 	closed  atomic.Bool
 
 	metrics nodeMetrics
-
-	destMu   sync.Mutex
-	dests    map[MachineID]*destMetrics
-	outboxes map[MachineID]*outbox
 }
 
-// outbox serializes the frames bound for one destination. A ticket is
-// issued at the moment the frame's place in the send order is decided —
-// under packMu for packed batches, so ticket order equals packing order —
-// and frames drain strictly in ticket order, each one's transport Send
-// completing before the next begins. This is what upholds the per-sender
-// ordering contract: without it, a goroutine that sealed a full batch
+// peer is everything the node keeps for one destination: the open
+// packing batch, the dest.m<id>.* metrics, and the lock that orders the
+// destination's frames. A frame takes its place in the order by taking
+// mu, and mu is held across tr.Send; transports deliver per (sender,
+// receiver) pair in Send-call order, so frames arrive in the order they
+// took the lock. Without that, a goroutine that sealed a full batch
 // inside Send could lose the race to a timer Flush carrying newer
 // messages and push the older batch onto the transport second.
-type outbox struct {
-	mu   sync.Mutex
-	cond sync.Cond
-	tick uint64 // next ticket to issue
-	next uint64 // next ticket allowed to send
-}
+type peer struct {
+	id MachineID
+	mu sync.Mutex
+	l  *buf.Lease // the open batch; nil between a flush and the next Send
 
-func newOutbox() *outbox {
-	ob := &outbox{}
-	ob.cond.L = &ob.mu
-	return ob
-}
-
-// take issues the next ticket. Callers deciding send order under packMu
-// call this while still holding packMu.
-func (ob *outbox) take() uint64 {
-	ob.mu.Lock()
-	t := ob.tick
-	ob.tick++
-	ob.mu.Unlock()
-	return t
-}
-
-// wait blocks until the ticket's turn.
-func (ob *outbox) wait(ticket uint64) {
-	ob.mu.Lock()
-	for ob.next != ticket {
-		ob.cond.Wait()
-	}
-	ob.mu.Unlock()
-}
-
-func (ob *outbox) done() {
-	ob.mu.Lock()
-	ob.next++
-	ob.cond.Broadcast()
-	ob.mu.Unlock()
+	bytes      *obs.Counter
+	frames     *obs.Counter
+	queueBytes *obs.Gauge // bytes packed, not yet on the transport
 }
 
 // nodeMetrics are the node's registry-backed counters. The Stats()
@@ -245,15 +215,6 @@ type nodeMetrics struct {
 	deadlineDroppedRx *obs.Counter
 }
 
-// destMetrics tracks per-destination traffic: bytes and frames shipped,
-// plus the packing buffer's current depth (bytes queued, not yet on the
-// transport). Entries are created on first send to a destination.
-type destMetrics struct {
-	bytes      *obs.Counter
-	frames     *obs.Counter
-	queueBytes *obs.Gauge
-}
-
 // callResult carries a parked sync reply. On success, payload aliases
 // lease, whose one reference travels with the result: whoever takes the
 // result out of the channel (the waiting Call, or the cleanup drain when
@@ -262,14 +223,6 @@ type callResult struct {
 	lease   *buf.Lease
 	payload []byte
 	err     error
-}
-
-// packer is one destination's packing buffer. The Node keeps one per
-// destination for its lifetime; l is nil between a flush and the next
-// Send to that destination.
-type packer struct {
-	l  *buf.Lease
-	dm *destMetrics
 }
 
 // NewNode creates a messaging runtime on the given transport endpoint and
@@ -290,15 +243,12 @@ func NewNode(tr Transport, opts Options) *Node {
 	}
 	scope := reg.Scope(fmt.Sprintf("msg.m%d", tr.Local()))
 	n := &Node{
-		tr:       tr,
-		opts:     opts,
-		sync:     make(map[ProtocolID]SyncHandler),
-		async:    make(map[ProtocolID]AsyncHandler),
-		calls:    make(map[uint64]chan callResult),
-		packers:  make(map[MachineID]*packer),
-		flushCh:  make(chan struct{}),
-		dests:    make(map[MachineID]*destMetrics),
-		outboxes: make(map[MachineID]*outbox),
+		tr:      tr,
+		opts:    opts,
+		sync:    make(map[ProtocolID]SyncHandler),
+		async:   make(map[ProtocolID]AsyncHandler),
+		calls:   make(map[uint64]chan callResult),
+		flushCh: make(chan struct{}),
 		metrics: nodeMetrics{
 			scope:         scope,
 			messagesSent:  scope.Counter("messages_sent"),
@@ -315,8 +265,9 @@ func NewNode(tr Transport, opts Options) *Node {
 			deadlineDroppedRx: scope.Counter("deadline_dropped_rx"),
 		},
 	}
+	n.peers.Store(&map[MachineID]*peer{})
 	tr.SetReceiver(n.receive)
-	if opts.FlushInterval > 0 && !opts.NoPacking {
+	if opts.FlushInterval > 0 {
 		go n.flushLoop()
 	}
 	return n
@@ -327,7 +278,7 @@ func (n *Node) ID() MachineID { return n.tr.Local() }
 
 // Stats returns a snapshot of the node's counters.
 //
-//reach:test-seam giraph's no-packing test and msg's own tests read frame, drop and cancellation counts off one node
+//reach:test-seam giraph's packing-ablation test and msg's own tests read frame, drop and cancellation counts off one node
 func (n *Node) Stats() Stats {
 	return Stats{
 		MessagesSent:  n.metrics.messagesSent.Load(),
@@ -344,35 +295,32 @@ func (n *Node) Stats() Stats {
 	}
 }
 
-// outboxFor returns (creating on first use) the send sequencer for
-// machine to.
-func (n *Node) outboxFor(to MachineID) *outbox {
-	n.destMu.Lock()
-	defer n.destMu.Unlock()
-	ob, ok := n.outboxes[to]
-	if !ok {
-		ob = newOutbox()
-		n.outboxes[to] = ob
+// peer returns the record for machine to, adding it on first use with
+// its metrics named msg.m<self>.dest.m<to>.*.
+func (n *Node) peer(to MachineID) *peer {
+	if pr := (*n.peers.Load())[to]; pr != nil {
+		return pr
 	}
-	return ob
-}
-
-// destMetricsFor returns (creating on first use) the per-destination
-// traffic metrics for machine to, named msg.m<self>.dest.m<to>.*.
-func (n *Node) destMetricsFor(to MachineID) *destMetrics {
-	n.destMu.Lock()
-	defer n.destMu.Unlock()
-	dm, ok := n.dests[to]
-	if !ok {
-		scope := n.metrics.scope.Scope(fmt.Sprintf("dest.m%d", to))
-		dm = &destMetrics{
-			bytes:      scope.Counter("bytes"),
-			frames:     scope.Counter("frames"),
-			queueBytes: scope.Gauge("queue_bytes"),
-		}
-		n.dests[to] = dm
+	n.addMu.Lock()
+	defer n.addMu.Unlock()
+	old := *n.peers.Load()
+	if pr := old[to]; pr != nil {
+		return pr
 	}
-	return dm
+	scope := n.metrics.scope.Scope(fmt.Sprintf("dest.m%d", to))
+	pr := &peer{
+		id:         to,
+		bytes:      scope.Counter("bytes"),
+		frames:     scope.Counter("frames"),
+		queueBytes: scope.Gauge("queue_bytes"),
+	}
+	peers := make(map[MachineID]*peer, len(old)+1)
+	for id, p := range old {
+		peers[id] = p
+	}
+	peers[to] = pr
+	n.peers.Store(&peers)
+	return pr
 }
 
 // HandleSync registers the handler for a synchronous protocol. Protocols
@@ -493,91 +441,61 @@ func (n *Node) CallLease(ctx context.Context, to MachineID, p ProtocolID, reques
 
 // Send submits an asynchronous one-way message. Small messages to the same
 // destination are packed into a single transfer; call Flush to force
-// delivery (BSP supersteps flush at the end of every step).
+// delivery (BSP supersteps flush at the end of every step). The message
+// that fills the batch sends it, in order behind every earlier frame to
+// the destination.
 func (n *Node) Send(to MachineID, p ProtocolID, msg []byte) error {
 	if n.closed.Load() {
 		return ErrClosed
 	}
 	n.metrics.messagesSent.Inc()
-	if n.opts.NoPacking {
-		fl := buf.Get(frameHeader + len(msg))
-		frame := fl.Bytes()
-		frame[0] = kindAsync
-		binary.LittleEndian.PutUint16(frame[1:], uint16(p))
-		copy(frame[frameHeader:], msg)
-		return n.sendFrame(to, fl)
-	}
-	n.packMu.Lock()
-	pk, ok := n.packers[to]
-	if !ok {
-		pk = &packer{dm: n.destMetricsFor(to)}
-		n.packers[to] = pk
-	}
-	if pk.l == nil {
+	pr := n.peer(to)
+	pr.mu.Lock()
+	defer pr.mu.Unlock()
+	if pr.l == nil {
 		// The batch buffer is a pooled lease sized to BatchBytes up
 		// front: in steady state the same backing arrays cycle between
-		// packer and pool, so reserving the full batch costs nothing and
+		// peer and pool, so reserving the full batch costs nothing and
 		// spares the append-growth copy chain of a small initial buffer.
-		pk.l = buf.Sized(1, n.opts.BatchBytes)
-		pk.l.Bytes()[0] = kindBatch
+		pr.l = buf.Sized(1, n.opts.BatchBytes)
+		pr.l.Bytes()[0] = kindBatch
 	}
 	var item [batchItem]byte
 	binary.LittleEndian.PutUint16(item[0:], uint16(p))
 	binary.LittleEndian.PutUint32(item[2:], uint32(len(msg)))
-	pk.l = pk.l.Append(item[:], msg)
-	var flush *buf.Lease
-	var ob *outbox
-	var ticket uint64
-	if pk.l.Len() >= n.opts.BatchBytes {
-		flush = pk.l
-		pk.l = nil
-		pk.dm.queueBytes.Set(0)
-		// Ticket the sealed batch while still holding packMu: the send
-		// order is decided here, not at the transport, so a concurrent
-		// Flush that grabs a newer batch for the same destination cannot
-		// overtake this one (it draws a later ticket).
-		ob = n.outboxFor(to)
-		ticket = ob.take()
-	} else {
-		pk.dm.queueBytes.Set(int64(pk.l.Len()))
+	pr.l = pr.l.Append(item[:], msg)
+	if pr.l.Len() < n.opts.BatchBytes {
+		pr.queueBytes.Set(int64(pr.l.Len()))
+		return nil
 	}
-	n.packMu.Unlock()
-	if flush != nil {
-		return n.sendTicketed(to, ob, ticket, flush)
-	}
-	return nil
+	return n.flushLocked(pr)
 }
 
 // Flush forces out all pending packed messages. It returns the first send
 // error encountered, if any. A flush with nothing pending (the background
 // flusher's idle tick) allocates nothing.
 func (n *Node) Flush() error {
-	type pendingSend struct {
-		to     MachineID
-		fl     *buf.Lease
-		ob     *outbox
-		ticket uint64
-	}
-	var room [8]pendingSend // enough for most clusters without a heap slice
-	outs := room[:0]
-	n.packMu.Lock()
-	for to, pk := range n.packers {
-		if pk.l == nil {
-			continue
-		}
-		pk.dm.queueBytes.Set(0)
-		ob := n.outboxFor(to)
-		outs = append(outs, pendingSend{to: to, fl: pk.l, ob: ob, ticket: ob.take()})
-		pk.l = nil
-	}
-	n.packMu.Unlock()
 	var firstErr error
-	for _, o := range outs {
-		if err := n.sendTicketed(o.to, o.ob, o.ticket, o.fl); err != nil && firstErr == nil {
+	for _, pr := range *n.peers.Load() {
+		pr.mu.Lock()
+		err := n.flushLocked(pr)
+		pr.mu.Unlock()
+		if err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
 	return firstErr
+}
+
+// flushLocked ships the peer's open batch, if any. pr.mu is held.
+func (n *Node) flushLocked(pr *peer) error {
+	if pr.l == nil {
+		return nil
+	}
+	fl := pr.l
+	pr.l = nil
+	pr.queueBytes.Set(0)
+	return n.shipLocked(pr, fl)
 }
 
 func (n *Node) flushLoop() {
@@ -598,37 +516,34 @@ func (n *Node) Close() error {
 	if n.closed.Swap(true) {
 		return nil
 	}
-	if n.opts.FlushInterval > 0 && !n.opts.NoPacking {
+	if n.opts.FlushInterval > 0 {
 		close(n.flushCh)
 	}
 	n.Flush()
 	return n.tr.Close()
 }
 
-// sendFrame ships one frame, sequenced behind any frames already
-// ticketed for the same destination. Like Transport.Send, it consumes one
-// reference to the frame in every outcome.
+// sendFrame ships one frame in its place in the destination's order.
+// Like Transport.Send, it consumes one reference to the frame in every
+// outcome.
 func (n *Node) sendFrame(to MachineID, frame *buf.Lease) error {
-	ob := n.outboxFor(to)
-	return n.sendTicketed(to, ob, ob.take(), frame)
+	pr := n.peer(to)
+	pr.mu.Lock()
+	defer pr.mu.Unlock()
+	return n.shipLocked(pr, frame)
 }
 
-// sendTicketed waits for the frame's turn in the destination's send
-// order, ships it, then releases the next ticket. Holding the turn across
-// tr.Send is what makes the order observable at the receiver: transports
-// deliver frames per (sender, receiver) pair in Send-call order, so
-// serialized calls arrive serialized. The frame's length is read before
-// Send: afterwards the lease may already be recycled.
-func (n *Node) sendTicketed(to MachineID, ob *outbox, ticket uint64, frame *buf.Lease) error {
-	ob.wait(ticket)
-	defer ob.done()
+// shipLocked counts the frame and hands it to the transport. pr.mu is
+// held, which orders the frame behind every earlier one to the peer. The
+// frame's length is read before Send: afterwards the lease may already
+// be recycled.
+func (n *Node) shipLocked(pr *peer, frame *buf.Lease) error {
 	size := int64(frame.Len())
 	n.metrics.framesSent.Inc()
 	n.metrics.bytesSent.Add(size)
-	dm := n.destMetricsFor(to)
-	dm.frames.Inc()
-	dm.bytes.Add(size)
-	return n.tr.Send(to, frame)
+	pr.frames.Inc()
+	pr.bytes.Add(size)
+	return n.tr.Send(pr.id, frame)
 }
 
 // receive dispatches one incoming frame. It runs on the transport's
@@ -640,7 +555,7 @@ func (n *Node) sendTicketed(to MachineID, ob *outbox, ticket uint64, frame *buf.
 // receiver contract) and settles it without copying the payload — a sync
 // request's reference transfers to the serveSync goroutine, a sync
 // reply's travels with the parked callResult to the waiting caller, and
-// async/batch frames are released here after their in-order inline
+// batch frames are released here after their in-order inline
 // dispatch (covered by the AsyncHandler no-retain contract).
 func (n *Node) receive(from MachineID, fl *buf.Lease) {
 	frame := fl.Bytes()
@@ -726,15 +641,6 @@ func (n *Node) receive(from MachineID, fl *buf.Lease) {
 		if !retain || !delivered {
 			fl.Release()
 		}
-	case kindAsync:
-		if len(frame) < frameHeader {
-			n.metrics.droppedFrames.Inc()
-			fl.Release()
-			return
-		}
-		p := ProtocolID(binary.LittleEndian.Uint16(frame[1:]))
-		n.dispatchAsync(from, p, frame[frameHeader:])
-		fl.Release()
 	case kindBatch:
 		n.metrics.batchesRecv.Inc()
 		body := frame[1:]

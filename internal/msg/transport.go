@@ -71,7 +71,7 @@ var (
 // Ordering: frames between one (sender, receiver) pair are delivered in
 // Send-call order. Transports promise nothing about frames whose Send
 // calls overlap — sequencing concurrent sends is the protocol layer's
-// job (Node's per-destination outbox).
+// job (Node holds a per-destination lock across Send).
 type Transport interface {
 	// Local returns this endpoint's machine ID.
 	Local() MachineID
