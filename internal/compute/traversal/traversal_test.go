@@ -14,6 +14,7 @@ import (
 
 	"trinity/internal/gen"
 	"trinity/internal/graph"
+	"trinity/internal/graph/view"
 	"trinity/internal/hash"
 	"trinity/internal/memcloud"
 	"trinity/internal/msg"
@@ -684,8 +685,18 @@ func BenchmarkThreeHopCellsPipelined(b *testing.B) {
 // BenchmarkKHopServeMix runs graph_serve's query shape in process: KHOP 2
 // and KHOP 3 alternating, from a fixed pool of 1,024 starts, over a
 // 10k-node power-law graph of degree 10 on 4 machines, coordinated by
-// machine 0 as the daemon does.
+// machine 0 as the daemon does. The trickle variant makes every 100th
+// operation an AddEdge between random nodes, entered at the source's
+// owner, and reports how many partition views were rebuilt (builds/op)
+// and patched (derives/op) per operation.
 func BenchmarkKHopServeMix(b *testing.B) {
+	b.Run("reads", func(b *testing.B) { benchKHopServeMix(b, 0) })
+	b.Run("trickle", func(b *testing.B) { benchKHopServeMix(b, 100) })
+}
+
+// benchKHopServeMix runs the mix with one AddEdge every writeEvery
+// operations (none when 0).
+func benchKHopServeMix(b *testing.B, writeEvery int) {
 	const nodes = 10_000
 	cloud := newCloud(b, 4)
 	bl := graph.NewBuilder(true)
@@ -703,9 +714,25 @@ func BenchmarkKHopServeMix(b *testing.B) {
 	for i := range starts {
 		starts[i] = uint64(rng.Intn(nodes))
 	}
+	scope := cloud.Metrics().Scope("view")
+	builds, derives := scope.Counter("builds"), scope.Counter("derives")
+	anchor := g.On(0).Slave()
+	for i := 0; i < g.Machines(); i++ { // the cold builds are set-up
+		if _, err := view.Acquire(g.On(i)); err != nil {
+			b.Fatal(err)
+		}
+	}
 	visited := 0
 	b.ResetTimer()
+	builds0, derives0 := builds.Load(), derives.Load()
 	for i := 0; i < b.N; i++ {
+		if writeEvery > 0 && i%writeEvery == writeEvery-1 {
+			src, dst := uint64(rng.Intn(nodes)), uint64(rng.Intn(nodes))
+			if err := g.On(int(anchor.Owner(src))).AddEdge(context.Background(), src, dst); err != nil {
+				b.Fatal(err)
+			}
+			continue
+		}
 		n, err := e.KHopNeighborhoodSize(context.Background(), 0, starts[i%len(starts)], 2+i%2)
 		if err != nil {
 			b.Fatal(err)
@@ -713,4 +740,8 @@ func BenchmarkKHopServeMix(b *testing.B) {
 		visited += n
 	}
 	b.ReportMetric(float64(visited)/float64(b.N), "visited/op")
+	if writeEvery > 0 {
+		b.ReportMetric(float64(builds.Load()-builds0)/float64(b.N), "builds/op")
+		b.ReportMetric(float64(derives.Load()-derives0)/float64(b.N), "derives/op")
+	}
 }

@@ -155,3 +155,75 @@ func TestAddEdgeHubRecoversFromLog(t *testing.T) {
 		t.Fatal("no trunk was recovered")
 	}
 }
+
+// TestEdgeLog pins the edge log the partition views patch from: one entry
+// per epoch step in append order, emptied by a structural change and by
+// overflow, and Settled false while an append is between its trunk write
+// and its log entry.
+func TestEdgeLog(t *testing.T) {
+	cloud := newCloud(t, 2)
+	g := New(cloud, true)
+	m := g.On(0)
+	ctx := context.Background()
+	ids := idsOwnedBy(m.Slave(), m.Slave().ID(), 2)
+	a, b := ids[0], ids[1]
+	for _, id := range ids {
+		if err := m.AddNode(ctx, &Node{ID: id}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	base, _ := m.Epochs()
+	for _, e := range [][2]uint64{{a, b}, {b, a}, {a, a}} {
+		if err := m.AddEdge(ctx, e[0], e[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := []EdgeAppend{{a, b, false}, {b, a, true}, {b, a, false}, {a, b, true}, {a, a, false}, {a, a, true}}
+	got, ok := m.EdgesSince(base)
+	if !ok || !slices.Equal(got, want) {
+		t.Fatalf("EdgesSince(base) = %v, %v; want %v", got, ok, want)
+	}
+	if epoch, _ := m.Epochs(); epoch != base+uint64(len(want)) {
+		t.Fatalf("epoch moved %d steps for %d appends", epoch-base, len(want))
+	}
+	if got, ok := m.EdgesSince(base + 4); !ok || !slices.Equal(got, want[4:]) {
+		t.Fatalf("EdgesSince(base+4) = %v, %v", got, ok)
+	}
+	if _, ok := m.EdgesSince(base - 1); ok {
+		t.Fatal("the log claims to cover the AddNode before it")
+	}
+
+	epoch, _ := m.Epochs()
+	if !m.Settled(epoch) || m.Settled(epoch-1) {
+		t.Fatal("Settled wrong on a quiet machine")
+	}
+	m.appending.Add(1) // an append between its trunk write and its log entry
+	if m.Settled(epoch) {
+		t.Fatal("Settled with an append in flight")
+	}
+	m.logAppend(a, b, false, nil)
+	if !m.Settled(epoch + 1) {
+		t.Fatal("not Settled after the append's log entry")
+	}
+
+	m.InvalidatePartition()
+	epoch, _ = m.Epochs()
+	if _, ok := m.EdgesSince(base); ok {
+		t.Fatal("the log survived InvalidatePartition")
+	}
+	if got, ok := m.EdgesSince(epoch); !ok || len(got) != 0 {
+		t.Fatalf("EdgesSince(now) after InvalidatePartition = %v, %v", got, ok)
+	}
+	for i := 0; i < edgeLogCap; i++ {
+		m.appending.Add(1)
+		m.logAppend(a, b, false, nil)
+	}
+	if _, ok := m.EdgesSince(epoch); !ok {
+		t.Fatal("a full log does not cover its own span")
+	}
+	m.appending.Add(1)
+	m.logAppend(a, b, false, nil)
+	if _, ok := m.EdgesSince(epoch); ok {
+		t.Fatal("an overflowing log still covers its old span")
+	}
+}

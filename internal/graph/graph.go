@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -47,11 +48,21 @@ type Machine struct {
 	// plain reads need only the trunk's shared mutex.
 	stripes [128]sync.Mutex
 	// epoch counts mutations of this machine's local partition made
-	// through the graph layer; Epoch adds the slave's trunk-set changes.
-	epoch atomic.Uint64
+	// through the graph layer. Edge appends move it under logMu, one log
+	// entry per step, so edgeLog[i] took the epoch from logBase+i to
+	// logBase+i+1; a structural mutation moves it and empties the log.
+	epoch   atomic.Uint64
+	logMu   sync.Mutex
+	edgeLog []EdgeAppend
+	logBase uint64
+	// appending counts edge appends between their trunk write and their
+	// log entry (see Settled).
+	appending atomic.Int64
 	// viewCache is the partition-view layer's cache slot, typed any to
-	// avoid an import cycle (graph/view imports graph).
+	// avoid an import cycle (graph/view imports graph); viewMu serializes
+	// its (re)builds.
 	viewCache atomic.Value
+	viewMu    sync.Mutex
 	// fetcher is the machine's batched cell-read pipeline, built lazily:
 	// engines that never read remote cells never pay for it.
 	fetchOnce sync.Once
@@ -132,21 +143,87 @@ func (m *Machine) stripe(id uint64) *sync.Mutex {
 	return &m.stripes[hash.Mix64(id)&127]
 }
 
-// Epoch returns the machine's partition epoch. It moves on every mutation
-// of a local node cell that flows through the graph layer (AddNode,
-// PutNode, either endpoint of AddEdge landing here, a Builder flush) and
-// on every change to the set of trunks the slave holds (Slave.TrunkGen:
-// a recovery that moves trunks here or away). Both counts only grow, so
-// their sum changes whenever either does. The partition-view layer
-// (internal/graph/view) compares it against a cached snapshot's epoch to
-// decide whether the snapshot is stale.
-func (m *Machine) Epoch() uint64 { return m.epoch.Load() + m.s.TrunkGen() }
+// Epochs returns the machine's two partition epochs. graph moves on
+// every mutation of a local node cell that flows through the graph layer
+// (AddNode, PutNode, either endpoint of AddEdge landing here, a Builder
+// flush, InvalidatePartition); trunks is Slave.TrunkGen, which moves when
+// recovery moves trunks here or away. Both only grow. The partition-view
+// layer (internal/graph/view) compares them against a cached snapshot's
+// to decide whether the snapshot is stale.
+func (m *Machine) Epochs() (graph, trunks uint64) { return m.epoch.Load(), m.s.TrunkGen() }
 
-// InvalidatePartition bumps the mutation epoch, marking any cached
-// partition view of this machine stale. Code that mutates node cells
-// through the memory cloud directly (bypassing the graph engine's
-// mutators) must call it on the owner machine.
-func (m *Machine) InvalidatePartition() { m.epoch.Add(1) }
+// EdgeAppend is one edge-list append on a local node: other went onto
+// node's inlinks (Inlink) or outlinks.
+type EdgeAppend struct {
+	Node, Other uint64
+	Inlink      bool
+}
+
+// edgeLogCap bounds the edge log. A full log starts over, after which a
+// view older than the restart is rebuilt rather than patched.
+const edgeLogCap = 4096
+
+// EdgesSince returns a copy of the edge appends that moved the graph
+// epoch from since to its current value, in the order each node's lists
+// received them, and reports whether the log still covers that span.
+// Every step between the two epochs is then an edge append: no structural
+// mutation (InvalidatePartition and the mutators that call it) happened
+// in between.
+func (m *Machine) EdgesSince(since uint64) ([]EdgeAppend, bool) {
+	m.logMu.Lock()
+	defer m.logMu.Unlock()
+	if since < m.logBase || since > m.logBase+uint64(len(m.edgeLog)) {
+		return nil, false
+	}
+	return slices.Clone(m.edgeLog[since-m.logBase:]), true
+}
+
+// Settled reports whether the graph epoch is still epoch and no edge
+// append is between its trunk write and its log entry. A partition scan
+// that started at epoch and finds Settled true afterwards saw exactly the
+// appends the log holds up to epoch; otherwise it may hold an append
+// whose log entry lands later, which replaying the log on top of the scan
+// would add twice.
+func (m *Machine) Settled(epoch uint64) bool {
+	m.logMu.Lock()
+	defer m.logMu.Unlock()
+	return m.appending.Load() == 0 && m.epoch.Load() == epoch
+}
+
+// InvalidatePartition bumps the mutation epoch as a structural change,
+// marking any cached partition view of this machine stale and dropping
+// the edge log, so the next view is a full rebuild. Code that mutates
+// node cells through the memory cloud directly (bypassing the graph
+// engine's mutators) must call it on the owner machine.
+func (m *Machine) InvalidatePartition() {
+	m.logMu.Lock()
+	m.restartLogLocked()
+	m.logMu.Unlock()
+}
+
+// restartLogLocked moves the epoch one step and empties the log at the
+// new epoch.
+func (m *Machine) restartLogLocked() {
+	m.logBase = m.epoch.Add(1)
+	m.edgeLog = m.edgeLog[:0]
+}
+
+// logAppend settles one edge append that ListAppend answered with err:
+// an applied one is logged and moves the epoch, then it leaves the
+// appending count. A failed log write may follow an applied append, so
+// any other error than a missing node or trunk is a structural step.
+func (m *Machine) logAppend(node, other uint64, inlink bool, err error) {
+	m.logMu.Lock()
+	switch {
+	case err == nil && len(m.edgeLog) < edgeLogCap:
+		m.edgeLog = append(m.edgeLog, EdgeAppend{Node: node, Other: other, Inlink: inlink})
+		m.epoch.Add(1)
+	case err == nil, !errors.Is(err, memcloud.ErrNotFound) && !errors.Is(err, memcloud.ErrWrongOwner):
+		m.restartLogLocked()
+	}
+	m.appending.Add(-1)
+	m.logMu.Unlock()
+}
 
 // CachedView returns the partition snapshot last stored by StoreView, or
 // nil. The slot is owned by internal/graph/view; it lives here only
@@ -156,6 +233,11 @@ func (m *Machine) CachedView() any { return m.viewCache.Load() }
 
 // StoreView caches a partition snapshot on the machine.
 func (m *Machine) StoreView(v any) { m.viewCache.Store(v) }
+
+// ViewLock is the lock the partition-view layer holds while it makes the
+// machine's next snapshot, so concurrent readers of a new epoch wait for
+// one snapshot instead of each building their own.
+func (m *Machine) ViewLock() *sync.Mutex { return &m.viewMu }
 
 // ownerMachine returns the graph engine bound to the slave with the given
 // machine id, or nil if no such machine is in this graph's cluster.
@@ -262,9 +344,10 @@ func locateList(b []byte, list int) (int, error) {
 
 // addLinkLocal appends other to a local node cell's link list in place:
 // one exclusive trunk operation, no decode and no re-encode. The stripe
-// holds the append and its WAL record together, so two appends to one
-// node are logged in the order they were applied (replay uses the count
-// offsets they resolved).
+// holds the append, its WAL record and its edge-log entry together, so
+// two appends to one node are logged in the order they were applied (WAL
+// replay uses the count offsets they resolved; a view patched from the
+// edge log lists them in trunk order).
 func (m *Machine) addLinkLocal(node, other uint64, inlink bool) error {
 	locate := locateOutlinks
 	if inlink {
@@ -274,16 +357,14 @@ func (m *Machine) addLinkLocal(node, other uint64, inlink bool) error {
 	binary.LittleEndian.PutUint64(elem[:], other)
 	mu := m.stripe(node)
 	mu.Lock()
+	m.appending.Add(1)
 	err := m.s.ListAppend(node, locate, elem[:])
+	m.logAppend(node, other, inlink, err)
 	mu.Unlock()
-	if err != nil {
-		if errors.Is(err, memcloud.ErrNotFound) {
-			return fmt.Errorf("%w: %d", ErrNoNode, node)
-		}
-		return err
+	if errors.Is(err, memcloud.ErrNotFound) {
+		return fmt.Errorf("%w: %d", ErrNoNode, node)
 	}
-	m.InvalidatePartition()
-	return nil
+	return err
 }
 
 // onAddLink serves both edge protocols: the request names a local node

@@ -21,10 +21,14 @@
 //
 // Views are invalidated by epoch: every mutation of a machine's partition
 // through the graph layer, and every recovery that moves trunks to or
-// from the machine, moves graph.Machine.Epoch, and Acquire rebuilds
-// lazily — concurrently trunk by trunk — when the cached snapshot's epoch
-// no longer matches. A held View is never mutated; computations keep a
-// stable snapshot while new Acquires observe new edges.
+// from the machine, moves one of graph.Machine.Epochs, and Acquire makes
+// the next snapshot lazily when the cached one's epochs no longer match.
+// One Acquire makes it while concurrent ones wait for it. When every step
+// since the cached snapshot was an edge append (graph.Machine.EdgesSince),
+// the next snapshot is derived from the cached one in one pass over its
+// arenas; any other change means a full rebuild, concurrently trunk by
+// trunk. A held View is never mutated; computations keep a stable
+// snapshot while new Acquires observe new edges.
 package view
 
 import (
@@ -53,7 +57,13 @@ type RemoteSource struct {
 // View is an immutable CSR snapshot of one machine's partition. All
 // returned slices alias internal arenas and must not be modified.
 type View struct {
-	epoch  uint64
+	// epoch and trunkGen are the machine's graph.Machine.Epochs the
+	// snapshot reflects. exact reports that it holds exactly the edge
+	// appends logged up to epoch, so the later log entries may be applied
+	// to it (see build).
+	epoch, trunkGen uint64
+	exact           bool
+
 	ids    []uint64         // dense local index -> vertex ID (ascending)
 	index  map[uint64]int32 // vertex ID -> dense local index
 	labels []int64
@@ -66,7 +76,8 @@ type View struct {
 	inOff []uint32
 	in    []uint64 // in-neighbor arena
 
-	remote []RemoteSource // sorted by ID
+	remoteOnce sync.Once
+	remote     []RemoteSource // sorted by ID; computed on first use
 
 	// hits is the scope counter bumped when Acquire returns this cached
 	// snapshot; carrying it here keeps the hot hit path free of registry
@@ -137,28 +148,79 @@ func (v *View) In(idx int) []uint64 {
 // RemoteInSources returns the remote side of the bipartite split — every
 // non-local vertex with at least one out-edge into this partition, with
 // its local targets — sorted by vertex ID. The §5.4 hub-detection pass
-// reads this directly instead of re-walking every local in-link list.
-func (v *View) RemoteInSources() []RemoteSource { return v.remote }
+// reads this directly instead of re-walking every local in-link list. It
+// is computed on the first call, so readers that never ask never pay.
+func (v *View) RemoteInSources() []RemoteSource {
+	v.remoteOnce.Do(func() { v.remote = remoteSplit(v) })
+	return v.remote
+}
 
-// Acquire returns the machine's current partition snapshot, rebuilding it
-// (concurrently, trunk by trunk) when the cached one predates the
-// machine's epoch: a graph-layer mutation or a change to the trunks the
-// slave holds. The returned View is immutable; callers may
+// Acquire returns the machine's current partition snapshot, making a new
+// one when the cached one predates the machine's epochs: a graph-layer
+// mutation or a change to the trunks the slave holds. Concurrent Acquires
+// of a new epoch wait for one snapshot. If only edge appends happened
+// since the cached snapshot, the new one is derived from it; otherwise it
+// is rebuilt from the trunks. The returned View is immutable; callers may
 // hold it across an arbitrary amount of work while newer Acquires observe
-// newer epochs. Concurrent Acquires may race to build the same epoch;
-// both produce equivalent snapshots and last-store wins.
+// newer epochs.
 func Acquire(m *graph.Machine) (*View, error) {
-	epoch := m.Epoch()
-	if v, ok := m.CachedView().(*View); ok && v != nil && v.epoch == epoch {
+	if v := current(m); v != nil {
 		v.hits.Inc()
 		return v, nil
 	}
-	v, err := build(m, epoch)
+	mu := m.ViewLock()
+	mu.Lock()
+	defer mu.Unlock()
+	if v := current(m); v != nil {
+		v.hits.Inc()
+		return v, nil
+	}
+	if v := patch(m); v != nil {
+		m.StoreView(v)
+		return v, nil
+	}
+	v, err := build(m)
 	if err != nil {
 		return nil, err
 	}
 	m.StoreView(v)
 	return v, nil
+}
+
+// current returns the cached snapshot if it is of the machine's current
+// epochs, else nil.
+func current(m *graph.Machine) *View {
+	epoch, gen := m.Epochs()
+	if v, ok := m.CachedView().(*View); ok && v != nil && v.epoch == epoch && v.trunkGen == gen {
+		return v
+	}
+	return nil
+}
+
+// patch derives the next snapshot from the cached one and the edge log,
+// or returns nil when it cannot: no exact cached snapshot, a trunk-set
+// change, a structural mutation or a log restart since, or an append to
+// a vertex the snapshot lacks.
+func patch(m *graph.Machine) *View {
+	old, _ := m.CachedView().(*View)
+	if old == nil || !old.exact {
+		return nil
+	}
+	if _, gen := m.Epochs(); gen != old.trunkGen {
+		return nil
+	}
+	log, ok := m.EdgesSince(old.epoch)
+	if !ok {
+		return nil
+	}
+	scope := m.Slave().Metrics().Scope("view")
+	start := time.Now()
+	v := derive(old, log)
+	if v != nil {
+		scope.Counter("derives").Inc()
+		scope.Histogram("derive_ns").Observe(int64(time.Since(start)))
+	}
+	return v
 }
 
 // rec is one decoded vertex inside a trunk part, with spans into the
@@ -185,11 +247,16 @@ type mergeRec struct {
 	part, rec int32
 }
 
-// build constructs a fresh snapshot of the machine's partition at the
-// given epoch. The epoch is sampled by the caller BEFORE any trunk is
-// read: a mutation racing the build lands in a later epoch and forces the
-// next Acquire to rebuild, so a torn read can never be cached forever.
-func build(m *graph.Machine, epoch uint64) (*View, error) {
+// build constructs a fresh snapshot of the machine's partition. The
+// epochs are sampled BEFORE any trunk is read: a mutation racing the build
+// lands in a later epoch and forces the next Acquire to make a new
+// snapshot, so a torn read can never be cached forever. The snapshot is
+// exact — a base later edge-log entries may be applied to — only if the
+// graph epoch did not move across the scan and no edge append was
+// between its trunk write and its log entry when the scan ended: such an
+// append may be in the scan, and its log entry would add it a second time.
+func build(m *graph.Machine) (*View, error) {
+	epoch, gen := m.Epochs()
 	s := m.Slave()
 	scope := s.Metrics().Scope("view")
 	builds := scope.Counter("builds")
@@ -221,6 +288,7 @@ func build(m *graph.Machine, epoch uint64) (*View, error) {
 		}()
 	}
 	wg.Wait()
+	exact := m.Settled(epoch)
 	for i := range parts {
 		if parts[i].err != nil {
 			return nil, parts[i].err
@@ -248,15 +316,17 @@ func build(m *graph.Machine, epoch uint64) (*View, error) {
 	slices.SortFunc(all, func(a, b mergeRec) int { return cmp.Compare(a.id, b.id) })
 
 	v := &View{
-		epoch:  epoch,
-		ids:    make([]uint64, n),
-		index:  make(map[uint64]int32, n),
-		labels: make([]int64, n),
-		outOff: make([]uint32, n+1),
-		out:    make([]uint64, 0, totalOut),
-		inOff:  make([]uint32, n+1),
-		in:     make([]uint64, 0, totalIn),
-		hits:   scope.Counter("cache_hits"),
+		epoch:    epoch,
+		trunkGen: gen,
+		exact:    exact,
+		ids:      make([]uint64, n),
+		index:    make(map[uint64]int32, n),
+		labels:   make([]int64, n),
+		outOff:   make([]uint32, n+1),
+		out:      make([]uint64, 0, totalOut),
+		inOff:    make([]uint32, n+1),
+		in:       make([]uint64, 0, totalIn),
+		hits:     scope.Counter("cache_hits"),
 	}
 	for i, gr := range all {
 		p := &parts[gr.part]
@@ -270,7 +340,6 @@ func build(m *graph.Machine, epoch uint64) (*View, error) {
 		v.inOff[i+1] = uint32(len(v.in))
 	}
 	v.outSlot, v.outFar = outSlots(v)
-	v.remote = remoteSplit(v)
 
 	builds.Inc()
 	buildNs.Observe(int64(time.Since(start)))
@@ -357,4 +426,140 @@ func remoteSplit(v *View) []RemoteSource {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
+}
+
+// derive returns the snapshot old would become after the edge appends in
+// log: each appended neighbor goes at the end of its vertex's list, in
+// log order, as the trunk holds it. The vertex set is old's, so ids,
+// index and labels are shared; the out and in arenas are copied once
+// with the new entries spliced in, and the remote out-slots are
+// renumbered when new remote targets join the ascending outFar table.
+// The result equals a fresh build at the new epoch. It returns nil if an
+// append names a vertex old does not hold, or the arenas would overflow
+// their offsets.
+func derive(old *View, log []graph.EdgeAppend) *View {
+	n := len(old.ids)
+	var outs, ins []neighborAt
+	for _, e := range log {
+		idx, ok := old.index[e.Node]
+		if !ok {
+			return nil
+		}
+		if e.Inlink {
+			ins = append(ins, neighborAt{idx, e.Other})
+		} else {
+			outs = append(outs, neighborAt{idx, e.Other})
+		}
+	}
+	if n+len(old.out)+len(outs) > math.MaxUint32 || len(old.in)+len(ins) > math.MaxUint32 {
+		return nil
+	}
+	byVertex := func(a, b neighborAt) int { return cmp.Compare(a.idx, b.idx) }
+	slices.SortStableFunc(outs, byVertex)
+	slices.SortStableFunc(ins, byVertex)
+	neighbor := func(a neighborAt) uint64 { return a.id }
+	v := &View{
+		epoch:    old.epoch + uint64(len(log)),
+		trunkGen: old.trunkGen,
+		exact:    true,
+		ids:      old.ids,
+		index:    old.index,
+		labels:   old.labels,
+		outOff:   growOffsets(old.outOff, outs),
+		out:      splice(old.outOff, old.out, outs, neighbor),
+		inOff:    growOffsets(old.inOff, ins),
+		in:       splice(old.inOff, old.in, ins, neighbor),
+		outFar:   old.outFar,
+		hits:     old.hits,
+	}
+
+	// New remote targets join outFar in ID order; every old remote slot
+	// moves up by the number of new targets below it.
+	var fresh []uint64
+	for _, a := range outs {
+		if _, local := old.index[a.id]; local {
+			continue
+		}
+		if _, found := slices.BinarySearch(old.outFar, a.id); !found {
+			fresh = append(fresh, a.id)
+		}
+	}
+	slots := old.outSlot
+	if len(fresh) > 0 {
+		slices.Sort(fresh)
+		fresh = slices.Compact(fresh)
+		v.outFar = make([]uint64, 0, len(old.outFar)+len(fresh))
+		moved := make([]uint32, len(old.outFar))
+		f := 0
+		for r, id := range old.outFar {
+			for ; f < len(fresh) && fresh[f] < id; f++ {
+				v.outFar = append(v.outFar, fresh[f])
+			}
+			moved[r] = uint32(n + len(v.outFar))
+			v.outFar = append(v.outFar, id)
+		}
+		v.outFar = append(v.outFar, fresh[f:]...)
+		slots = make([]uint32, len(old.outSlot))
+		for e, s := range old.outSlot {
+			if s >= uint32(n) {
+				s = moved[s-uint32(n)]
+			}
+			slots[e] = s
+		}
+	}
+	v.outSlot = splice(old.outOff, slots, outs, func(a neighborAt) uint32 {
+		if idx, local := old.index[a.id]; local {
+			return uint32(idx)
+		}
+		r, _ := slices.BinarySearch(v.outFar, a.id)
+		return uint32(n + r)
+	})
+	return v
+}
+
+// neighborAt is one appended neighbor id of the vertex at dense index idx.
+type neighborAt struct {
+	idx int32
+	id  uint64
+}
+
+// growOffsets returns the CSR offsets off with each vertex's list grown
+// by its entries in adds (sorted by vertex). It returns off itself when
+// adds is empty.
+func growOffsets(off []uint32, adds []neighborAt) []uint32 {
+	if len(adds) == 0 {
+		return off
+	}
+	grown := make([]uint32, len(off))
+	k := 0
+	for i, o := range off {
+		for k < len(adds) && int(adds[k].idx) < i {
+			k++
+		}
+		grown[i] = o + uint32(k)
+	}
+	return grown
+}
+
+// splice returns a copy of the CSR arena (laid out by off) with val(a)
+// appended to the list of vertex a.idx for each a in adds (sorted by
+// vertex, in order). It returns arena itself when adds is empty.
+func splice[T uint32 | uint64](off []uint32, arena []T, adds []neighborAt, val func(neighborAt) T) []T {
+	if len(adds) == 0 {
+		return arena
+	}
+	dst := make([]T, len(arena)+len(adds))
+	src, shift := uint32(0), uint32(0)
+	for k := 0; k < len(adds); {
+		i := adds[k].idx
+		end := off[i+1]
+		copy(dst[src+shift:], arena[src:end])
+		for ; k < len(adds) && adds[k].idx == i; k++ {
+			dst[end+shift] = val(adds[k])
+			shift++
+		}
+		src = end
+	}
+	copy(dst[src+shift:], arena[src:])
+	return dst
 }

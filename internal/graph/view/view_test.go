@@ -39,6 +39,12 @@ func remoteID(m *graph.Machine, start uint64) uint64 {
 	}
 }
 
+// epochOf returns the machine's graph-layer epoch.
+func epochOf(m *graph.Machine) uint64 {
+	epoch, _ := m.Epochs()
+	return epoch
+}
+
 func sortedU64(s []uint64) []uint64 {
 	out := append([]uint64(nil), s...)
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
@@ -272,13 +278,13 @@ func TestViewInvalidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	heldEdges := len(held.out)
-	epoch0 := m0.Epoch()
+	epoch0 := epochOf(m0)
 
 	// Local mutation: both endpoints on machine 0.
 	if err := m0.AddEdge(context.Background(), src, dstLocal); err != nil {
 		t.Fatal(err)
 	}
-	if m0.Epoch() == epoch0 {
+	if epochOf(m0) == epoch0 {
 		t.Fatal("local AddEdge did not bump owner epoch")
 	}
 	v2, err := Acquire(m0)
@@ -305,15 +311,15 @@ func TestViewInvalidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	epochSrc := m0.Epoch()
+	epochSrc := epochOf(m0)
 	other := gg.On((owner + 1) % gg.Machines())
 	if err := other.AddEdge(context.Background(), src, dstRemote); err != nil {
 		t.Fatal(err)
 	}
-	if m0.Epoch() == epochSrc {
+	if epochOf(m0) == epochSrc {
 		t.Fatal("AddEdge via non-owner machine did not bump src owner epoch")
 	}
-	if mOwner.Epoch() == vRemoteBefore.epoch {
+	if epochOf(mOwner) == vRemoteBefore.epoch {
 		t.Fatal("inlink write did not bump dst owner epoch")
 	}
 	vRemoteAfter, err := Acquire(mOwner)
