@@ -38,6 +38,8 @@ type Client interface {
 	// LocalGet answers the key from local trunks; ok=false means the key
 	// is remote and must go over the wire.
 	LocalGet(key uint64) (val []byte, ok bool, err error)
+	// Get reads one cell through the synchronous client.
+	Get(ctx context.Context, key uint64) ([]byte, error)
 }
 
 // Options tune the pipeline; metrics land under scope "fetch.m<id>".
@@ -133,14 +135,10 @@ func (f *Fetcher) Close() { f.p.Close() }
 // key, and the arena holds only payload bytes, no wire headers.
 func (f *Fetcher) exchange(m msg.MachineID, b []*batch.Entry) error {
 	if m == f.c.ID() {
-		// Re-routed keys whose trunk moved to this very machine.
+		// Re-routed keys whose trunk moved to this very machine. Get
+		// waits out a trunk that recovery is still installing here.
 		for _, e := range b {
-			val, ok, err := f.c.LocalGet(e.Key)
-			if ok {
-				f.localHits.Add(1)
-			} else {
-				err = memcloud.ErrWrongOwner
-			}
+			val, err := f.c.Get(context.Background(), e.Key)
 			e.Settle(val, err)
 		}
 		return nil

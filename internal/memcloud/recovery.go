@@ -57,6 +57,11 @@ func (s *Slave) backupTrunk(tid uint32, t *trunk.Trunk) error {
 // acquireTrunks is the recovery hook: reload trunks from TFS after the
 // addressing table assigned them to this machine.
 func (s *Slave) acquireTrunks(tids []uint32) {
+	s.mu.Lock()
+	for _, tid := range tids {
+		s.installing[tid] = true
+	}
+	s.mu.Unlock()
 	for _, tid := range tids {
 		t := s.newTrunk()
 		if data, err := s.fs.ReadFile(trunkFile(tid)); err == nil {
@@ -77,6 +82,8 @@ func (s *Slave) acquireTrunks(tids []uint32) {
 			s.trunkGen.Add(1)
 			s.recoveries.Add(1)
 		}
+		delete(s.installing, tid)
+		s.trunksMovedLocked()
 		s.mu.Unlock()
 	}
 }
@@ -91,6 +98,7 @@ func (s *Slave) releaseTrunks(tids []uint32) {
 		if t != nil {
 			delete(s.trunks, tid)
 			s.trunkGen.Add(1)
+			s.trunksMovedLocked()
 		}
 		s.mu.Unlock()
 		if t != nil {
