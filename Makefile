@@ -15,13 +15,20 @@ BENCH_PKGS = ./internal/graph/ ./internal/graph/view/ \
 BENCH_TIME ?= 2s
 BENCH_JSON ?= bench_new.json
 
-.PHONY: all build vet fmt-check lint-ctx test movies race chaos chaos-failover \
+.PHONY: all build gen vet fmt-check lint-ctx test movies race chaos chaos-failover \
 	bench-smoke scored-smoke check bench bench-json bench-baseline bench-compare loc
 
 all: build
 
 build:
 	$(GO) build ./...
+
+# Regenerate tslc's committed output from the //go:generate lines: the
+# graph node codec (internal/graph/node_gen.go), the movies example and
+# cell's test fixture. Their pin tests fail until this runs after a
+# change to a .tsl file or to internal/tsl's code generator.
+gen:
+	$(GO) generate ./internal/graph ./internal/cell ./examples/movies
 
 vet:
 	$(GO) vet ./...
@@ -48,7 +55,7 @@ test:
 	$(GO) test ./...
 
 # The one program that writes a cell in place end to end: TSL's generated
-# UseMovie accessor through Slave.Update. Fails unless the write is seen.
+# MovieAccessor under Slave.Update. Fails unless the write is seen.
 movies:
 	$(GO) run ./examples/movies | grep 'after accessor write: The Matrix year = 2000$$'
 

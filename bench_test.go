@@ -1,101 +1,34 @@
 // Package trinity's root benchmark file wires every table and figure of
-// the paper's evaluation into `go test -bench`. Each benchmark runs the
-// corresponding internal/bench experiment end to end (graph generation,
-// loading, query/computation) and prints the figure's rows once, so
-// `go test -bench=. -benchmem` regenerates the full evaluation at quick
-// scale. For larger, paper-shaped runs use `go run ./cmd/trinity-bench
-// -scale 4`.
+// the paper's evaluation into `go test -bench`: BenchmarkExperiments runs
+// each entry of bench.Experiments end to end (graph generation, loading,
+// query/computation) as one sub-benchmark and prints the figure's rows
+// once, so `go test -bench=. -benchmem` regenerates the full evaluation
+// at quick scale. For larger, paper-shaped runs use
+// `go run ./cmd/trinity-bench -scale 4`.
 package trinity_test
 
 import (
 	"context"
 	"os"
-	"sync"
 	"testing"
 
 	"trinity/internal/bench"
 )
 
-var printOnce sync.Map
-
-// runFigure executes the experiment b.N times (it is a macro-benchmark:
-// one iteration is one full figure regeneration) and prints the resulting
-// table on the first run.
-func runFigure(b *testing.B, name string, fn func(context.Context, bench.Scale) (*bench.Table, error)) {
-	b.Helper()
-	for i := 0; i < b.N; i++ {
-		table, err := fn(context.Background(), bench.Scale{Factor: 1})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, done := printOnce.LoadOrStore(name, true); !done {
-			table.Print(os.Stdout)
-		}
+// BenchmarkExperiments executes each experiment b.N times (one iteration
+// is one full figure regeneration) and prints its table on the first run.
+func BenchmarkExperiments(b *testing.B) {
+	for _, x := range bench.Experiments {
+		b.Run(x.Name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				table, err := x.Run(context.Background(), bench.Scale{Factor: 1})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if i == 0 && b.N == 1 {
+					table.Print(os.Stdout)
+				}
+			}
+		})
 	}
-}
-
-// BenchmarkFig8aSubgraphMatching regenerates Figure 8(a): subgraph
-// matching time vs node count for DFS and RANDOM queries.
-func BenchmarkFig8aSubgraphMatching(b *testing.B) {
-	runFigure(b, "fig8a", bench.Fig8a)
-}
-
-// BenchmarkFig8bDistanceOracle regenerates Figure 8(b): distance-oracle
-// accuracy vs landmark count for the three selection strategies.
-func BenchmarkFig8bDistanceOracle(b *testing.B) {
-	runFigure(b, "fig8b", bench.Fig8b)
-}
-
-// BenchmarkFig12aPeopleSearch regenerates Figure 12(a): people-search
-// latency vs node degree, 2-hop and 3-hop.
-func BenchmarkFig12aPeopleSearch(b *testing.B) {
-	runFigure(b, "fig12a", bench.Fig12a)
-}
-
-// BenchmarkFig12bPageRank regenerates Figure 12(b): PageRank iteration
-// time vs node count across cluster sizes.
-func BenchmarkFig12bPageRank(b *testing.B) {
-	runFigure(b, "fig12b", bench.Fig12b)
-}
-
-// BenchmarkFig12cBFS regenerates Figure 12(c): BFS execution time vs node
-// count across cluster sizes.
-func BenchmarkFig12cBFS(b *testing.B) {
-	runFigure(b, "fig12c", bench.Fig12c)
-}
-
-// BenchmarkFig12dGiraphPageRank regenerates Figure 12(d): PageRank on the
-// Giraph-style object-heap baseline.
-func BenchmarkFig12dGiraphPageRank(b *testing.B) {
-	runFigure(b, "fig12d", bench.Fig12d)
-}
-
-// BenchmarkFig13BFSPBGLvsTrinity regenerates Figure 13: BFS time and
-// memory for the PBGL-style ghost-cell baseline vs Trinity.
-func BenchmarkFig13BFSPBGLvsTrinity(b *testing.B) {
-	runFigure(b, "fig13", bench.Fig13)
-}
-
-// BenchmarkFig14aSubgraphSpeedup regenerates Figure 14(a): subgraph-match
-// parallel speedup on the Wordnet-like and patent-like graphs.
-func BenchmarkFig14aSubgraphSpeedup(b *testing.B) {
-	runFigure(b, "fig14a", bench.Fig14a)
-}
-
-// BenchmarkFig14bSPARQL regenerates Figure 14(b): the four LUBM-style
-// SPARQL queries across cluster sizes.
-func BenchmarkFig14bSPARQL(b *testing.B) {
-	runFigure(b, "fig14b", bench.Fig14b)
-}
-
-// BenchmarkThreeHopExploration regenerates the §5.1 headline measurement:
-// full 3-hop neighborhood exploration on a power-law social graph.
-func BenchmarkThreeHopExploration(b *testing.B) {
-	runFigure(b, "3hop", bench.ThreeHop)
-}
-
-// BenchmarkMsgOptAblation regenerates the §5.4 ablation: wire messages
-// and time with hub-vertex buffering off and on.
-func BenchmarkMsgOptAblation(b *testing.B) {
-	runFigure(b, "msgopt", bench.MsgOptAblation)
 }

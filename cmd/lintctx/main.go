@@ -33,10 +33,8 @@
 //     benchmark/ — "the system" is what a binary can reach; code only a
 //     test calls has traffic nobody measured. The one escape is greppable
 //     and carries a reason: `//reach:test-seam <why>` in the doc comment
-//     of fault-injection and fixture API that tests need. A method called
-//     inside a string literal (the TSL generator's templates) counts only
-//     if a string literal of the same file names its package's import
-//     path, as a template that imports it must. Unlike checks
+//     of fault-injection and fixture API that tests need. Generated code
+//     (tslc's output) is judged like any other. Unlike checks
 //     1-3 this one type-checks the tree (reach.go); it counts references,
 //     not call paths, so a function kept alive only by another
 //     unreferenced function surfaces once that one is deleted.

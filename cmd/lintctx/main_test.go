@@ -163,12 +163,11 @@ func Used() {}`,
 			want: []string{"//reach:test-seam needs a reason", "internal/a.Used has a non-test caller: drop its //reach:test-seam"},
 		},
 		{
-			name: "check 4: names in emitted templates and interface methods count as reached",
+			name: "check 4: interface methods count, string literals do not",
 			tree: map[string]string{
 				"internal/cell/c.go": `package cell
 type Ref struct{}
 func (Ref) SetBool(v bool) {}
-func (Ref) SetNever(v bool) {}
 type Store struct{}
 func (Store) Get() int { return 0 }
 func (Store) Put() {}
@@ -184,26 +183,7 @@ func Use(g Getter) int { return g.Get() }`,
 				"cmd/x/main.go": mainUsing(`"trinity/internal/cell"
 "trinity/internal/b"`, "cell.Ref{}", "b.Use(cell.Store{})", "error(cell.Failure{})"),
 			},
-			want: []string{"internal/cell.Ref.SetNever has no reference", "internal/cell.Store.Put has no reference"},
-		},
-		{
-			name: "check 4: a call in a template counts only for the packages the template imports",
-			tree: map[string]string{
-				"internal/cell/c.go": `package cell
-type Ref struct{}
-func (Ref) Send(v bool) {}`,
-				"internal/eng/e.go": `package eng
-type Context struct{}
-func (Context) Send(v bool) {}`,
-				"internal/tsl/codegen.go": `package tsl
-import "trinity/internal/eng"
-var _ eng.Context
-const imports = "import \"trinity/internal/cell\"\n"
-const body = "func f(r cell.Ref) { r.Send(true) }"`,
-				"cmd/x/main.go": mainUsing(`"trinity/internal/cell"
-"trinity/internal/eng"`, "cell.Ref{}", "eng.Context{}"),
-			},
-			want: []string{"internal/eng.Context.Send has no reference"},
+			want: []string{"internal/cell.Ref.SetBool has no reference", "internal/cell.Store.Put has no reference"},
 		},
 	}
 	for _, c := range cases {

@@ -7,7 +7,6 @@ import (
 	"go/token"
 	"go/types"
 	"path"
-	"regexp"
 	"sort"
 	"strings"
 )
@@ -26,17 +25,6 @@ const seamTag = "//reach:test-seam"
 // errorsMethods are the optional methods package errors looks up through
 // unexported interfaces, so no interface in any scope names them.
 var errorsMethods = map[string]bool{"Unwrap": true, "Is": true, "As": true}
-
-// templateCall finds method calls inside string literals: the code
-// internal/tsl/codegen.go emits calls accessor methods that nothing in
-// the tree calls until someone compiles a schema using that field type.
-// Such a call counts only for the packages whose import path a string
-// literal of the same file names (templateImport), the packages the
-// emitted code can import.
-var (
-	templateCall   = regexp.MustCompile(`\.([A-Z]\w*)\(`)
-	templateImport = regexp.MustCompile(modulePath + `/[\w/]+`)
-)
 
 // loader type-checks the module's packages from their parsed non-test
 // files, in import order, and hands everything else to the compiler's
@@ -90,19 +78,12 @@ func typeCheck(fset *token.FileSet, files map[string]*ast.File, rels []string) (
 	return ld, nil
 }
 
-// references walks every declaration and returns the objects it uses —
-// not counting a function's uses of itself or of its receiver type — and
-// the methods called inside string literals, keyed "<import path>.<name>"
-// for every import path the same file's string literals name.
-func references(info *types.Info, files map[string]*ast.File) (reached map[types.Object]bool, inTemplate map[string]bool) {
-	reached = make(map[types.Object]bool)
-	inTemplate = make(map[string]bool)
+// references walks every declaration and returns the objects it uses,
+// not counting a function's uses of itself or of its receiver type.
+func references(info *types.Info, files map[string]*ast.File) map[types.Object]bool {
+	reached := make(map[types.Object]bool)
 	for _, file := range files {
-		var calls, imports []string
 		for _, d := range file.Decls {
-			if gd, ok := d.(*ast.GenDecl); ok && gd.Tok == token.IMPORT {
-				continue // the file's own imports are no template
-			}
 			var self types.Object
 			parts := []ast.Node{d}
 			if fn, ok := d.(*ast.FuncDecl); ok {
@@ -114,34 +95,21 @@ func references(info *types.Info, files map[string]*ast.File) (reached map[types
 			}
 			for _, part := range parts {
 				ast.Inspect(part, func(n ast.Node) bool {
-					switch n := n.(type) {
-					case *ast.Ident:
-						o := info.Uses[n]
+					if id, ok := n.(*ast.Ident); ok {
+						o := info.Uses[id]
 						if f, ok := o.(*types.Func); ok {
 							o = f.Origin()
 						}
 						if o != nil && o != self {
 							reached[o] = true
 						}
-					case *ast.BasicLit:
-						if n.Kind == token.STRING {
-							for _, m := range templateCall.FindAllStringSubmatch(n.Value, -1) {
-								calls = append(calls, m[1])
-							}
-							imports = append(imports, templateImport.FindAllString(n.Value, -1)...)
-						}
 					}
 					return true
 				})
 			}
 		}
-		for _, p := range imports {
-			for _, name := range calls {
-				inTemplate[p+"."+name] = true
-			}
-		}
 	}
-	return reached, inTemplate
+	return reached
 }
 
 // interfaceMethods indexes, by name, the interface methods a concrete
@@ -194,7 +162,7 @@ func checkReach(fset *token.FileSet, files map[string]*ast.File) ([]violation, e
 		return nil, err
 	}
 	info := ld.info
-	reached, inTemplate := references(info, files)
+	reached := references(info, files)
 	ifaceMethods := interfaceMethods(ld.ext, reached)
 	viaInterface := func(f *types.Func) bool {
 		recv := f.Type().(*types.Signature).Recv().Type()
@@ -238,7 +206,7 @@ func checkReach(fset *token.FileSet, files map[string]*ast.File) ([]violation, e
 		obj := info.Defs[id]
 		live := reached[obj]
 		if f, ok := obj.(*types.Func); ok && recvType != nil && !live {
-			live = inTemplate[modulePath+"/"+path.Dir(rel)+"."+id.Name] || errorsMethods[id.Name] || viaInterface(f)
+			live = errorsMethods[id.Name] || viaInterface(f)
 		}
 		switch _, isType := obj.(*types.TypeName); {
 		case live && own && !isType:

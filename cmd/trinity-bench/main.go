@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"sort"
 	"strings"
 	"syscall"
 	"time"
@@ -24,21 +23,6 @@ import (
 	"trinity/internal/bench"
 	"trinity/internal/obs"
 )
-
-var experiments = map[string]func(context.Context, bench.Scale) (*bench.Table, error){
-	"fig8a":    bench.Fig8a,
-	"fig8b":    bench.Fig8b,
-	"fig12a":   bench.Fig12a,
-	"fig12b":   bench.Fig12b,
-	"fig12c":   bench.Fig12c,
-	"fig12d":   bench.Fig12d,
-	"fig13":    bench.Fig13,
-	"fig14a":   bench.Fig14a,
-	"fig14b":   bench.Fig14b,
-	"3hop":     bench.ThreeHop,
-	"msgopt":   bench.MsgOptAblation,
-	"bulkload": bench.BulkLoad,
-}
 
 func main() {
 	scale := flag.Int("scale", 1, "scale factor (1 = quick, 4+ = closer to paper shapes)")
@@ -59,32 +43,32 @@ func main() {
 		defer cancel()
 	}
 
-	names := make([]string, 0, len(experiments))
-	for name := range experiments {
-		names = append(names, name)
+	byName := make(map[string]bench.Experiment, len(bench.Experiments))
+	var selected []string
+	for _, x := range bench.Experiments {
+		byName[x.Name] = x
+		selected = append(selected, x.Name)
 	}
-	sort.Strings(names)
 	if *list {
-		for _, n := range names {
+		for _, n := range selected {
 			fmt.Println(n)
 		}
 		return
 	}
-	selected := names
 	if *run != "" {
 		selected = strings.Split(*run, ",")
 	}
 	s := bench.Scale{Factor: *scale}
 	failed := false
 	for _, name := range selected {
-		fn, ok := experiments[strings.TrimSpace(name)]
+		x, ok := byName[strings.TrimSpace(name)]
 		if !ok {
 			fmt.Fprintf(os.Stderr, "trinity-bench: unknown experiment %q (use -list)\n", name)
 			failed = true
 			continue
 		}
 		start := time.Now()
-		table, err := fn(ctx, s)
+		table, err := x.Run(ctx, s)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "trinity-bench: %s: %v\n", name, err)
 			failed = true

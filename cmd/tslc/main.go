@@ -42,7 +42,7 @@ func main() {
 			flag.Arg(0), len(script.Structs), len(script.CellStructs()), len(script.Protocols))
 		return
 	}
-	code, err := tsl.Generate(*pkg, string(src), script)
+	code, err := tsl.Generate(*pkg, script)
 	if err != nil {
 		fatal(err)
 	}

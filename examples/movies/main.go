@@ -1,10 +1,13 @@
 // Command movies demonstrates TSL-driven graph modeling, the paper's
 // Figure 4/5 example end to end: the schema in schema.tsl was compiled by
 // cmd/tslc into schema_gen.go, giving typed Movie/Actor cells with blob
-// marshaling, zero-copy accessors (UseMovie), and an Echo protocol stub.
+// marshaling, accessors that read and write a cell in place at offsets
+// computed from the layout, and an Echo protocol stub.
 //
 //	go run ./examples/movies
 package main
+
+//go:generate go run ../../cmd/tslc -o schema_gen.go schema.tsl
 
 import (
 	"context"
@@ -32,13 +35,11 @@ func main() {
 		id uint64
 		m  Movie
 	}{
-		{matrix, Movie{Name: "The Matrix", Year: 1999, Rating: 8.7,
-			Actors: []int64{int64(keanu), int64(carrie)}}},
-		{jwick, Movie{Name: "John Wick", Year: 2014, Rating: 7.4,
-			Actors: []int64{int64(keanu)}}},
+		{matrix, Movie{Name: "The Matrix", Year: 1999, Rating: 8.7, Actors: []uint64{keanu, carrie}}},
+		{jwick, Movie{Name: "John Wick", Year: 2014, Rating: 7.4, Actors: []uint64{keanu}}},
 	}
 	for _, mv := range movies {
-		if err := mv.m.Save(ctx, s, mv.id); err != nil {
+		if err := s.Put(ctx, mv.id, mv.m.AppendTo(nil)); err != nil {
 			log.Fatal(err)
 		}
 	}
@@ -46,40 +47,47 @@ func main() {
 		id uint64
 		a  Actor
 	}{
-		{keanu, Actor{Name: "Keanu Reeves", Movies: []int64{int64(matrix), int64(jwick)}}},
-		{carrie, Actor{Name: "Carrie-Anne Moss", Movies: []int64{int64(matrix)}}},
+		{keanu, Actor{Name: "Keanu Reeves", Movies: []uint64{matrix, jwick}}},
+		{carrie, Actor{Name: "Carrie-Anne Moss", Movies: []uint64{matrix}}},
 	}
 	for _, ac := range actors {
-		if err := ac.a.Save(ctx, s, ac.id); err != nil {
+		if err := s.Put(ctx, ac.id, ac.a.AppendTo(nil)); err != nil {
 			log.Fatal(err)
 		}
 	}
 
 	// --- typed load: cells decode into generated structs ---
-	m, err := LoadMovie(ctx, s, matrix)
-	if err != nil {
-		log.Fatal(err)
-	}
+	m := loadMovie(ctx, s, matrix)
 	fmt.Printf("%s (%d), rating %.1f, %d actors\n", m.Name, m.Year, m.Rating, len(m.Actors))
 	for _, aid := range m.Actors {
-		a, err := LoadActor(ctx, s, uint64(aid))
+		blob, err := s.Get(ctx, aid)
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("  cast: %s (%d movies)\n", a.Name, len(a.Movies))
+		// The accessor reads the name and the list length in place.
+		a, err := NewActorAccessor(blob)
+		if err != nil {
+			log.Fatal(err)
+		}
+		fmt.Printf("  cast: %s (%d movies)\n", a.Name(), a.Movies().Len())
 	}
 
-	// --- zero-copy accessor: mutate a fixed field in place, no
-	//     serialization round trip (paper §4.3's UseMyCellAccessor) ---
+	// --- accessor write: mutate a fixed field in place, no
+	//     serialization round trip (paper §4.3's UseMyCellAccessor),
+	//     under the owner's trunk lock ---
 	owner := cloud.Slave(int(s.Owner(matrix)))
-	if err := UseMovie(owner, matrix, func(a MovieAccessor) error {
+	if err := owner.Update(matrix, func(blob []byte) error {
+		a, err := NewMovieAccessor(blob)
+		if err != nil {
+			return err
+		}
 		fmt.Printf("in-place: year %d -> 2000 (re-release)\n", a.Year())
-		a.SetYear(2000)
+		a.setYear(2000)
 		return nil
 	}); err != nil {
 		log.Fatal(err)
 	}
-	m, _ = LoadMovie(ctx, s, matrix)
+	m = loadMovie(ctx, s, matrix)
 	fmt.Printf("after accessor write: %s year = %d\n", m.Name, m.Year)
 
 	// --- the Figure 5 Echo protocol: calling a remote machine reads like
@@ -92,4 +100,17 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Println(resp.Text)
+}
+
+// loadMovie reads and decodes one movie cell.
+func loadMovie(ctx context.Context, s *memcloud.Slave, id uint64) *Movie {
+	blob, err := s.Get(ctx, id)
+	if err != nil {
+		log.Fatal(err)
+	}
+	m := new(Movie)
+	if err := m.Unmarshal(blob); err != nil {
+		log.Fatal(err)
+	}
+	return m
 }

@@ -9,27 +9,8 @@ import (
 	"math"
 
 	"trinity/internal/cell"
-	"trinity/internal/memcloud"
 	"trinity/internal/msg"
-	"trinity/internal/tsl"
 )
-
-// Silence unused-import errors for scripts that do not exercise
-// every helper.
-var (
-	_ = binary.LittleEndian
-	_ = fmt.Errorf
-	_ = math.Float32bits
-)
-
-// tslSource is the original TSL script, embedded for runtime schemas.
-const tslSource = "// The movie/actor schema from Figure 4 of the paper, extended with a\n// rating and the Echo protocol from Figure 5.\n\n[CellType: NodeCell]\ncell struct Movie\n{\n\tstring Name;\n\tint Year;\n\tdouble Rating;\n\t[EdgeType: SimpleEdge, ReferencedCell: Actor]\n\tList<long> Actors;\n}\n\n[CellType: NodeCell]\ncell struct Actor\n{\n\tstring Name;\n\t[EdgeType: SimpleEdge, ReferencedCell: Movie]\n\tList<long> Movies;\n}\n\nstruct MyMessage\n{\n\tstring Text;\n}\n\nprotocol Echo\n{\n\tType: Syn;\n\tRequest: MyMessage;\n\tResponse: MyMessage;\n}\n"
-
-// Schema is the compiled runtime schema of the script.
-var Schema = tsl.MustCompile(tslSource)
-
-// errShortBlob reports a truncated cell blob.
-var errShortBlob = cell.ErrShortBlob
 
 // Movie is a TSL cell struct: instances are stored as cells in the
 // memory cloud.
@@ -37,13 +18,15 @@ type Movie struct {
 	Name   string
 	Year   int32
 	Rating float64
-	Actors []int64
+	Actors []uint64
 }
 
-// MovieSchema is the runtime schema of Movie.
-var MovieSchema = Schema.Struct("Movie")
+// Size returns the length of x's blob.
+func (x *Movie) Size() int {
+	return 20 + len(x.Name) + 8*len(x.Actors)
+}
 
-// AppendTo serializes the struct into b using the TSL blob layout.
+// AppendTo appends x's blob to b.
 func (x *Movie) AppendTo(b []byte) []byte {
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(x.Name)))
 	b = append(b, x.Name...)
@@ -56,127 +39,104 @@ func (x *Movie) AppendTo(b []byte) []byte {
 	return b
 }
 
-// Marshal serializes the struct into a fresh blob.
-func (x *Movie) Marshal() []byte { return x.AppendTo(nil) }
-
-// decodeFrom parses one Movie at the start of b, returning bytes consumed.
-func (x *Movie) decodeFrom(b []byte) (int, error) {
-	o := 0
-	if o+4 > len(b) {
-		return 0, errShortBlob
-	}
-	n1 := int(binary.LittleEndian.Uint32(b[o:]))
-	o += 4
-	if o+n1 > len(b) {
-		return 0, errShortBlob
-	}
-	x.Name = string(b[o : o+n1])
-	o += n1
-	if o+4 > len(b) {
-		return 0, errShortBlob
-	}
-	x.Year = int32(binary.LittleEndian.Uint32(b[o:]))
-	o += 4
-	if o+8 > len(b) {
-		return 0, errShortBlob
-	}
-	x.Rating = math.Float64frombits(binary.LittleEndian.Uint64(b[o:]))
-	o += 8
-	if o+4 > len(b) {
-		return 0, errShortBlob
-	}
-	c2 := int(binary.LittleEndian.Uint32(b[o:]))
-	o += 4
-	if o+c2*8 > len(b) {
-		return 0, errShortBlob
-	}
-	x.Actors = make([]int64, c2)
-	for i2 := 0; i2 < c2; i2++ {
-		if o+8 > len(b) {
-			return 0, errShortBlob
-		}
-		x.Actors[i2] = int64(binary.LittleEndian.Uint64(b[o:]))
-		o += 8
-	}
-	return o, nil
-}
-
-// Unmarshal parses a blob produced by Marshal (or a cell accessor).
+// Unmarshal decodes a blob that holds exactly one Movie.
 func (x *Movie) Unmarshal(b []byte) error {
-	n, err := x.decodeFrom(b)
-	if err != nil {
-		return err
-	}
-	if n != len(b) {
+	if n := skipMovie(b, 0); n < 0 {
+		return cell.ErrShortBlob
+	} else if n != len(b) {
 		return fmt.Errorf("Movie: %d trailing bytes", len(b)-n)
 	}
+	MovieAccessor{b}.get(x)
 	return nil
 }
 
-// MovieAccessor provides zero-copy field access to a Movie blob.
-type MovieAccessor struct{ cell.Accessor }
-
-// NewMovieAccessor wraps a blob.
-func NewMovieAccessor(b []byte) MovieAccessor {
-	return MovieAccessor{cell.NewAccessor(MovieSchema, b)}
+// skipMovie returns the offset just past the Movie at b[o:], or -1 if
+// b ends first.
+func skipMovie(b []byte, o int) int {
+	if o = cell.SkipList(b, o, 1); o < 0 {
+		return -1
+	}
+	return cell.SkipList(b, o+12, 8)
 }
 
-// Name reads the Name field (copies the string).
-func (a MovieAccessor) Name() string { return a.MustField("Name").Str() }
+// MovieAccessor maps the fields of a Movie blob to their offsets: reads
+// go to the blob in place, with no decode and no copy of lists.
+type MovieAccessor struct{ b []byte }
+
+// NewMovieAccessor checks that b starts with a whole Movie and maps it.
+func NewMovieAccessor(b []byte) (MovieAccessor, error) {
+	if skipMovie(b, 0) < 0 {
+		return MovieAccessor{}, cell.ErrShortBlob
+	}
+	return MovieAccessor{b}, nil
+}
+
+func (a MovieAccessor) offYear() int {
+	return 4 + int(binary.LittleEndian.Uint32(a.b[0:]))
+}
+
+func (a MovieAccessor) get(x *Movie) {
+	x.Name = a.Name()
+	x.Year = a.Year()
+	x.Rating = a.Rating()
+	x.Actors = a.Actors().slice()
+}
+
+// Name reads the Name field (a copy: Go strings are immutable).
+func (a MovieAccessor) Name() string {
+	return string(a.b[4 : 4+int(binary.LittleEndian.Uint32(a.b[0:]))])
+}
 
 // Year reads the Year field.
-func (a MovieAccessor) Year() int32 { return a.MustField("Year").Int() }
+func (a MovieAccessor) Year() int32 {
+	o := a.offYear()
+	return int32(binary.LittleEndian.Uint32(a.b[o:]))
+}
 
-// SetYear writes the Year field in place.
-func (a MovieAccessor) SetYear(v int32) { a.MustField("Year").SetInt(v) }
+func (a MovieAccessor) setYear(v int32) {
+	o := a.offYear()
+	binary.LittleEndian.PutUint32(a.b[o:], uint32(v))
+}
 
 // Rating reads the Rating field.
-func (a MovieAccessor) Rating() float64 { return a.MustField("Rating").Double() }
-
-// SetRating writes the Rating field in place.
-func (a MovieAccessor) SetRating(v float64) { a.MustField("Rating").SetDouble(v) }
-
-// Actors returns a zero-copy reference to the Actors list.
-func (a MovieAccessor) Actors() cell.ListRef { return a.MustField("Actors").List() }
-
-// LoadMovie reads and decodes cell `id` from the memory cloud.
-func LoadMovie(ctx context.Context, s *memcloud.Slave, id uint64) (*Movie, error) {
-	blob, err := s.Get(ctx, id)
-	if err != nil {
-		return nil, err
-	}
-	x := new(Movie)
-	if err := x.Unmarshal(blob); err != nil {
-		return nil, err
-	}
-	return x, nil
+func (a MovieAccessor) Rating() float64 {
+	o := a.offYear() + 4
+	return math.Float64frombits(binary.LittleEndian.Uint64(a.b[o:]))
 }
 
-// Save stores the struct as cell `id`, overwriting any previous value.
-func (x *Movie) Save(ctx context.Context, s *memcloud.Slave, id uint64) error {
-	return s.Put(ctx, id, x.Marshal())
+func (a MovieAccessor) setRating(v float64) {
+	o := a.offYear() + 4
+	binary.LittleEndian.PutUint64(a.b[o:], math.Float64bits(v))
 }
 
-// UseMovie runs fn over a writable, zero-copy accessor of the LOCAL
-// cell `id` (the UseMyCellAccessor pattern of paper §4.3), under its
-// trunk's exclusive mutex; fn must not call back into the slave.
-func UseMovie(s *memcloud.Slave, id uint64, fn func(MovieAccessor) error) error {
-	return s.Update(id, func(blob []byte) error {
-		return fn(NewMovieAccessor(blob))
-	})
+// Actors maps the Actors field in place.
+func (a MovieAccessor) Actors() Uint64List {
+	o := a.offYear() + 12
+	return readUint64List(a.b, o)
+}
+
+// locateMovieActors returns the offset of the Actors count in a whole Movie
+// blob, for Slave.ListAppend.
+func locateMovieActors(b []byte) (int, error) {
+	if skipMovie(b, 0) < 0 {
+		return 0, cell.ErrShortBlob
+	}
+	return MovieAccessor{b}.offYear() + 12, nil
 }
 
 // Actor is a TSL cell struct: instances are stored as cells in the
 // memory cloud.
 type Actor struct {
 	Name   string
-	Movies []int64
+	Movies []uint64
 }
 
-// ActorSchema is the runtime schema of Actor.
-var ActorSchema = Schema.Struct("Actor")
+// Size returns the length of x's blob.
+func (x *Actor) Size() int {
+	return 8 + len(x.Name) + 8*len(x.Movies)
+}
 
-// AppendTo serializes the struct into b using the TSL blob layout.
+// AppendTo appends x's blob to b.
 func (x *Actor) AppendTo(b []byte) []byte {
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(x.Name)))
 	b = append(b, x.Name...)
@@ -187,92 +147,65 @@ func (x *Actor) AppendTo(b []byte) []byte {
 	return b
 }
 
-// Marshal serializes the struct into a fresh blob.
-func (x *Actor) Marshal() []byte { return x.AppendTo(nil) }
-
-// decodeFrom parses one Actor at the start of b, returning bytes consumed.
-func (x *Actor) decodeFrom(b []byte) (int, error) {
-	o := 0
-	if o+4 > len(b) {
-		return 0, errShortBlob
-	}
-	n3 := int(binary.LittleEndian.Uint32(b[o:]))
-	o += 4
-	if o+n3 > len(b) {
-		return 0, errShortBlob
-	}
-	x.Name = string(b[o : o+n3])
-	o += n3
-	if o+4 > len(b) {
-		return 0, errShortBlob
-	}
-	c4 := int(binary.LittleEndian.Uint32(b[o:]))
-	o += 4
-	if o+c4*8 > len(b) {
-		return 0, errShortBlob
-	}
-	x.Movies = make([]int64, c4)
-	for i4 := 0; i4 < c4; i4++ {
-		if o+8 > len(b) {
-			return 0, errShortBlob
-		}
-		x.Movies[i4] = int64(binary.LittleEndian.Uint64(b[o:]))
-		o += 8
-	}
-	return o, nil
-}
-
-// Unmarshal parses a blob produced by Marshal (or a cell accessor).
+// Unmarshal decodes a blob that holds exactly one Actor.
 func (x *Actor) Unmarshal(b []byte) error {
-	n, err := x.decodeFrom(b)
-	if err != nil {
-		return err
-	}
-	if n != len(b) {
+	if n := skipActor(b, 0); n < 0 {
+		return cell.ErrShortBlob
+	} else if n != len(b) {
 		return fmt.Errorf("Actor: %d trailing bytes", len(b)-n)
 	}
+	ActorAccessor{b}.get(x)
 	return nil
 }
 
-// ActorAccessor provides zero-copy field access to a Actor blob.
-type ActorAccessor struct{ cell.Accessor }
-
-// NewActorAccessor wraps a blob.
-func NewActorAccessor(b []byte) ActorAccessor {
-	return ActorAccessor{cell.NewAccessor(ActorSchema, b)}
-}
-
-// Name reads the Name field (copies the string).
-func (a ActorAccessor) Name() string { return a.MustField("Name").Str() }
-
-// Movies returns a zero-copy reference to the Movies list.
-func (a ActorAccessor) Movies() cell.ListRef { return a.MustField("Movies").List() }
-
-// LoadActor reads and decodes cell `id` from the memory cloud.
-func LoadActor(ctx context.Context, s *memcloud.Slave, id uint64) (*Actor, error) {
-	blob, err := s.Get(ctx, id)
-	if err != nil {
-		return nil, err
+// skipActor returns the offset just past the Actor at b[o:], or -1 if
+// b ends first.
+func skipActor(b []byte, o int) int {
+	if o = cell.SkipList(b, o, 1); o < 0 {
+		return -1
 	}
-	x := new(Actor)
-	if err := x.Unmarshal(blob); err != nil {
-		return nil, err
+	return cell.SkipList(b, o, 8)
+}
+
+// ActorAccessor maps the fields of a Actor blob to their offsets: reads
+// go to the blob in place, with no decode and no copy of lists.
+type ActorAccessor struct{ b []byte }
+
+// NewActorAccessor checks that b starts with a whole Actor and maps it.
+func NewActorAccessor(b []byte) (ActorAccessor, error) {
+	if skipActor(b, 0) < 0 {
+		return ActorAccessor{}, cell.ErrShortBlob
 	}
-	return x, nil
+	return ActorAccessor{b}, nil
 }
 
-// Save stores the struct as cell `id`, overwriting any previous value.
-func (x *Actor) Save(ctx context.Context, s *memcloud.Slave, id uint64) error {
-	return s.Put(ctx, id, x.Marshal())
+func (a ActorAccessor) offMovies() int {
+	return 4 + int(binary.LittleEndian.Uint32(a.b[0:]))
 }
 
-// UseActor runs fn over a writable, zero-copy accessor of the LOCAL
-// cell `id` (the UseMyCellAccessor pattern of paper §4.3), under its
-// trunk's exclusive mutex; fn must not call back into the slave.
-func UseActor(s *memcloud.Slave, id uint64, fn func(ActorAccessor) error) error {
-	return s.Update(id, func(blob []byte) error {
-		return fn(NewActorAccessor(blob))
-	})
+func (a ActorAccessor) get(x *Actor) {
+	x.Name = a.Name()
+	x.Movies = a.Movies().slice()
+}
+
+// Name reads the Name field (a copy: Go strings are immutable).
+func (a ActorAccessor) Name() string {
+	return string(a.b[4 : 4+int(binary.LittleEndian.Uint32(a.b[0:]))])
+}
+
+// Movies maps the Movies field in place.
+func (a ActorAccessor) Movies() Uint64List {
+	o := a.offMovies()
+	return readUint64List(a.b, o)
+}
+
+// locateActorMovies returns the offset of the Movies count in a whole Actor
+// blob, for Slave.ListAppend.
+func locateActorMovies(b []byte) (int, error) {
+	if skipActor(b, 0) < 0 {
+		return 0, cell.ErrShortBlob
+	}
+	return ActorAccessor{b}.offMovies(), nil
 }
 
 // MyMessage is a TSL struct.
@@ -280,64 +213,96 @@ type MyMessage struct {
 	Text string
 }
 
-// MyMessageSchema is the runtime schema of MyMessage.
-var MyMessageSchema = Schema.Struct("MyMessage")
+// Size returns the length of x's blob.
+func (x *MyMessage) Size() int {
+	return 4 + len(x.Text)
+}
 
-// AppendTo serializes the struct into b using the TSL blob layout.
+// AppendTo appends x's blob to b.
 func (x *MyMessage) AppendTo(b []byte) []byte {
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(x.Text)))
 	b = append(b, x.Text...)
 	return b
 }
 
-// Marshal serializes the struct into a fresh blob.
-func (x *MyMessage) Marshal() []byte { return x.AppendTo(nil) }
-
-// decodeFrom parses one MyMessage at the start of b, returning bytes consumed.
-func (x *MyMessage) decodeFrom(b []byte) (int, error) {
-	o := 0
-	if o+4 > len(b) {
-		return 0, errShortBlob
-	}
-	n5 := int(binary.LittleEndian.Uint32(b[o:]))
-	o += 4
-	if o+n5 > len(b) {
-		return 0, errShortBlob
-	}
-	x.Text = string(b[o : o+n5])
-	o += n5
-	return o, nil
-}
-
-// Unmarshal parses a blob produced by Marshal (or a cell accessor).
+// Unmarshal decodes a blob that holds exactly one MyMessage.
 func (x *MyMessage) Unmarshal(b []byte) error {
-	n, err := x.decodeFrom(b)
-	if err != nil {
-		return err
-	}
-	if n != len(b) {
+	if n := skipMyMessage(b, 0); n < 0 {
+		return cell.ErrShortBlob
+	} else if n != len(b) {
 		return fmt.Errorf("MyMessage: %d trailing bytes", len(b)-n)
 	}
+	MyMessageAccessor{b}.get(x)
 	return nil
 }
 
-// MyMessageAccessor provides zero-copy field access to a MyMessage blob.
-type MyMessageAccessor struct{ cell.Accessor }
-
-// NewMyMessageAccessor wraps a blob.
-func NewMyMessageAccessor(b []byte) MyMessageAccessor {
-	return MyMessageAccessor{cell.NewAccessor(MyMessageSchema, b)}
+// skipMyMessage returns the offset just past the MyMessage at b[o:], or -1 if
+// b ends first.
+func skipMyMessage(b []byte, o int) int {
+	return cell.SkipList(b, o, 1)
 }
 
-// Text reads the Text field (copies the string).
-func (a MyMessageAccessor) Text() string { return a.MustField("Text").Str() }
+// MyMessageAccessor maps the fields of a MyMessage blob to their offsets: reads
+// go to the blob in place, with no decode and no copy of lists.
+type MyMessageAccessor struct{ b []byte }
+
+// NewMyMessageAccessor checks that b starts with a whole MyMessage and maps it.
+func NewMyMessageAccessor(b []byte) (MyMessageAccessor, error) {
+	if skipMyMessage(b, 0) < 0 {
+		return MyMessageAccessor{}, cell.ErrShortBlob
+	}
+	return MyMessageAccessor{b}, nil
+}
+
+func (a MyMessageAccessor) get(x *MyMessage) {
+	x.Text = a.Text()
+}
+
+// Text reads the Text field (a copy: Go strings are immutable).
+func (a MyMessageAccessor) Text() string {
+	return string(a.b[4 : 4+int(binary.LittleEndian.Uint32(a.b[0:]))])
+}
+
+// Uint64List reads a List<long> in place.
+type Uint64List struct {
+	b []byte
+	n int
+}
+
+func readUint64List(b []byte, o int) Uint64List {
+	n := int(binary.LittleEndian.Uint32(b[o:]))
+	return Uint64List{b[o+4 : o+4+8*n], n}
+}
+
+// Len returns the number of elements.
+func (l Uint64List) Len() int { return l.n }
+
+// At returns element i.
+func (l Uint64List) At(i int) uint64 {
+	return binary.LittleEndian.Uint64(l.b[8*i:])
+}
+
+func (l Uint64List) set(i int, v uint64) {
+	binary.LittleEndian.PutUint64(l.b[8*i:], uint64(v))
+}
+
+func (l Uint64List) slice() []uint64 {
+	if l.n == 0 {
+		return nil
+	}
+	s := make([]uint64, l.n)
+	for i := range s {
+		s[i] = binary.LittleEndian.Uint64(l.b[8*i:])
+	}
+	return s
+}
 
 // EchoID is the wire identifier of the Echo protocol.
-const EchoID msg.ProtocolID = tsl.ProtoUserBase + 0
+const EchoID msg.ProtocolID = 0x1000
 
 // CallEcho invokes the synchronous Echo protocol on machine `to`.
 func CallEcho(ctx context.Context, n *msg.Node, to msg.MachineID, req *MyMessage) (*MyMessage, error) {
-	payload, err := n.Call(ctx, to, EchoID, req.Marshal())
+	payload, err := n.Call(ctx, to, EchoID, req.AppendTo(nil))
 	if err != nil {
 		return nil, err
 	}
@@ -360,6 +325,6 @@ func RegisterEcho(n *msg.Node, h func(context.Context, msg.MachineID, *MyMessage
 		if err != nil {
 			return nil, err
 		}
-		return resp.Marshal(), nil
+		return resp.AppendTo(nil), nil
 	})
 }

@@ -1,8 +1,9 @@
 // Package bench implements the experiment harness that regenerates every
 // table and figure of the paper's evaluation (§7). Each Fig* function
 // runs one experiment at a configurable scale and returns a Table whose
-// rows mirror the figure's series; cmd/trinity-bench prints them and the
-// root bench_test.go wires them into `go test -bench`.
+// rows mirror the figure's series. Experiments lists them all once:
+// cmd/trinity-bench prints them and the root bench_test.go runs each as a
+// sub-benchmark of `go test -bench`.
 //
 // Absolute numbers will differ from the paper's (the cluster is simulated
 // in one process); the quantities that must reproduce are the SHAPES:
@@ -11,11 +12,34 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"strings"
 	"time"
 )
+
+// Experiment is one table or figure of the evaluation.
+type Experiment struct {
+	Name string
+	Run  func(context.Context, Scale) (*Table, error)
+}
+
+// Experiments is every table and figure, sorted by name.
+var Experiments = []Experiment{
+	{"3hop", ThreeHop},
+	{"bulkload", BulkLoad},
+	{"fig12a", Fig12a},
+	{"fig12b", Fig12b},
+	{"fig12c", Fig12c},
+	{"fig12d", Fig12d},
+	{"fig13", Fig13},
+	{"fig14a", Fig14a},
+	{"fig14b", Fig14b},
+	{"fig8a", Fig8a},
+	{"fig8b", Fig8b},
+	{"msgopt", MsgOptAblation},
+}
 
 // Table is one experiment's result grid.
 type Table struct {

@@ -13,9 +13,10 @@ import (
 type Value any
 
 // Encode serializes a struct value described by v into a fresh blob laid
-// out per the schema. It is the write-side complement of Accessor.
+// out per the schema: the reference the generated codecs and accessors
+// are checked against.
 //
-//reach:test-seam reference encoder: graph's blob test and tsl's codegen test check the hand-written and generated codecs against it
+//reach:test-seam reference encoder: graph's and cell's tests check the tslc-generated codecs and accessors against it
 func Encode(st *StructType, v map[string]Value) ([]byte, error) {
 	var buf []byte
 	return appendStruct(buf, st, v)
@@ -175,65 +176,5 @@ func asFloat64(v Value) (float64, error) {
 		return float64(f), nil
 	default:
 		return 0, fmt.Errorf("cell: want float, got %T", v)
-	}
-}
-
-// Decode converts a blob back into a dynamic value map (the inverse of
-// Encode). Lists of long decode as []int64; other lists as []Value.
-func Decode(st *StructType, blob []byte) (map[string]Value, error) {
-	a := NewAccessor(st, blob)
-	if _, err := a.Size(); err != nil {
-		return nil, err
-	}
-	out := make(map[string]Value, len(st.Fields))
-	for i := range st.Fields {
-		f := &st.Fields[i]
-		r, err := a.Field(f.Name)
-		if err != nil {
-			return nil, err
-		}
-		v, err := decodeRef(r)
-		if err != nil {
-			return nil, err
-		}
-		out[f.Name] = v
-	}
-	return out, nil
-}
-
-func decodeRef(r Ref) (Value, error) {
-	switch r.typ.Kind {
-	case KindByte:
-		return r.Byte(), nil
-	case KindBool:
-		return r.Bool(), nil
-	case KindInt:
-		return r.Int(), nil
-	case KindLong:
-		return r.Long(), nil
-	case KindFloat:
-		return r.Float(), nil
-	case KindDouble:
-		return r.Double(), nil
-	case KindString:
-		return r.Str(), nil
-	case KindList:
-		l := r.List()
-		if r.typ.Elem.Kind == KindLong {
-			return l.Longs(), nil
-		}
-		out := make([]Value, l.Len())
-		for i := range out {
-			v, err := decodeRef(l.At(i))
-			if err != nil {
-				return nil, err
-			}
-			out[i] = v
-		}
-		return out, nil
-	case KindStruct:
-		return Decode(r.typ.Struct, r.buf[r.off:])
-	default:
-		return nil, fmt.Errorf("cell: cannot decode kind %v", r.typ.Kind)
 	}
 }

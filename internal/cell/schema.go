@@ -1,19 +1,17 @@
-// Package cell implements Trinity's cell accessor mechanism (paper §4.3):
-// object-oriented, zero-copy access to cells stored as blobs in the memory
-// cloud.
+// Package cell holds the runtime description of Trinity's cell layout
+// (paper §4.3): the TSL types a schema is made of, the blob encoding of
+// each, and the reference encoder the generated code is checked against.
 //
-// A cell accessor "is not a data container, but a data mapper: it maps the
-// fields declared in the data structure to the correct memory locations in
-// the blob". Fields cannot be reached by naive struct casting because
-// variable-length members (strings, lists) make the layout data-dependent,
-// so the accessor walks the schema, skipping over preceding fields to
-// resolve each offset.
-//
-// The schema types here are produced by the TSL compiler (internal/tsl)
-// from `cell struct` declarations, but can also be built programmatically.
+// A cell is a blob. Fixed-size kinds encode little-endian with no
+// padding; strings and lists carry a u32 length prefix, so the layout is
+// data-dependent and no field past the first variable one sits at a
+// constant offset. The TSL compiler (internal/tsl) builds these types from
+// `cell struct` declarations, and cmd/tslc compiles them to accessors that
+// walk the length prefixes to each field's offset.
 package cell
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 )
@@ -165,38 +163,38 @@ type StructType struct {
 	// Attrs holds struct-level attributes such as CellType.
 	Attrs  map[string]string
 	Fields []Field
-
-	index map[string]int
 }
 
 // NewStruct builds a StructType, validating field-name uniqueness.
 func NewStruct(name string, cell bool, fields []Field) (*StructType, error) {
-	st := &StructType{Name: name, Cell: cell, Fields: fields, index: make(map[string]int, len(fields))}
+	seen := make(map[string]bool, len(fields))
 	for i, f := range fields {
 		if f.Name == "" {
 			return nil, fmt.Errorf("cell: struct %s: field %d has no name", name, i)
 		}
-		if _, dup := st.index[f.Name]; dup {
+		if seen[f.Name] {
 			return nil, fmt.Errorf("cell: struct %s: duplicate field %s", name, f.Name)
 		}
 		if f.Type == nil {
 			return nil, fmt.Errorf("cell: struct %s: field %s has no type", name, f.Name)
 		}
-		st.index[f.Name] = i
+		seen[f.Name] = true
 	}
-	return st, nil
+	return &StructType{Name: name, Cell: cell, Fields: fields}, nil
 }
-
-// FieldIndex returns the position of the named field, or -1.
-func (st *StructType) FieldIndex(name string) int {
-	if i, ok := st.index[name]; ok {
-		return i
-	}
-	return -1
-}
-
-// ErrNoField reports an unknown field name.
-var ErrNoField = errors.New("cell: no such field")
 
 // ErrShortBlob reports a blob too small for the schema.
 var ErrShortBlob = errors.New("cell: blob too short for schema")
+
+// SkipList returns the offset just past the list at b[o:] — a u32 count,
+// then that many elements of esz bytes each (a string is a list of
+// bytes) — or -1 if b ends first. Generated accessors check blobs with it.
+func SkipList(b []byte, o, esz int) int {
+	if o+4 > len(b) {
+		return -1
+	}
+	if o += 4 + esz*int(binary.LittleEndian.Uint32(b[o:])); o > len(b) {
+		return -1
+	}
+	return o
+}

@@ -130,12 +130,12 @@ func (e *Engine) Explore(ctx context.Context, via int, start uint64, hops int, p
 	qStart := time.Now()
 	defer func() { e.exploreNs.Observe(int64(time.Since(qStart))) }()
 	coord := e.g.On(via)
-	if !coord.HasNode(ctx, start) {
-		// A cancelled lookup is not a missing node.
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		return nil, fmt.Errorf("traversal: start node %d does not exist", start)
+	// A failed lookup (a cancelled ctx, a dead coordinator) is not a
+	// missing node.
+	if ok, err := coord.Slave().Contains(ctx, start); err != nil {
+		return nil, fmt.Errorf("traversal: start node %d: %w", start, err)
+	} else if !ok {
+		return nil, fmt.Errorf("traversal: start %w: %d", graph.ErrNoNode, start)
 	}
 	q := e.coordPool.Get().(*coordScratch)
 	defer e.coordPool.Put(q)

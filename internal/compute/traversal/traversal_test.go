@@ -72,8 +72,25 @@ func TestExploreMissingStart(t *testing.T) {
 	cloud := newCloud(t, 2)
 	g := chainGraph(t, cloud, 5)
 	e := New(g)
-	if _, err := e.Explore(context.Background(), 0, 999, 2, Predicate{}); err == nil {
-		t.Fatal("missing start accepted")
+	if _, err := e.Explore(context.Background(), 0, 999, 2, Predicate{}); !errors.Is(err, graph.ErrNoNode) {
+		t.Fatalf("missing start: %v, want graph.ErrNoNode", err)
+	}
+}
+
+// TestExploreDeadCoordinatorIsNotMissingStart: during a failover the
+// start lookup fails; that is the lookup's error, not a missing node.
+func TestExploreDeadCoordinatorIsNotMissingStart(t *testing.T) {
+	cloud := newCloud(t, 3)
+	g := chainGraph(t, cloud, 30)
+	e := New(g)
+	start := uint64(0)
+	for cloud.Slave(0).Owner(start) != 2 {
+		start++
+	}
+	cloud.KillMachine(1)
+	_, err := e.Explore(context.Background(), 1, start, 2, Predicate{})
+	if errors.Is(err, graph.ErrNoNode) || !errors.Is(err, msg.ErrClosed) {
+		t.Fatalf("Explore via a dead coordinator: %v, want msg.ErrClosed", err)
 	}
 }
 

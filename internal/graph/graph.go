@@ -291,12 +291,6 @@ func (m *Machine) GetNode(ctx context.Context, id uint64) (*Node, error) {
 	return DecodeNode(id, blob)
 }
 
-// HasNode reports whether the node exists.
-func (m *Machine) HasNode(ctx context.Context, id uint64) bool {
-	ok, err := m.s.Contains(ctx, id)
-	return err == nil && ok
-}
-
 // AddEdge adds the edge src -> dst (or an undirected edge when the graph
 // is undirected). Both endpoint cells must exist. The mutation executes on
 // the owner machine of each endpoint, serialized by its write stripes.
@@ -331,27 +325,18 @@ func (m *Machine) mutateEndpoint(ctx context.Context, node, other uint64, inlink
 	return err
 }
 
-// locateOutlinks and locateInlinks find a node blob's list counts for
-// Slave.ListAppend. Outlinks is the tail list, so an outlink append moves
-// no byte of the cell; an inlink append shifts the outlink section up.
-func locateOutlinks(b []byte) (int, error) { return locateList(b, listOutlinks) }
-func locateInlinks(b []byte) (int, error)  { return locateList(b, listInlinks) }
-
-func locateList(b []byte, list int) (int, error) {
-	off, _, err := blobListAt(b, list)
-	return off - 4, err
-}
-
 // addLinkLocal appends other to a local node cell's link list in place:
 // one exclusive trunk operation, no decode and no re-encode. The stripe
 // holds the append, its WAL record and its edge-log entry together, so
 // two appends to one node are logged in the order they were applied (WAL
 // replay uses the count offsets they resolved; a view patched from the
-// edge log lists them in trunk order).
+// edge log lists them in trunk order). Outlinks is the tail list, so an
+// outlink append moves no byte of the cell; an inlink append shifts the
+// outlink section up.
 func (m *Machine) addLinkLocal(node, other uint64, inlink bool) error {
-	locate := locateOutlinks
+	locate := locateGraphNodeOutlinks
 	if inlink {
-		locate = locateInlinks
+		locate = locateGraphNodeInlinks
 	}
 	var elem [8]byte
 	binary.LittleEndian.PutUint64(elem[:], other)
@@ -388,7 +373,7 @@ func (m *Machine) onAddLink(inlink bool) msg.SyncHandler {
 //
 //reach:test-seam tests in algo, compute/* and graph/view check adjacency against it
 func (m *Machine) Outlinks(ctx context.Context, id uint64) ([]uint64, error) {
-	return m.links(ctx, id, listOutlinks)
+	return m.links(ctx, id, GraphNodeAccessor.Outlinks)
 }
 
 // Inlinks returns the node's in-neighbors (copy). For undirected graphs
@@ -396,19 +381,20 @@ func (m *Machine) Outlinks(ctx context.Context, id uint64) ([]uint64, error) {
 //
 //reach:test-seam graph/view's tests check the in-arena against it
 func (m *Machine) Inlinks(ctx context.Context, id uint64) ([]uint64, error) {
-	return m.links(ctx, id, listInlinks)
+	return m.links(ctx, id, GraphNodeAccessor.Inlinks)
 }
 
-func (m *Machine) links(ctx context.Context, id uint64, list int) ([]uint64, error) {
+func (m *Machine) links(ctx context.Context, id uint64, list func(GraphNodeAccessor) Uint64List) ([]uint64, error) {
 	var out []uint64
 	err := m.readCell(ctx, id, func(b []byte) error {
-		off, count, err := blobListAt(b, list)
+		a, err := NewGraphNodeAccessor(b)
 		if err != nil {
 			return err
 		}
-		out = make([]uint64, count)
+		l := list(a)
+		out = make([]uint64, l.Len())
 		for i := range out {
-			out[i] = binary.LittleEndian.Uint64(b[off+8*i:])
+			out[i] = l.At(i)
 		}
 		return nil
 	})
@@ -421,41 +407,56 @@ func (m *Machine) links(ctx context.Context, id uint64, list int) ([]uint64, err
 //
 //reach:test-seam graph/view's benchmarks use the per-cell scan as the foil for the CSR scan
 func (m *Machine) ForEachOutlink(id uint64, fn func(v uint64) bool) error {
-	return m.s.View(id, func(b []byte) error {
-		return forEachListEntry(b, listOutlinks, fn)
-	})
+	return m.s.View(id, func(b []byte) error { return forEachOutlink(b, fn) })
+}
+
+// forEachOutlink and forEachOutEdge are the loops of ForEachOutlink and
+// ForEachOutEdge, kept out of their closures: the compiler inlines those
+// two small methods into callers, and the copy of a closure made that way
+// keeps every call in it (the list reads here) out of line.
+func forEachOutlink(b []byte, fn func(v uint64) bool) error {
+	a, err := NewGraphNodeAccessor(b)
+	if err != nil {
+		return err
+	}
+	for out, i := a.Outlinks(), 0; i < out.Len(); i++ {
+		if !fn(out.At(i)) {
+			return nil
+		}
+	}
+	return nil
 }
 
 // ForEachOutEdge streams a LOCAL node's out-edges with weights. When the
 // node carries no Weights list every edge reports weight 1.
 func (m *Machine) ForEachOutEdge(id uint64, fn func(dst uint64, w int64) bool) error {
-	return m.s.View(id, func(b []byte) error {
-		wOff, wCount, err := blobListAt(b, listWeights)
-		if err != nil {
-			return err
+	return m.s.View(id, func(b []byte) error { return forEachOutEdge(b, fn) })
+}
+
+func forEachOutEdge(b []byte, fn func(dst uint64, w int64) bool) error {
+	a, err := NewGraphNodeAccessor(b)
+	if err != nil {
+		return err
+	}
+	ws, out := a.Weights(), a.Outlinks()
+	for i := 0; i < out.Len(); i++ {
+		w := int64(1)
+		if i < ws.Len() {
+			w = ws.At(i)
 		}
-		oOff, oCount, err := blobListAt(b, listOutlinks)
-		if err != nil {
-			return err
+		if !fn(out.At(i), w) {
+			return nil
 		}
-		for i := 0; i < oCount; i++ {
-			w := int64(1)
-			if i < wCount {
-				w = int64(binary.LittleEndian.Uint64(b[wOff+8*i:]))
-			}
-			if !fn(binary.LittleEndian.Uint64(b[oOff+8*i:]), w) {
-				return nil
-			}
-		}
-		return nil
-	})
+	}
+	return nil
 }
 
 // localDegrees reads (outDegree, inDegree) off a LOCAL node's cell.
 func (m *Machine) localDegrees(id uint64) (out, in int, err error) {
-	err = m.s.View(id, func(b []byte) (err error) {
-		if _, out, err = blobListAt(b, listOutlinks); err == nil {
-			_, in, err = blobListAt(b, listInlinks)
+	err = m.s.View(id, func(b []byte) error {
+		a, err := NewGraphNodeAccessor(b)
+		if err == nil {
+			out, in = a.Outlinks().Len(), a.Inlinks().Len()
 		}
 		return err
 	})
@@ -519,22 +520,26 @@ func (m *Machine) InDegree(ctx context.Context, id uint64) (int, error) {
 func (m *Machine) Label(ctx context.Context, id uint64) (int64, error) {
 	var label int64
 	err := m.readCell(ctx, id, func(b []byte) error {
-		if len(b) < 8 {
-			return errors.New("graph: short node blob")
+		a, err := NewGraphNodeAccessor(b)
+		if err == nil {
+			label = a.Label()
 		}
-		label = blobLabel(b)
-		return nil
+		return err
 	})
 	return label, err
 }
 
 // Name returns the node's name.
 func (m *Machine) Name(ctx context.Context, id uint64) (string, error) {
-	n, err := m.GetNode(ctx, id)
-	if err != nil {
-		return "", err
-	}
-	return n.Name, nil
+	var name string
+	err := m.readCell(ctx, id, func(b []byte) error {
+		a, err := NewGraphNodeAccessor(b)
+		if err == nil {
+			name = a.Name()
+		}
+		return err
+	})
+	return name, err
 }
 
 // LocalNodeIDs returns the IDs of all nodes stored on this machine.
@@ -562,8 +567,8 @@ func (g *Graph) EdgeCount() int {
 	total := 0
 	for _, m := range g.machines {
 		m.ForEachLocalNode(func(_ uint64, blob []byte) bool {
-			if _, count, err := blobListAt(blob, listOutlinks); err == nil {
-				total += count
+			if a, err := NewGraphNodeAccessor(blob); err == nil {
+				total += a.Outlinks().Len()
 			}
 			return true
 		})

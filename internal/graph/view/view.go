@@ -348,24 +348,35 @@ func build(m *graph.Machine) (*View, error) {
 
 // scanTrunk decodes every cell of one trunk into the part's arenas.
 func scanTrunk(s *memcloud.Slave, tid uint32, p *part) {
-	s.ForEachInTrunk(tid, func(key uint64, payload []byte) bool {
-		outStart, inStart := len(p.out), len(p.in)
-		label, in, out, err := graph.AppendNodeLists(payload, p.in, p.out)
-		if err != nil {
-			p.err = fmt.Errorf("view: vertex %d: %w", key, err)
-			return false
-		}
-		p.in, p.out = in, out
-		p.recs = append(p.recs, rec{
-			id:     key,
-			label:  label,
-			outOff: uint32(outStart),
-			outLen: uint32(len(p.out) - outStart),
-			inOff:  uint32(inStart),
-			inLen:  uint32(len(p.in) - inStart),
-		})
-		return true
+	s.ForEachInTrunk(tid, p.add)
+}
+
+// add decodes one cell into the part's arenas. It is a method, not a
+// closure in scanTrunk: the compiler inlines scanTrunk into its caller,
+// and the copy of a closure made that way keeps the list reads out of
+// line.
+func (p *part) add(key uint64, payload []byte) bool {
+	a, err := graph.NewGraphNodeAccessor(payload)
+	if err != nil {
+		p.err = fmt.Errorf("view: vertex %d: %w", key, err)
+		return false
+	}
+	outStart, inStart := len(p.out), len(p.in)
+	for in, i := a.Inlinks(), 0; i < in.Len(); i++ {
+		p.in = append(p.in, in.At(i))
+	}
+	for out, i := a.Outlinks(), 0; i < out.Len(); i++ {
+		p.out = append(p.out, out.At(i))
+	}
+	p.recs = append(p.recs, rec{
+		id:     key,
+		label:  a.Label(),
+		outOff: uint32(outStart),
+		outLen: uint32(len(p.out) - outStart),
+		inOff:  uint32(inStart),
+		inLen:  uint32(len(p.in) - inStart),
 	})
+	return true
 }
 
 // outSlots encodes the finished out arena as slots: a local target maps

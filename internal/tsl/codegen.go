@@ -3,87 +3,76 @@ package tsl
 import (
 	"fmt"
 	"go/format"
+	"regexp"
+	"strconv"
 	"strings"
 
 	"trinity/internal/cell"
 )
 
-// Generate emits Go source for a compiled TSL script: typed structs with
-// binary marshaling that matches the cell blob layout exactly, cell
-// accessor wrappers, Load/Save/Use helpers for cell structs, and protocol
-// stubs over the message passing framework. This is the Go analogue of
-// the C# the original TSL compiler produced ("the TSL compiler generates
-// highly efficient and powerful source code for data manipulation and
-// communication", §4.2).
+// Generate emits Go source for a compiled TSL script. This is the Go
+// analogue of the C# the original TSL compiler produced ("the TSL
+// compiler generates highly efficient and powerful source code for data
+// manipulation and communication", §4.2). For each struct S it emits:
 //
-// pkg is the target package name; src is the original TSL source, which
-// is embedded so the generated code can rebuild the runtime schema.
-func Generate(pkg, src string, script *Script) ([]byte, error) {
-	g := &generator{script: script}
-	g.printf("// Code generated by tslc from a Trinity Specification Language script. DO NOT EDIT.\n\n")
-	g.printf("package %s\n\n", pkg)
-
-	hasCells := len(script.CellStructs()) > 0
-	hasProtos := len(script.Protocols) > 0
-
-	g.printf("import (\n")
-	if hasCells || hasProtos {
-		g.printf("\t\"context\"\n")
-	}
-	g.printf("\t\"encoding/binary\"\n")
-	g.printf("\t\"fmt\"\n")
-	g.printf("\t\"math\"\n\n")
-	g.printf("\t\"trinity/internal/cell\"\n")
-	if hasCells {
-		g.printf("\t\"trinity/internal/memcloud\"\n")
-	}
-	if hasProtos {
-		g.printf("\t\"trinity/internal/msg\"\n")
-	}
-	g.printf("\t\"trinity/internal/tsl\"\n")
-	g.printf(")\n\n")
-	g.printf("// Silence unused-import errors for scripts that do not exercise\n")
-	g.printf("// every helper.\n")
-	g.printf("var (\n")
-	g.printf("\t_ = binary.LittleEndian\n")
-	g.printf("\t_ = fmt.Errorf\n")
-	g.printf("\t_ = math.Float32bits\n")
-	g.printf(")\n\n")
-
-	g.printf("// tslSource is the original TSL script, embedded for runtime schemas.\n")
-	g.printf("const tslSource = %q\n\n", src)
-	g.printf("// Schema is the compiled runtime schema of the script.\n")
-	g.printf("var Schema = tsl.MustCompile(tslSource)\n\n")
-	g.printf("// errShortBlob reports a truncated cell blob.\n")
-	g.printf("var errShortBlob = cell.ErrShortBlob\n\n")
-
+//   - the Go struct S with Size, AppendTo and Unmarshal in the cell blob
+//     layout;
+//   - SAccessor, the cell accessor of §4.3: a map from fields to blob
+//     offsets, made by NewSAccessor once the blob is checked whole. A
+//     fixed field is read at a constant offset, or past the length
+//     prefixes of the variable fields before it; a list reads as a
+//     zero-copy <Elem>List.
+//
+// In-place writes are for the package that owns the schema, since they
+// bypass whatever it keeps about its cells (graph's partition epochs, for
+// one), so they are unexported: setF for each fixed primitive field, set
+// on each list of fixed primitives, and locateSF, the offset of list F's
+// count that Slave.ListAppend wants. Each protocol gets typed stubs over
+// the message passing framework. The output imports only what it uses.
+func Generate(pkg string, script *Script) ([]byte, error) {
+	g := &generator{lists: make(map[string]listType)}
 	for _, st := range script.Structs {
 		g.genStruct(st)
+	}
+	for _, name := range g.listOrder {
+		g.genList(name, g.lists[name])
 	}
 	for _, p := range script.Protocols {
 		g.genProtocol(p)
 	}
-	if g.err != nil {
-		return nil, g.err
+	body := g.sb.String()
+	code := regexp.MustCompile(`(?m)^\s*//.*$`).ReplaceAllString(body, "")
+	var src strings.Builder
+	fmt.Fprintf(&src, "// Code generated by tslc from a Trinity Specification Language script. DO NOT EDIT.\n\npackage %s\n\nimport (\n", pkg)
+	for _, imp := range []struct{ name, path string }{
+		{"context", "context"}, {"binary", "encoding/binary"}, {"fmt", "fmt"}, {"math", "math"},
+		{"", ""}, {"cell", "trinity/internal/cell"}, {"msg", "trinity/internal/msg"},
+	} {
+		if imp.name == "" {
+			src.WriteString("\n")
+		} else if regexp.MustCompile(`\b` + imp.name + `\.`).MatchString(code) {
+			fmt.Fprintf(&src, "\t%q\n", imp.path)
+		}
 	}
-	out, err := format.Source([]byte(g.sb.String()))
+	src.WriteString(")\n\n" + body)
+	out, err := format.Source([]byte(src.String()))
 	if err != nil {
-		// Return the unformatted source in the error for debugging.
-		return nil, fmt.Errorf("tsl: generated code does not compile: %w\n%s", err, g.sb.String())
+		return nil, fmt.Errorf("tsl: generated code does not compile: %w\n%s", err, src.String())
 	}
 	return out, nil
 }
 
 type generator struct {
-	script *Script
-	sb     strings.Builder
-	err    error
-	tmp    int // unique suffix for generated local variables
+	sb        strings.Builder
+	lists     map[string]listType // reader types to emit, by name
+	listOrder []string
 }
 
-func (g *generator) fresh() int {
-	g.tmp++
-	return g.tmp
+// listType is a list that needs a reader type; edge marks a List<long>
+// of cell IDs, read as uint64.
+type listType struct {
+	t    *cell.Type
+	edge bool
 }
 
 func (g *generator) printf(format string, args ...any) {
@@ -95,34 +84,189 @@ func goName(name string) string {
 	return strings.ToUpper(name[:1]) + name[1:]
 }
 
+// isEdge reports whether a field holds cell IDs: the parser allows
+// [EdgeType: ...] only on long and List<long>, and the ID space is
+// uint64, so those fields are generated as uint64 with the same bytes.
+func isEdge(f *cell.Field) bool { return f.Attrs["EdgeType"] != "" }
+
+var primGo = map[cell.Kind]string{
+	cell.KindByte: "byte", cell.KindBool: "bool", cell.KindInt: "int32",
+	cell.KindLong: "int64", cell.KindFloat: "float32", cell.KindDouble: "float64",
+	cell.KindString: "string",
+}
+
 // goType maps a TSL type to its Go representation.
-func goType(t *cell.Type) string {
-	switch t.Kind {
-	case cell.KindByte:
-		return "byte"
-	case cell.KindBool:
-		return "bool"
-	case cell.KindInt:
-		return "int32"
-	case cell.KindLong:
-		return "int64"
-	case cell.KindFloat:
-		return "float32"
-	case cell.KindDouble:
-		return "float64"
-	case cell.KindString:
-		return "string"
-	case cell.KindList:
-		return "[]" + goType(t.Elem)
-	case cell.KindStruct:
+func goType(t *cell.Type, edge bool) string {
+	switch {
+	case t.Kind == cell.KindLong && edge:
+		return "uint64"
+	case t.Kind == cell.KindList:
+		return "[]" + goType(t.Elem, edge)
+	case t.Kind == cell.KindStruct:
 		return goName(t.Struct.Name)
-	default:
-		panic("tsl: bad kind in codegen")
 	}
+	return primGo[t.Kind]
+}
+
+// listName names the reader type of a list: Int64List, StringList,
+// PointList, Int64ListList.
+func listName(t *cell.Type, edge bool) string {
+	e := t.Elem
+	switch e.Kind {
+	case cell.KindStruct:
+		return goName(e.Struct.Name) + "List"
+	case cell.KindList:
+		return listName(e, edge) + "List"
+	}
+	return goName(goType(e, edge)) + "List"
+}
+
+// readType is what an accessor returns for a value of type t.
+func (g *generator) readType(t *cell.Type, edge bool) string {
+	switch t.Kind {
+	case cell.KindStruct:
+		return goName(t.Struct.Name) + "Accessor"
+	case cell.KindList:
+		name := listName(t, edge)
+		if _, ok := g.lists[name]; !ok {
+			g.lists[name] = listType{t, edge}
+			g.listOrder = append(g.listOrder, name)
+			if t.Elem.Kind == cell.KindList || t.Elem.Kind == cell.KindStruct {
+				g.readType(t.Elem, edge)
+			}
+		}
+		return name
+	}
+	return goType(t, edge)
+}
+
+// prefixed reports whether t is a u32 count followed by that many
+// elements of one fixed size esz (a string is a list of bytes).
+func prefixed(t *cell.Type) (esz int, ok bool) {
+	if t.Kind == cell.KindString {
+		return 1, true
+	}
+	if t.Kind == cell.KindList {
+		return t.Elem.FixedSize()
+	}
+	return 0, false
+}
+
+// skipFunc names the checked walker of a variable-size type that is
+// neither a string nor a list of fixed-size elements.
+func skipFunc(t *cell.Type, edge bool) string {
+	if t.Kind == cell.KindStruct {
+		return "skip" + goName(t.Struct.Name)
+	}
+	return "skip" + listName(t, edge)
+}
+
+// count is the u32 prefix at offset o of blob b.
+func count(b, o string) string {
+	return fmt.Sprintf("int(binary.LittleEndian.Uint32(%s[%s:]))", b, o)
+}
+
+// times renders n*x, or x when n is 1.
+func times(n int, x string) string {
+	if n == 1 {
+		return x
+	}
+	return fmt.Sprintf("%d*%s", n, x)
+}
+
+// step is the unchecked expression for the offset just past a value of
+// type t at offset o of a blob already known to be whole.
+func step(t *cell.Type, edge bool, b, o string) string {
+	if n, ok := t.FixedSize(); ok {
+		return plus(o, n)
+	}
+	if esz, ok := prefixed(t); ok {
+		return plus(o, 4) + " + " + times(esz, count(b, o))
+	}
+	return fmt.Sprintf("%s(%s, %s)", skipFunc(t, edge), b, o)
+}
+
+// genCheck emits the checked walk of a value of type t that starts pend
+// bytes past o: it moves o past the value in b, or returns -1 when b ends
+// first. The last field of a struct returns the walk's end instead.
+func (g *generator) genCheck(t *cell.Type, edge bool, pend int, last bool) {
+	var next string
+	if n, ok := t.FixedSize(); ok {
+		g.printf("if o += %d; o > len(b) {\nreturn -1\n}\n", pend+n)
+		if last {
+			g.printf("return o\n")
+		}
+		return
+	} else if esz, ok := prefixed(t); ok {
+		next = fmt.Sprintf("cell.SkipList(b, %s, %d)", plus("o", pend), esz)
+	} else {
+		next = fmt.Sprintf("%s(b, %s)", skipFunc(t, edge), plus("o", pend))
+	}
+	if last {
+		g.printf("return %s\n", next)
+	} else {
+		g.printf("if o = %s; o < 0 {\nreturn -1\n}\n", next)
+	}
+}
+
+// readPrim is the expression reading a fixed primitive at b[o:].
+func readPrim(k cell.Kind, edge bool, b, o string) string {
+	at := b + "[" + o + ":]"
+	switch k {
+	case cell.KindByte:
+		return b + "[" + o + "]"
+	case cell.KindBool:
+		return b + "[" + o + "] != 0"
+	case cell.KindInt:
+		return "int32(binary.LittleEndian.Uint32(" + at + "))"
+	case cell.KindLong:
+		if edge {
+			return "binary.LittleEndian.Uint64(" + at + ")"
+		}
+		return "int64(binary.LittleEndian.Uint64(" + at + "))"
+	case cell.KindFloat:
+		return "math.Float32frombits(binary.LittleEndian.Uint32(" + at + "))"
+	default:
+		return "math.Float64frombits(binary.LittleEndian.Uint64(" + at + "))"
+	}
+}
+
+// writePrim is the statement writing v as a fixed primitive at b[o:].
+func writePrim(k cell.Kind, b, o, v string) string {
+	at := b + "[" + o + ":]"
+	switch k {
+	case cell.KindByte:
+		return b + "[" + o + "] = " + v
+	case cell.KindBool:
+		return fmt.Sprintf("%s[%s] = 0\nif %s {\n%s[%s] = 1\n}", b, o, v, b, o)
+	case cell.KindInt:
+		return "binary.LittleEndian.PutUint32(" + at + ", uint32(" + v + "))"
+	case cell.KindLong:
+		return "binary.LittleEndian.PutUint64(" + at + ", uint64(" + v + "))"
+	case cell.KindFloat:
+		return "binary.LittleEndian.PutUint32(" + at + ", math.Float32bits(" + v + "))"
+	default:
+		return "binary.LittleEndian.PutUint64(" + at + ", math.Float64bits(" + v + "))"
+	}
+}
+
+// readValue is the expression an accessor returns for a value of type t
+// at b[o:]; lists and structs are views over the same bytes.
+func (g *generator) readValue(t *cell.Type, edge bool, b, o string) string {
+	switch t.Kind {
+	case cell.KindString:
+		return fmt.Sprintf("string(%s[%s : %s+%s])", b, plus(o, 4), plus(o, 4), count(b, o))
+	case cell.KindList:
+		return fmt.Sprintf("read%s(%s, %s)", g.readType(t, edge), b, o)
+	case cell.KindStruct:
+		return fmt.Sprintf("%s{%s[%s:]}", g.readType(t, edge), b, o)
+	}
+	return readPrim(t.Kind, edge, b, o)
 }
 
 func (g *generator) genStruct(st *cell.StructType) {
 	name := goName(st.Name)
+	acc := name + "Accessor"
 	if st.Cell {
 		g.printf("// %s is a TSL cell struct: instances are stored as cells in the\n// memory cloud.\n", name)
 	} else {
@@ -131,203 +275,246 @@ func (g *generator) genStruct(st *cell.StructType) {
 	g.printf("type %s struct {\n", name)
 	for i := range st.Fields {
 		f := &st.Fields[i]
-		g.printf("\t%s %s\n", goName(f.Name), goType(f.Type))
+		g.printf("%s %s\n", goName(f.Name), goType(f.Type, isEdge(f)))
 	}
 	g.printf("}\n\n")
 
-	g.printf("// %sSchema is the runtime schema of %s.\n", name, name)
-	g.printf("var %sSchema = Schema.Struct(%q)\n\n", name, st.Name)
+	// Size: constant parts summed, then one term or loop per variable field.
+	size, terms := 0, []string{}
+	var loops strings.Builder
+	for i := range st.Fields {
+		f := &st.Fields[i]
+		x := "x." + goName(f.Name)
+		if n, ok := f.Type.FixedSize(); ok {
+			size += n
+		} else if esz, ok := prefixed(f.Type); ok {
+			size += 4
+			terms = append(terms, times(esz, "len("+x+")"))
+		} else if f.Type.Kind == cell.KindStruct {
+			terms = append(terms, x+".Size()")
+		} else {
+			size += 4
+			sizeLoop(&loops, f.Type.Elem, x, 1)
+		}
+	}
+	sum := strings.Join(append([]string{fmt.Sprint(size)}, terms...), " + ")
+	g.printf("// Size returns the length of x's blob.\nfunc (x *%s) Size() int {\n", name)
+	if loops.Len() == 0 {
+		g.printf("return %s\n}\n\n", sum)
+	} else {
+		g.printf("n := %s\n%sreturn n\n}\n\n", sum, loops.String())
+	}
 
-	// AppendTo / Marshal.
-	g.printf("// AppendTo serializes the struct into b using the TSL blob layout.\n")
-	g.printf("func (x *%s) AppendTo(b []byte) []byte {\n", name)
+	g.printf("// AppendTo appends x's blob to b.\nfunc (x *%s) AppendTo(b []byte) []byte {\n", name)
 	for i := range st.Fields {
 		f := &st.Fields[i]
 		g.genAppend(f.Type, "x."+goName(f.Name), 1)
 	}
-	g.printf("\treturn b\n}\n\n")
-	g.printf("// Marshal serializes the struct into a fresh blob.\n")
-	g.printf("func (x *%s) Marshal() []byte { return x.AppendTo(nil) }\n\n", name)
-
-	// decodeFrom / Unmarshal.
-	g.printf("// decodeFrom parses one %s at the start of b, returning bytes consumed.\n", name)
-	g.printf("func (x *%s) decodeFrom(b []byte) (int, error) {\n", name)
-	g.printf("\to := 0\n")
-	for i := range st.Fields {
-		f := &st.Fields[i]
-		g.genDecode(f.Type, "x."+goName(f.Name), 1)
-	}
-	g.printf("\treturn o, nil\n}\n\n")
-	g.printf("// Unmarshal parses a blob produced by Marshal (or a cell accessor).\n")
+	g.printf("return b\n}\n\n")
+	g.printf("// Unmarshal decodes a blob that holds exactly one %s.\n", name)
 	g.printf("func (x *%s) Unmarshal(b []byte) error {\n", name)
-	g.printf("\tn, err := x.decodeFrom(b)\n")
-	g.printf("\tif err != nil {\n\t\treturn err\n\t}\n")
-	g.printf("\tif n != len(b) {\n\t\treturn fmt.Errorf(\"%s: %%d trailing bytes\", len(b)-n)\n\t}\n", name)
-	g.printf("\treturn nil\n}\n\n")
+	g.printf("if n := skip%s(b, 0); n < 0 {\nreturn cell.ErrShortBlob\n} else if n != len(b) {\n", name)
+	g.printf("return fmt.Errorf(\"%s: %%d trailing bytes\", len(b)-n)\n}\n", name)
+	g.printf("%s{b}.get(x)\nreturn nil\n}\n\n", acc)
 
-	// Accessor.
-	g.printf("// %sAccessor provides zero-copy field access to a %s blob.\n", name, name)
-	g.printf("type %sAccessor struct{ cell.Accessor }\n\n", name)
-	g.printf("// New%sAccessor wraps a blob.\n", name)
-	g.printf("func New%sAccessor(b []byte) %sAccessor {\n", name, name)
-	g.printf("\treturn %sAccessor{cell.NewAccessor(%sSchema, b)}\n}\n\n", name, name)
+	// The checked walk every accessor, Unmarshal and locate starts from.
+	g.printf("// skip%s returns the offset just past the %s at b[o:], or -1 if\n// b ends first.\n", name, name)
+	g.printf("func skip%s(b []byte, o int) int {\n", name)
+	pend := 0 // fixed bytes not yet checked
 	for i := range st.Fields {
-		f := &st.Fields[i]
-		g.genAccessorMethods(name, f)
+		f, last := &st.Fields[i], i+1 == len(st.Fields)
+		if n, ok := f.Type.FixedSize(); ok && !last {
+			pend += n
+			continue
+		}
+		g.genCheck(f.Type, isEdge(f), pend, last)
+		pend = 0
+	}
+	if len(st.Fields) == 0 {
+		g.printf("return o\n")
+	}
+	g.printf("}\n\n")
+
+	g.printf("// %s maps the fields of a %s blob to their offsets: reads\n", acc, name)
+	g.printf("// go to the blob in place, with no decode and no copy of lists.\n")
+	g.printf("type %s struct{ b []byte }\n\n", acc)
+	g.printf("// New%s checks that b starts with a whole %s and maps it.\n", acc, name)
+	g.printf("func New%s(b []byte) (%s, error) {\n", acc, acc)
+	g.printf("if skip%s(b, 0) < 0 {\nreturn %s{}, cell.ErrShortBlob\n}\nreturn %s{b}, nil\n}\n\n", name, acc, acc)
+
+	// method emits one accessor method whose body reads the blob at
+	// offset o, binding a computed offset to a local first.
+	method := func(sig string, o string, body func(o string) string) {
+		if _, err := strconv.Atoi(o); err == nil {
+			g.printf("func (a %s) %s {\n%s\n}\n\n", acc, sig, body(o))
+		} else {
+			g.printf("func (a %s) %s {\no := %s\n%s\n}\n\n", acc, sig, o, body("o"))
+		}
 	}
 
-	// Cell helpers.
-	if st.Cell {
-		g.printf("// Load%s reads and decodes cell `id` from the memory cloud.\n", name)
-		g.printf("func Load%s(ctx context.Context, s *memcloud.Slave, id uint64) (*%s, error) {\n", name, name)
-		g.printf("\tblob, err := s.Get(ctx, id)\n")
-		g.printf("\tif err != nil {\n\t\treturn nil, err\n\t}\n")
-		g.printf("\tx := new(%s)\n", name)
-		g.printf("\tif err := x.Unmarshal(blob); err != nil {\n\t\treturn nil, err\n\t}\n")
-		g.printf("\treturn x, nil\n}\n\n")
-		g.printf("// Save stores the struct as cell `id`, overwriting any previous value.\n")
-		g.printf("func (x *%s) Save(ctx context.Context, s *memcloud.Slave, id uint64) error {\n", name)
-		g.printf("\treturn s.Put(ctx, id, x.Marshal())\n}\n\n")
-		g.printf("// Use%s runs fn over a writable, zero-copy accessor of the LOCAL\n", name)
-		g.printf("// cell `id` (the UseMyCellAccessor pattern of paper §4.3), under its\n")
-		g.printf("// trunk's exclusive mutex; fn must not call back into the slave.\n")
-		g.printf("func Use%s(s *memcloud.Slave, id uint64, fn func(%sAccessor) error) error {\n", name, name)
-		g.printf("\treturn s.Update(id, func(blob []byte) error {\n")
-		g.printf("\t\treturn fn(New%sAccessor(blob))\n", name)
-		g.printf("\t})\n}\n\n")
+	// off[i] is field i's offset: a constant, or the off method of the
+	// field after the last variable-size one, plus a constant.
+	off := make([]string, len(st.Fields))
+	base, c := "", 0
+	for i := range st.Fields {
+		f := &st.Fields[i]
+		off[i] = plus(base, c)
+		if i+1 == len(st.Fields) {
+			break
+		}
+		if n, ok := f.Type.FixedSize(); ok {
+			c += n
+			continue
+		}
+		next := goName(st.Fields[i+1].Name)
+		method("off"+next+"() int", off[i], func(o string) string { return "return " + step(f.Type, isEdge(f), "a.b", o) })
+		base, c = "a.off"+next+"()", 0
+	}
+
+	g.printf("func (a %s) get(x *%s) {\n", acc, name)
+	for i := range st.Fields {
+		f := &st.Fields[i]
+		switch fn := goName(f.Name); f.Type.Kind {
+		case cell.KindList:
+			g.printf("x.%s = a.%s().slice()\n", fn, fn)
+		case cell.KindStruct:
+			g.printf("a.%s().get(&x.%s)\n", fn, fn)
+		default:
+			g.printf("x.%s = a.%s()\n", fn, fn)
+		}
+	}
+	g.printf("}\n\n")
+
+	for i := range st.Fields {
+		f := &st.Fields[i]
+		fn, edge := goName(f.Name), isEdge(f)
+		rt := g.readType(f.Type, edge)
+		switch f.Type.Kind {
+		case cell.KindString:
+			g.printf("// %s reads the %s field (a copy: Go strings are immutable).\n", fn, f.Name)
+		case cell.KindList, cell.KindStruct:
+			g.printf("// %s maps the %s field in place.\n", fn, f.Name)
+		default:
+			g.printf("// %s reads the %s field.\n", fn, f.Name)
+		}
+		method(fn+"() "+rt, off[i], func(o string) string { return "return " + g.readValue(f.Type, edge, "a.b", o) })
+		if _, ok := primGo[f.Type.Kind]; ok && f.Type.Kind != cell.KindString {
+			method("set"+fn+"(v "+rt+")", off[i], func(o string) string { return writePrim(f.Type.Kind, "a.b", o, "v") })
+		}
+		if f.Type.Kind == cell.KindList {
+			g.printf("// locate%s%s returns the offset of the %s count in a whole %s\n// blob, for Slave.ListAppend.\n", name, fn, f.Name, name)
+			g.printf("func locate%s%s(b []byte) (int, error) {\n", name, fn)
+			g.printf("if skip%s(b, 0) < 0 {\nreturn 0, cell.ErrShortBlob\n}\nreturn %s, nil\n}\n\n", name, strings.ReplaceAll(off[i], "a.", acc+"{b}."))
+		}
+	}
+}
+
+// plus renders o+n, folding constants.
+func plus(o string, n int) string {
+	if o == "" {
+		return strconv.Itoa(n)
+	}
+	if k, err := strconv.Atoi(o); err == nil {
+		return strconv.Itoa(k + n)
+	}
+	if n == 0 {
+		return o
+	}
+	return fmt.Sprintf("%s+%d", o, n)
+}
+
+// sizeLoop writes the Size loop over a list of variable-size elements.
+func sizeLoop(w *strings.Builder, elem *cell.Type, x string, depth int) {
+	e := fmt.Sprintf("e%d", depth)
+	fmt.Fprintf(w, "for _, %s := range %s {\n", e, x)
+	if esz, ok := prefixed(elem); ok {
+		fmt.Fprintf(w, "n += 4 + %s\n", times(esz, "len("+e+")"))
+	} else if elem.Kind == cell.KindStruct {
+		fmt.Fprintf(w, "n += %s.Size()\n", e)
+	} else {
+		fmt.Fprintf(w, "n += 4\n")
+		sizeLoop(w, elem.Elem, e, depth+1)
+	}
+	fmt.Fprintf(w, "}\n")
+}
+
+// genList emits the reader of one list type: Len, At, slice (the copy
+// Unmarshal makes), read (the constructor at a count prefix), set for
+// fixed primitives, and skip for variable-size elements.
+func (g *generator) genList(name string, lt listType) {
+	e, edge := lt.t.Elem, lt.edge
+	et := g.readType(e, edge)
+	esz, fixedElems := e.FixedSize()
+	g.printf("// %s reads a %s in place.\ntype %s struct {\nb []byte\nn int\n}\n\n", name, lt.t, name)
+	g.printf("func read%s(b []byte, o int) %s {\n", name, name)
+	if fixedElems {
+		g.printf("n := %s\nreturn %s{b[o+4 : o+4+%s], n}\n}\n\n", count("b", "o"), name, times(esz, "n"))
+	} else {
+		g.printf("return %s{b[o+4:], %s}\n}\n\n", name, count("b", "o"))
+	}
+	g.printf("// Len returns the number of elements.\nfunc (l %s) Len() int { return l.n }\n\n", name)
+	g.printf("// At returns element i.\nfunc (l %s) At(i int) %s {\n", name, et)
+	if fixedElems {
+		g.printf("return %s\n}\n\n", g.readValue(e, edge, "l.b", times(esz, "i")))
+	} else {
+		g.printf("o := 0\nfor ; i > 0; i-- {\no = %s\n}\nreturn %s\n}\n\n", step(e, edge, "l.b", "o"), g.readValue(e, edge, "l.b", "o"))
+	}
+	if _, prim := primGo[e.Kind]; prim && fixedElems {
+		g.printf("func (l %s) set(i int, v %s) {\n%s\n}\n\n", name, et, writePrim(e.Kind, "l.b", times(esz, "i"), "v"))
+	}
+	g.printf("func (l %s) slice() %s {\nif l.n == 0 {\nreturn nil\n}\n", name, goType(lt.t, edge))
+	g.printf("s := make(%s, l.n)\n", goType(lt.t, edge))
+	get := func(o string) string {
+		switch e.Kind {
+		case cell.KindStruct:
+			return fmt.Sprintf("%s{l.b[%s:]}.get(&s[i])", et, o)
+		case cell.KindList:
+			return fmt.Sprintf("s[i] = %s.slice()", g.readValue(e, edge, "l.b", o))
+		}
+		return "s[i] = " + g.readValue(e, edge, "l.b", o)
+	}
+	if fixedElems {
+		g.printf("for i := range s {\n%s\n}\nreturn s\n}\n\n", get(times(esz, "i")))
+	} else {
+		g.printf("o := 0\nfor i := range s {\n%s\no = %s\n}\nreturn s\n}\n\n", get("o"), step(e, edge, "l.b", "o"))
+		g.printf("func skip%s(b []byte, o int) int {\nif o += 4; o > len(b) {\nreturn -1\n}\n", name)
+		g.printf("for n := binary.LittleEndian.Uint32(b[o-4:]); n > 0; n-- {\n")
+		g.genCheck(e, edge, 0, false)
+		g.printf("}\nreturn o\n}\n\n")
 	}
 }
 
 // genAppend emits serialization code for one value expression.
 func (g *generator) genAppend(t *cell.Type, expr string, depth int) {
-	ind := strings.Repeat("\t", depth)
 	switch t.Kind {
 	case cell.KindByte:
-		g.printf("%sb = append(b, %s)\n", ind, expr)
+		g.printf("b = append(b, %s)\n", expr)
 	case cell.KindBool:
-		g.printf("%sif %s {\n%s\tb = append(b, 1)\n%s} else {\n%s\tb = append(b, 0)\n%s}\n", ind, expr, ind, ind, ind, ind)
+		g.printf("if %s {\nb = append(b, 1)\n} else {\nb = append(b, 0)\n}\n", expr)
 	case cell.KindInt:
-		g.printf("%sb = binary.LittleEndian.AppendUint32(b, uint32(%s))\n", ind, expr)
+		g.printf("b = binary.LittleEndian.AppendUint32(b, uint32(%s))\n", expr)
 	case cell.KindLong:
-		g.printf("%sb = binary.LittleEndian.AppendUint64(b, uint64(%s))\n", ind, expr)
+		g.printf("b = binary.LittleEndian.AppendUint64(b, uint64(%s))\n", expr)
 	case cell.KindFloat:
-		g.printf("%sb = binary.LittleEndian.AppendUint32(b, math.Float32bits(%s))\n", ind, expr)
+		g.printf("b = binary.LittleEndian.AppendUint32(b, math.Float32bits(%s))\n", expr)
 	case cell.KindDouble:
-		g.printf("%sb = binary.LittleEndian.AppendUint64(b, math.Float64bits(%s))\n", ind, expr)
+		g.printf("b = binary.LittleEndian.AppendUint64(b, math.Float64bits(%s))\n", expr)
 	case cell.KindString:
-		g.printf("%sb = binary.LittleEndian.AppendUint32(b, uint32(len(%s)))\n", ind, expr)
-		g.printf("%sb = append(b, %s...)\n", ind, expr)
+		g.printf("b = binary.LittleEndian.AppendUint32(b, uint32(len(%s)))\n", expr)
+		g.printf("b = append(b, %s...)\n", expr)
 	case cell.KindList:
-		v := fmt.Sprintf("e%d", depth)
-		g.printf("%sb = binary.LittleEndian.AppendUint32(b, uint32(len(%s)))\n", ind, expr)
+		g.printf("b = binary.LittleEndian.AppendUint32(b, uint32(len(%s)))\n", expr)
 		if t.Elem.Kind == cell.KindStruct {
 			idx := fmt.Sprintf("i%d", depth)
-			g.printf("%sfor %s := range %s {\n", ind, idx, expr)
-			g.printf("%s\tb = %s[%s].AppendTo(b)\n", ind, expr, idx)
-			g.printf("%s}\n", ind)
+			g.printf("for %s := range %s {\nb = %s[%s].AppendTo(b)\n}\n", idx, expr, expr, idx)
 		} else {
-			g.printf("%sfor _, %s := range %s {\n", ind, v, expr)
+			v := fmt.Sprintf("e%d", depth)
+			g.printf("for _, %s := range %s {\n", v, expr)
 			g.genAppend(t.Elem, v, depth+1)
-			g.printf("%s}\n", ind)
+			g.printf("}\n")
 		}
 	case cell.KindStruct:
-		g.printf("%sb = %s.AppendTo(b)\n", ind, expr)
-	}
-}
-
-// genDecode emits deserialization code for one value expression, using
-// and advancing offset variable `o` over buffer `b`.
-func (g *generator) genDecode(t *cell.Type, expr string, depth int) {
-	ind := strings.Repeat("\t", depth)
-	bounds := func(n string) {
-		g.printf("%sif o+%s > len(b) {\n%s\treturn 0, errShortBlob\n%s}\n", ind, n, ind, ind)
-	}
-	switch t.Kind {
-	case cell.KindByte:
-		bounds("1")
-		g.printf("%s%s = b[o]\n%so++\n", ind, expr, ind)
-	case cell.KindBool:
-		bounds("1")
-		g.printf("%s%s = b[o] != 0\n%so++\n", ind, expr, ind)
-	case cell.KindInt:
-		bounds("4")
-		g.printf("%s%s = int32(binary.LittleEndian.Uint32(b[o:]))\n%so += 4\n", ind, expr, ind)
-	case cell.KindLong:
-		bounds("8")
-		g.printf("%s%s = int64(binary.LittleEndian.Uint64(b[o:]))\n%so += 8\n", ind, expr, ind)
-	case cell.KindFloat:
-		bounds("4")
-		g.printf("%s%s = math.Float32frombits(binary.LittleEndian.Uint32(b[o:]))\n%so += 4\n", ind, expr, ind)
-	case cell.KindDouble:
-		bounds("8")
-		g.printf("%s%s = math.Float64frombits(binary.LittleEndian.Uint64(b[o:]))\n%so += 8\n", ind, expr, ind)
-	case cell.KindString:
-		n := fmt.Sprintf("n%d", g.fresh())
-		bounds("4")
-		g.printf("%s%s := int(binary.LittleEndian.Uint32(b[o:]))\n%so += 4\n", ind, n, ind)
-		bounds(n)
-		g.printf("%s%s = string(b[o : o+%s])\n%so += %s\n", ind, expr, n, ind, n)
-	case cell.KindList:
-		id := g.fresh()
-		cnt := fmt.Sprintf("c%d", id)
-		idx := fmt.Sprintf("i%d", id)
-		bounds("4")
-		g.printf("%s%s := int(binary.LittleEndian.Uint32(b[o:]))\n%so += 4\n", ind, cnt, ind)
-		// Sanity-cap the allocation: each element costs at least one byte
-		// on the wire except empty structs, so a count beyond the buffer
-		// is corrupt.
-		if esz, fixed := t.Elem.FixedSize(); fixed && esz > 0 {
-			g.printf("%sif o+%s*%d > len(b) {\n%s\treturn 0, errShortBlob\n%s}\n", ind, cnt, esz, ind, ind)
-		} else {
-			g.printf("%sif %s > len(b)-o {\n%s\treturn 0, errShortBlob\n%s}\n", ind, cnt, ind, ind)
-		}
-		g.printf("%s%s = make(%s, %s)\n", ind, expr, goType(t), cnt)
-		g.printf("%sfor %s := 0; %s < %s; %s++ {\n", ind, idx, idx, cnt, idx)
-		if t.Elem.Kind == cell.KindStruct {
-			g.printf("%s\tn, err := %s[%s].decodeFrom(b[o:])\n", ind, expr, idx)
-			g.printf("%s\tif err != nil {\n%s\t\treturn 0, err\n%s\t}\n", ind, ind, ind)
-			g.printf("%s\to += n\n", ind)
-		} else {
-			g.genDecode(t.Elem, fmt.Sprintf("%s[%s]", expr, idx), depth+1)
-		}
-		g.printf("%s}\n", ind)
-	case cell.KindStruct:
-		g.printf("%s{\n%s\tn, err := %s.decodeFrom(b[o:])\n", ind, ind, expr)
-		g.printf("%s\tif err != nil {\n%s\t\treturn 0, err\n%s\t}\n", ind, ind, ind)
-		g.printf("%s\to += n\n%s}\n", ind, ind)
-	}
-}
-
-// genAccessorMethods emits typed accessor methods for one field.
-func (g *generator) genAccessorMethods(structName string, f *cell.Field) {
-	fn := goName(f.Name)
-	recv := fmt.Sprintf("func (a %sAccessor)", structName)
-	switch f.Type.Kind {
-	case cell.KindByte:
-		g.printf("// %s reads the %s field.\n%s %s() byte { return a.MustField(%q).Byte() }\n\n", fn, f.Name, recv, fn, f.Name)
-		g.printf("// Set%s writes the %s field in place.\n%s Set%s(v byte) { a.MustField(%q).SetByte(v) }\n\n", fn, f.Name, recv, fn, f.Name)
-	case cell.KindBool:
-		g.printf("// %s reads the %s field.\n%s %s() bool { return a.MustField(%q).Bool() }\n\n", fn, f.Name, recv, fn, f.Name)
-		g.printf("// Set%s writes the %s field in place.\n%s Set%s(v bool) { a.MustField(%q).SetBool(v) }\n\n", fn, f.Name, recv, fn, f.Name)
-	case cell.KindInt:
-		g.printf("// %s reads the %s field.\n%s %s() int32 { return a.MustField(%q).Int() }\n\n", fn, f.Name, recv, fn, f.Name)
-		g.printf("// Set%s writes the %s field in place.\n%s Set%s(v int32) { a.MustField(%q).SetInt(v) }\n\n", fn, f.Name, recv, fn, f.Name)
-	case cell.KindLong:
-		g.printf("// %s reads the %s field.\n%s %s() int64 { return a.MustField(%q).Long() }\n\n", fn, f.Name, recv, fn, f.Name)
-		g.printf("// Set%s writes the %s field in place.\n%s Set%s(v int64) { a.MustField(%q).SetLong(v) }\n\n", fn, f.Name, recv, fn, f.Name)
-	case cell.KindFloat:
-		g.printf("// %s reads the %s field.\n%s %s() float32 { return a.MustField(%q).Float() }\n\n", fn, f.Name, recv, fn, f.Name)
-		g.printf("// Set%s writes the %s field in place.\n%s Set%s(v float32) { a.MustField(%q).SetFloat(v) }\n\n", fn, f.Name, recv, fn, f.Name)
-	case cell.KindDouble:
-		g.printf("// %s reads the %s field.\n%s %s() float64 { return a.MustField(%q).Double() }\n\n", fn, f.Name, recv, fn, f.Name)
-		g.printf("// Set%s writes the %s field in place.\n%s Set%s(v float64) { a.MustField(%q).SetDouble(v) }\n\n", fn, f.Name, recv, fn, f.Name)
-	case cell.KindString:
-		g.printf("// %s reads the %s field (copies the string).\n%s %s() string { return a.MustField(%q).Str() }\n\n", fn, f.Name, recv, fn, f.Name)
-	case cell.KindList:
-		g.printf("// %s returns a zero-copy reference to the %s list.\n%s %s() cell.ListRef { return a.MustField(%q).List() }\n\n", fn, f.Name, recv, fn, f.Name)
-	case cell.KindStruct:
-		g.printf("// %s descends into the nested %s struct.\n%s %s() %sAccessor {\n", fn, f.Name, recv, fn, goName(f.Type.Struct.Name))
-		g.printf("\treturn %sAccessor{a.MustField(%q).Struct()}\n}\n\n", goName(f.Type.Struct.Name), f.Name)
+		g.printf("b = %s.AppendTo(b)\n", expr)
 	}
 }
 
@@ -338,7 +525,7 @@ func (g *generator) genAccessorMethods(structName string, f *cell.Field) {
 func (g *generator) genProtocol(p *Protocol) {
 	name := goName(p.Name)
 	g.printf("// %sID is the wire identifier of the %s protocol.\n", name, p.Name)
-	g.printf("const %sID msg.ProtocolID = tsl.ProtoUserBase + %d\n\n", name, p.ID-ProtoUserBase)
+	g.printf("const %sID msg.ProtocolID = %#x\n\n", name, uint16(p.ID))
 
 	reqType := ""
 	if p.Request != nil {
@@ -351,7 +538,7 @@ func (g *generator) genProtocol(p *Protocol) {
 
 	marshalReq := "nil"
 	if p.Request != nil {
-		marshalReq = "req.Marshal()"
+		marshalReq = "req.AppendTo(nil)"
 	}
 
 	if p.Type == Syn {
@@ -395,7 +582,7 @@ func (g *generator) genProtocol(p *Protocol) {
 		if p.Response != nil {
 			g.printf("\t\tresp, err := h(%s)\n", callArgs)
 			g.printf("\t\tif err != nil {\n\t\t\treturn nil, err\n\t\t}\n")
-			g.printf("\t\treturn resp.Marshal(), nil\n")
+			g.printf("\t\treturn resp.AppendTo(nil), nil\n")
 		} else {
 			g.printf("\t\treturn nil, h(%s)\n", callArgs)
 		}

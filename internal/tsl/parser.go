@@ -82,6 +82,8 @@ type Script struct {
 }
 
 // Struct returns the named struct type, or nil.
+//
+//reach:test-seam tests look up a compiled struct to build cell.Encode reference blobs
 func (s *Script) Struct(name string) *cell.StructType {
 	return s.structsByName[name]
 }
@@ -526,8 +528,9 @@ func checkFieldAttrs(structs map[string]*astStruct, f astField) error {
 	return nil
 }
 
-// MustCompile is Compile that panics on error, for static schemas in
-// package initializers.
+// MustCompile is Compile that panics on error, for static schemas.
+//
+//reach:test-seam tests compile fixed schemas; tslc reports errors through Compile
 func MustCompile(src string) *Script {
 	s, err := Compile(src)
 	if err != nil {

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"trinity/internal/cell"
+	"trinity/internal/graph"
 )
 
 // paperScript is the movie/actor example from Figure 4 of the paper plus
@@ -67,7 +68,7 @@ func TestCompilePaperExample(t *testing.T) {
 	if movie.Attrs["CellType"] != "NodeCell" {
 		t.Fatalf("Movie attrs = %v", movie.Attrs)
 	}
-	actors := movie.Fields[movie.FieldIndex("Actors")]
+	actors := movie.Fields[1]
 	if actors.Type.Kind != cell.KindList || actors.Type.Elem.Kind != cell.KindLong {
 		t.Fatalf("Actors type = %v", actors.Type)
 	}
@@ -113,11 +114,11 @@ cell struct Big {
 		t.Fatal(err)
 	}
 	big := s.Struct("Big")
-	matrix := big.Fields[big.FieldIndex("Matrix")]
+	matrix := big.Fields[10]
 	if matrix.Type.Elem.Elem.Kind != cell.KindLong {
 		t.Fatalf("Matrix = %v", matrix.Type)
 	}
-	nested := big.Fields[big.FieldIndex("Nested")]
+	nested := big.Fields[7]
 	if nested.Type.Kind != cell.KindStruct || nested.Type.Struct.Name != "Inner" {
 		t.Fatalf("Nested = %v", nested.Type)
 	}
@@ -229,28 +230,35 @@ func TestErrorsCarryPosition(t *testing.T) {
 }
 
 func TestRuntimeSchemaMatchesAccessor(t *testing.T) {
-	// The compiled schema must drive the dynamic accessor correctly.
-	s := MustCompile(paperScript)
-	movie := s.Struct("Movie")
-	blob, err := cell.Encode(movie, map[string]cell.Value{
-		"Name":   "Inception",
-		"Actors": []int64{7, 8, 9},
+	// The compiled graph-node schema drives cell.Encode to the bytes the
+	// generated GraphNode accessor reads.
+	src, err := os.ReadFile(filepath.Join("..", "graph", "node.tsl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := cell.Encode(MustCompile(string(src)).Struct("GraphNode"), map[string]cell.Value{
+		"Label":    int64(-3),
+		"Name":     "Inception",
+		"Outlinks": []int64{7, 8, 9},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := cell.NewAccessor(movie, blob)
-	if a.MustField("Name").Str() != "Inception" {
-		t.Fatal("Name mismatch")
+	a, err := graph.NewGraphNodeAccessor(blob)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := a.MustField("Actors").List().Longs(); len(got) != 3 || got[2] != 9 {
-		t.Fatalf("Actors = %v", got)
+	if a.Label() != -3 || a.Name() != "Inception" || a.Weights().Len() != 0 || a.Inlinks().Len() != 0 {
+		t.Fatalf("Label, Name = %d, %q", a.Label(), a.Name())
+	}
+	if out := a.Outlinks(); out.Len() != 3 || out.At(2) != 9 {
+		t.Fatalf("Outlinks has %d entries", out.Len())
 	}
 }
 
 func TestGenerateStructure(t *testing.T) {
 	s := MustCompile(paperScript)
-	src, err := Generate("moviegraph", paperScript, s)
+	src, err := Generate("moviegraph", s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,13 +268,15 @@ func TestGenerateStructure(t *testing.T) {
 		"type Movie struct {",
 		"type Actor struct {",
 		"type MyMessage struct {",
-		"func (x *Movie) Marshal() []byte",
+		"Actors []uint64",
+		"func (x *Movie) Size() int",
+		"func (x *Movie) AppendTo(b []byte) []byte",
 		"func (x *Movie) Unmarshal(b []byte) error",
 		"type MovieAccessor struct",
-		"func LoadMovie(ctx context.Context, s *memcloud.Slave, id uint64) (*Movie, error)",
-		"func (x *Movie) Save(ctx context.Context, s *memcloud.Slave, id uint64) error",
-		"func UseMovie(s *memcloud.Slave, id uint64, fn func(MovieAccessor) error) error",
-		"const EchoID msg.ProtocolID",
+		"func NewMovieAccessor(b []byte) (MovieAccessor, error)",
+		"func (a MovieAccessor) Actors() Uint64List",
+		"func locateMovieActors(b []byte) (int, error)",
+		"const EchoID msg.ProtocolID = 0x1000",
 		"func CallEcho(ctx context.Context, n *msg.Node, to msg.MachineID, req *MyMessage) (*MyMessage, error)",
 		"func RegisterEcho(n *msg.Node, h func(context.Context, msg.MachineID, *MyMessage) (*MyMessage, error))",
 	} {
@@ -274,22 +284,36 @@ func TestGenerateStructure(t *testing.T) {
 			t.Errorf("generated code missing %q", want)
 		}
 	}
-	// No accessor setters for variable-size fields.
-	if strings.Contains(code, "SetName") {
-		t.Error("generated a setter for a string field")
+	// No accessor setters for variable-size fields, no runtime schema and
+	// no imports the code does not use.
+	for _, bad := range []string{"setName", "MustCompile", "tslSource", `"math"`, "memcloud"} {
+		if strings.Contains(code, bad) {
+			t.Errorf("generated code contains %q", bad)
+		}
 	}
 }
 
 // TestMoviesExampleIsGenerated pins examples/movies/schema_gen.go to what
 // tslc emits for its schema today, so a codegen change cannot leave the
-// one generated program (and its UseMovie in-place writer) stale.
+// one generated program (and its in-place setYear) stale.
 func TestMoviesExampleIsGenerated(t *testing.T) {
-	dir := filepath.Join("..", "..", "examples", "movies")
-	src, err := os.ReadFile(filepath.Join(dir, "schema.tsl"))
+	checkGenerated(t, "main", filepath.Join("..", "..", "examples", "movies"), "schema")
+}
+
+// TestGraphNodeIsGenerated pins internal/graph/node_gen.go, the codec and
+// accessor the graph engine runs on, to tslc's output for node.tsl.
+func TestGraphNodeIsGenerated(t *testing.T) {
+	checkGenerated(t, "graph", filepath.Join("..", "graph"), "node")
+}
+
+// checkGenerated compares dir/<name>_gen.go with tslc's output for
+// dir/<name>.tsl.
+func checkGenerated(t *testing.T, pkg, dir, name string) {
+	src, err := os.ReadFile(filepath.Join(dir, name+".tsl"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := os.ReadFile(filepath.Join(dir, "schema_gen.go"))
+	want, err := os.ReadFile(filepath.Join(dir, name+"_gen.go"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,13 +321,12 @@ func TestMoviesExampleIsGenerated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Generate("main", string(src), script)
+	got, err := Generate(pkg, script)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if string(got) != string(want) {
-		t.Fatal("examples/movies/schema_gen.go is stale; regenerate with " +
-			"go run ./cmd/tslc -o examples/movies/schema_gen.go examples/movies/schema.tsl")
+		t.Fatalf("%s is stale; regenerate with make gen", filepath.Join(dir, name+"_gen.go"))
 	}
 }
 
@@ -313,7 +336,7 @@ struct Ping { long Seq; }
 protocol Notify { Type: Asyn; Request: Ping; }
 `
 	s := MustCompile(src)
-	code, err := Generate("p", src, s)
+	code, err := Generate("p", s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,7 +375,7 @@ protocol Ask { Type: Syn; Request: Thing; Response: Thing; }
 protocol Tell { Type: Asyn; Request: Thing; }
 `
 	s := MustCompile(script)
-	code, err := Generate("tslgentest", script, s)
+	code, err := Generate("tslgentest", s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -369,7 +392,7 @@ protocol Tell { Type: Asyn; Request: Thing; }
 
 import "fmt"
 
-// RoundTrip exercises Marshal/Unmarshal and the accessor on one value.
+// RoundTrip exercises AppendTo/Unmarshal and the accessor on one value.
 func RoundTrip() error {
 	in := &Thing{
 		Name:   "t1",
@@ -379,7 +402,7 @@ func RoundTrip() error {
 		Tags:   []string{"a", "bb"},
 		Links:  []int64{1, 2, 3},
 	}
-	blob := in.Marshal()
+	blob := in.AppendTo(nil)
 	out := new(Thing)
 	if err := out.Unmarshal(blob); err != nil {
 		return err
@@ -389,15 +412,18 @@ func RoundTrip() error {
 		len(out.Links) != 3 || out.Links[2] != 3 {
 		return fmt.Errorf("round trip mismatch: %+v", out)
 	}
-	a := NewThingAccessor(blob)
+	a, err := NewThingAccessor(blob)
+	if err != nil {
+		return err
+	}
 	if a.Name() != "t1" || a.Id() != 42 || a.Nested().X() != -7 {
 		return fmt.Errorf("accessor mismatch")
 	}
-	a.SetId(99)
+	a.setId(99)
 	if a.Id() != 99 {
 		return fmt.Errorf("accessor write lost")
 	}
-	if a.Links().Len() != 3 || a.Links().At(0).Long() != 1 {
+	if a.Links().Len() != 3 || a.Links().At(0) != 1 || a.Tags().At(1) != "bb" {
 		return fmt.Errorf("list accessor mismatch")
 	}
 	return nil
